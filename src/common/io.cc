@@ -141,7 +141,11 @@ Result<RandomAccessFile> RandomAccessFile::Open(const std::string& path) {
 Status RandomAccessFile::Read(uint64_t offset, size_t n,
                               std::string* scratch) const {
   scratch->resize(n);
-  char* p = scratch->data();
+  return Read(offset, n, scratch->data());
+}
+
+Status RandomAccessFile::Read(uint64_t offset, size_t n, char* dst) const {
+  char* p = dst;
   size_t left = n;
   uint64_t off = offset;
   while (left > 0) {

@@ -67,6 +67,8 @@ class RandomAccessFile {
   /// IOError on short reads (reading past EOF is a caller bug surfaced as
   /// an error, not silently truncated data).
   Status Read(uint64_t offset, size_t n, std::string* scratch) const;
+  /// Same, into caller memory \p dst of at least \p n bytes.
+  Status Read(uint64_t offset, size_t n, char* dst) const;
 
   uint64_t Size() const { return size_; }
   const std::string& path() const { return path_; }

@@ -56,16 +56,21 @@ Result<CompareOp> ParseOp(const std::string& tok) {
                                  "'");
 }
 
-/// Parses an optional trailing "WHERE col op int" clause at position i.
+/// Parses an optional "WHERE col op int" clause at position i, which must
+/// end the statement.
 Result<Predicate> ParseWhere(Decibel* db,
                              const std::vector<std::string>& tokens,
                              size_t i) {
   if (i >= tokens.size()) return Predicate();
-  if (Upper(tokens[i]) != "WHERE" || i + 3 > tokens.size() + 0) {
+  if (Upper(tokens[i]) != "WHERE") {
     return Status::InvalidArgument("vquel: expected WHERE clause");
   }
   if (i + 4 > tokens.size()) {
     return Status::InvalidArgument("vquel: incomplete WHERE clause");
+  }
+  if (i + 4 < tokens.size()) {
+    return Status::InvalidArgument("vquel: trailing tokens after '" +
+                                   tokens[i + 3] + "'");
   }
   DECIBEL_ASSIGN_OR_RETURN(CompareOp op, ParseOp(tokens[i + 2]));
   int64_t value;

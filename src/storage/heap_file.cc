@@ -292,19 +292,31 @@ void HeapFile::FoldTailRecords(const char* records, uint64_t count) {
   file_zone_.UpdateBatch(*options_.schema, records, count);
 }
 
+void HeapFile::AppendPageStatsLocked(PageStats ps) {
+  // page_stats_[i] describes page i, so the entries stay a prefix of the
+  // sealed pages. A file reopened without (all of) its persisted stats
+  // skips pages sealed before EnsureStats catches up; those read their
+  // whole slot until then.
+  if (page_stats_.size() == sealed_pages_) {
+    page_stats_.push_back(std::move(ps));
+  }
+}
+
 Status HeapFile::SealTailPage() {
   // Pages sealed from the tail stay kRaw: the write below must preserve
   // the byte prefix a checkpoint may have CRC'd (see OpenAtCheckpoint).
   DECIBEL_RETURN_NOT_OK(WriteTailPage());
-  if (stats_enabled()) {
+  {
     std::lock_guard<std::mutex> lock(stats_mu_);
     PageStats ps;
-    ps.zone = std::move(tail_zone_);
     ps.format = columnar::PageFormat::kRaw;
     ps.stored_bytes =
         static_cast<uint32_t>(records_per_page_ * record_size_);
-    page_stats_.push_back(std::move(ps));
-    tail_zone_ = columnar::ZoneMap(options_.schema->num_columns());
+    if (stats_enabled()) {
+      ps.zone = std::move(tail_zone_);
+      tail_zone_ = columnar::ZoneMap(options_.schema->num_columns());
+    }
+    AppendPageStatsLocked(std::move(ps));
   }
   std::lock_guard<std::mutex> lock(tail_mu_);
   tail_.clear();
@@ -365,14 +377,16 @@ Result<uint64_t> HeapFile::AppendBatch(Slice records, uint64_t count) {
       page.resize(options_.page_size, '\0');
       DECIBEL_RETURN_NOT_OK(
           writer_->WriteAt(PageOffset(sealed_pages_), page));
-      if (stats_enabled()) {
+      {
         std::lock_guard<std::mutex> lock(stats_mu_);
         PageStats ps;
-        ps.zone = std::move(page_zone);
         ps.format = format;
         ps.stored_bytes = static_cast<uint32_t>(stored.size());
-        file_zone_.Merge(ps.zone);
-        page_stats_.push_back(std::move(ps));
+        if (stats_enabled()) {
+          ps.zone = std::move(page_zone);
+          file_zone_.Merge(ps.zone);
+        }
+        AppendPageStatsLocked(std::move(ps));
       }
       {
         std::lock_guard<std::mutex> lock(tail_mu_);
@@ -472,8 +486,29 @@ bool HeapFile::SnapshotTailIfCurrent(uint64_t page_no, std::string* out,
   return true;
 }
 
-Status HeapFile::ReadStoredPage(uint64_t page_no, std::string* stored,
+Status HeapFile::ReadStoredPage(uint64_t page_no, std::string* page,
                                 PageHeader* header) const {
+  // The page's stats know its stored length, so header and stored bytes
+  // arrive in one pread. A page with no stats yet (its file was opened
+  // without persisted stats and EnsureStats has not reached it) reads its
+  // whole slot instead: sealed pages always fill a page_size slot.
+  bool have_stats = false;
+  PageHeader expected;
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    if (page_no < page_stats_.size()) {
+      have_stats = true;
+      expected.format = page_stats_[page_no].format;
+      expected.stored_len = page_stats_[page_no].stored_bytes;
+    }
+  }
+  const uint64_t max_stored = options_.page_size - kPageHeaderSize;
+  if (have_stats && expected.stored_len > max_stored) {
+    return Status::Corruption("heapfile: page " + std::to_string(page_no) +
+                              " stats overrun the page in " + path_);
+  }
+  const uint64_t len =
+      have_stats ? kPageHeaderSize + expected.stored_len : options_.page_size;
   {
     std::lock_guard<std::mutex> lock(reader_mu_);
     if (!reader_.has_value()) {
@@ -483,10 +518,12 @@ Status HeapFile::ReadStoredPage(uint64_t page_no, std::string* stored,
       reader_.emplace(std::move(r));
     }
   }
-  std::string head;
-  DECIBEL_RETURN_NOT_OK(
-      reader_->Read(PageOffset(page_no), kPageHeaderSize, &head));
-  header->count = DecodeFixed32(head.data());
+  page->reserve(options_.page_size);  // the decoded page never reallocates
+  page->resize(len);
+  DECIBEL_RETURN_NOT_OK(reader_->Read(PageOffset(page_no), len, page->data()));
+
+  const char* head = page->data();
+  header->count = DecodeFixed32(head);
   if (header->count > records_per_page_) {
     return Status::Corruption("heapfile: bad page count in " + path_);
   }
@@ -495,19 +532,20 @@ Status HeapFile::ReadStoredPage(uint64_t page_no, std::string* stored,
     return Status::Corruption("heapfile: bad page format in " + path_);
   }
   header->format = static_cast<columnar::PageFormat>(format_byte);
-  header->stored_len = DecodeFixed32(head.data() + 12);
-  if (header->stored_len > options_.page_size - kPageHeaderSize ||
+  header->stored_len = DecodeFixed32(head + 12);
+  if (header->stored_len > max_stored ||
       (header->format == columnar::PageFormat::kRaw &&
        header->stored_len != header->count * record_size_)) {
     return Status::Corruption("heapfile: bad page length in " + path_);
   }
-  // Read only the stored bytes — a compressed page costs its compressed
-  // size in I/O, not a full page slot.
-  DECIBEL_RETURN_NOT_OK(reader_->Read(PageOffset(page_no) + kPageHeaderSize,
-                                      header->stored_len, stored));
+  if (have_stats && (header->stored_len != expected.stored_len ||
+                     header->format != expected.format)) {
+    return Status::Corruption("heapfile: page " + std::to_string(page_no) +
+                              " header disagrees with its stats in " + path_);
+  }
   if (options_.verify_checksums) {
-    const uint32_t crc = UnmaskCrc(DecodeFixed32(head.data() + 4));
-    if (crc != Crc32(Slice(*stored))) {
+    const uint32_t crc = UnmaskCrc(DecodeFixed32(head + 4));
+    if (crc != Crc32(Slice(head + kPageHeaderSize, header->stored_len))) {
       return Status::Corruption("heapfile: page " + std::to_string(page_no) +
                                 " checksum mismatch in " + path_);
     }
@@ -515,32 +553,35 @@ Status HeapFile::ReadStoredPage(uint64_t page_no, std::string* stored,
   return Status::OK();
 }
 
+Status HeapFile::DecodeStoredPage(const PageHeader& header,
+                                  std::string* page) const {
+  if (header.format == columnar::PageFormat::kRaw) {
+    // Drop whatever a whole-slot read brought in past the payload, then
+    // zero-pad; a known-length read only pads.
+    page->resize(kPageHeaderSize + header.stored_len);
+    page->resize(options_.page_size, '\0');
+    return Status::OK();
+  }
+  if (!stats_enabled()) {
+    return Status::Corruption("heapfile: compressed page without schema in " +
+                              path_);
+  }
+  const std::string stored = std::move(*page);
+  page->clear();
+  page->reserve(options_.page_size);
+  page->assign(stored.data(), kPageHeaderSize);
+  DECIBEL_RETURN_NOT_OK(columnar::DecodePage(
+      *options_.schema, header.format,
+      Slice(stored.data() + kPageHeaderSize, header.stored_len), header.count,
+      page));
+  page->resize(options_.page_size, '\0');
+  return Status::OK();
+}
+
 Status HeapFile::ReadPageFromDisk(uint64_t page_no, std::string* out) {
   PageHeader header;
-  std::string stored;
-  DECIBEL_RETURN_NOT_OK(ReadStoredPage(page_no, &stored, &header));
-  // Normalize to a decoded page: the v2 header (format and stored_len
-  // kept for I/O accounting) followed by the raw row-major payload at
-  // the usual offset, padded to the page size. Cached pages are always
-  // in this shape, so every consumer's payload arithmetic is unchanged.
-  out->clear();
-  out->reserve(options_.page_size);
-  out->resize(kPageHeaderSize, '\0');
-  EncodePageHeader(out->data(), header.count, 0, header.format,
-                   header.stored_len);
-  if (header.format == columnar::PageFormat::kRaw) {
-    out->append(stored);
-  } else {
-    if (!stats_enabled()) {
-      return Status::Corruption(
-          "heapfile: compressed page without schema in " + path_);
-    }
-    DECIBEL_RETURN_NOT_OK(columnar::DecodePage(*options_.schema,
-                                               header.format, Slice(stored),
-                                               header.count, out));
-  }
-  out->resize(options_.page_size, '\0');
-  return Status::OK();
+  DECIBEL_RETURN_NOT_OK(ReadStoredPage(page_no, out, &header));
+  return DecodeStoredPage(header, out);
 }
 
 Status HeapFile::Get(uint64_t index, std::string* out) {
@@ -608,8 +649,8 @@ Result<HeapFile::PinnedPage> HeapFile::PinPageCounted(
     return out;
   }
   PageHeader header;
-  std::string stored;
-  DECIBEL_RETURN_NOT_OK(ReadStoredPage(page_no, &stored, &header));
+  auto page = std::make_shared<std::string>();
+  DECIBEL_RETURN_NOT_OK(ReadStoredPage(page_no, page.get(), &header));
   out.io_bytes = kPageHeaderSize + header.stored_len;
   if (predicate != nullptr && stats_enabled() &&
       header.format == columnar::PageFormat::kColumnar &&
@@ -619,31 +660,16 @@ Result<HeapFile::PinnedPage> HeapFile::PinPageCounted(
     // buffer pool stays unpolluted by a page nobody will read.
     bool exact = false;
     const uint64_t matches = columnar::CountMatchesCompressed(
-        *options_.schema, header.format, Slice(stored), header.count,
-        predicate->raw_comparisons(), &exact);
+        *options_.schema, header.format,
+        Slice(page->data() + kPageHeaderSize, header.stored_len),
+        header.count, predicate->raw_comparisons(), &exact);
     if (exact && matches == 0) {
       *no_matches = true;
       out.count = header.count;
       return out;  // payload-less: caller must skip, not read
     }
   }
-  auto page = std::make_shared<std::string>();
-  page->reserve(options_.page_size);
-  page->resize(kPageHeaderSize, '\0');
-  EncodePageHeader(page->data(), header.count, 0, header.format,
-                   header.stored_len);
-  if (header.format == columnar::PageFormat::kRaw) {
-    page->append(stored);
-  } else {
-    if (!stats_enabled()) {
-      return Status::Corruption(
-          "heapfile: compressed page without schema in " + path_);
-    }
-    DECIBEL_RETURN_NOT_OK(columnar::DecodePage(*options_.schema,
-                                               header.format, Slice(stored),
-                                               header.count, page.get()));
-  }
-  page->resize(options_.page_size, '\0');
+  DECIBEL_RETURN_NOT_OK(DecodeStoredPage(header, page.get()));
   PageRef ref = std::move(page);
   pool_->Insert(file_id_, page_no, ref);
   out.pin = std::move(ref);

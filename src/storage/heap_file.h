@@ -197,7 +197,10 @@ class HeapFile : public PageSource {
 
   // ------------------------------------------------------- zone maps
 
-  /// Per-sealed-page statistics (zone map + storage format).
+  /// Per-sealed-page statistics (zone map + storage format). Format and
+  /// stored_bytes are recorded as pages seal, schema or not — they size
+  /// the page's single read on a pool miss — while the zone map stays
+  /// empty without a schema.
   struct PageStats {
     columnar::ZoneMap zone;
     columnar::PageFormat format = columnar::PageFormat::kRaw;
@@ -278,17 +281,25 @@ class HeapFile : public PageSource {
 
   Status WriteHeader();
   Status WriteTailPage();
-  /// Reads and validates a sealed page's stored bytes (header + exactly
-  /// stored_len payload bytes — compressed pages read less than a full
-  /// page slot).
-  Status ReadStoredPage(uint64_t page_no, std::string* stored,
+  /// Reads a sealed page's header and stored bytes into \p page with one
+  /// pread whose length comes from the page's PageStats (the whole slot
+  /// if it has none yet), checks the header against those stats and
+  /// verifies the CRC in place. Compressed pages read less than a slot.
+  Status ReadStoredPage(uint64_t page_no, std::string* page,
                         PageHeader* header) const;
+  /// Turns what ReadStoredPage left in \p page into the cached shape: the
+  /// on-disk header, the row-major payload (decoded if compressed), zero
+  /// padding up to page_size.
+  Status DecodeStoredPage(const PageHeader& header, std::string* page) const;
   /// Folds one staged record into the tail/file zones (call before
   /// publishing num_records_).
   void FoldTailRecords(const char* records, uint64_t count);
   /// Writes the full tail page to disk and resets the tail for the next
   /// page — the seal step shared by Append and AppendBatch.
   Status SealTailPage();
+  /// Records the stats of the page being sealed (page sealed_pages_),
+  /// unless earlier pages still lack theirs. Caller holds stats_mu_.
+  void AppendPageStatsLocked(PageStats ps);
   uint64_t PageOffset(uint64_t page_no) const;
   /// If \p page_no is (still) the tail page, copies the tail payload into
   /// \p out and returns true; returns false if that page has been sealed
@@ -325,7 +336,7 @@ class HeapFile : public PageSource {
   /// num_records_ publishes it — a reader that can see a record can see
   /// its stats.
   mutable std::mutex stats_mu_;
-  std::vector<PageStats> page_stats_;  // one entry per sealed page
+  std::vector<PageStats> page_stats_;  // [i] = page i; a prefix of sealed
   columnar::ZoneMap tail_zone_;        // records currently staged in tail_
   columnar::ZoneMap file_zone_;        // every record ever appended
 

@@ -160,6 +160,95 @@ TEST(Crc32Test, DetectsCorruption) {
   EXPECT_NE(Crc32(data), crc);
 }
 
+/// Bit-at-a-time CRC-32: the definition both fast paths must reproduce.
+uint32_t Crc32Bitwise(Slice data) {
+  uint32_t c = 0xffffffffu;
+  for (size_t i = 0; i < data.size(); ++i) {
+    c ^= static_cast<uint8_t>(data[i]);
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xedb88320u & (0u - (c & 1)));
+  }
+  return c ^ 0xffffffffu;
+}
+
+std::string RandomBytes(size_t n, uint64_t seed) {
+  Random rng(seed);
+  std::string out(n, '\0');
+  for (char& ch : out) ch = static_cast<char>(rng.Next());
+  return out;
+}
+
+/// Runs every case on the carry-less-multiply path (where the CPU has
+/// one) and on slice-by-8, which stays the portable reference.
+class Crc32PathsTest : public ::testing::Test {
+ protected:
+  void TearDown() override { crc32::ForceScalarForTest(false); }
+
+  uint32_t Folded(Slice data, uint32_t seed = 0) {
+    crc32::ForceScalarForTest(false);
+    return Crc32(data, seed);
+  }
+  uint32_t Scalar(Slice data, uint32_t seed = 0) {
+    crc32::ForceScalarForTest(true);
+    const uint32_t crc = Crc32(data, seed);
+    crc32::ForceScalarForTest(false);
+    return crc;
+  }
+};
+
+TEST_F(Crc32PathsTest, KnownVectorOnBothPaths) {
+  EXPECT_EQ(Folded("123456789"), 0xCBF43926u);
+  EXPECT_EQ(Scalar("123456789"), 0xCBF43926u);
+  // Long enough that the folded path does the bulk of the work.
+  const std::string digits = [] {
+    std::string s;
+    for (int i = 0; i < 32; ++i) s += "123456789";
+    return s;
+  }();
+  EXPECT_EQ(Folded(digits), Crc32Bitwise(digits));
+  EXPECT_EQ(Scalar(digits), Crc32Bitwise(digits));
+}
+
+TEST_F(Crc32PathsTest, EveryLengthAgrees) {
+  const std::string data = RandomBytes(64 << 10, 7);
+  for (size_t len = 0; len <= 1100; ++len) {
+    const Slice s(data.data(), len);
+    const uint32_t want = Crc32Bitwise(s);
+    ASSERT_EQ(Folded(s), want) << "length " << len;
+    ASSERT_EQ(Scalar(s), want) << "length " << len;
+  }
+  const uint32_t want = Crc32Bitwise(data);
+  EXPECT_EQ(Folded(data), want);
+  EXPECT_EQ(Scalar(data), want);
+}
+
+TEST_F(Crc32PathsTest, EveryStartOffsetAgrees) {
+  // Unaligned loads: the same lengths starting at each offset in a
+  // 16-byte block.
+  const std::string data = RandomBytes(4096 + 64, 11);
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t len : {64u, 65u, 79u, 127u, 128u, 1000u, 4096u + 7}) {
+      const Slice s(data.data() + offset, len);
+      const uint32_t want = Crc32Bitwise(s);
+      EXPECT_EQ(Folded(s), want) << "offset " << offset << " length " << len;
+      EXPECT_EQ(Scalar(s), want) << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST_F(Crc32PathsTest, ChainedSeedsAgree) {
+  // Crc32(b, Crc32(a)) == Crc32(a + b) on each path, whichever side of
+  // the split is long enough to fold.
+  const std::string data = RandomBytes(1100, 13);
+  const uint32_t whole = Crc32Bitwise(data);
+  for (size_t split : {0u, 1u, 15u, 16u, 63u, 64u, 65u, 500u, 1036u, 1099u,
+                       1100u}) {
+    const Slice a(data.data(), split);
+    const Slice b(data.data() + split, data.size() - split);
+    EXPECT_EQ(Folded(b, Folded(a)), whole) << "split " << split;
+    EXPECT_EQ(Scalar(b, Scalar(a)), whole) << "split " << split;
+  }
+}
+
 TEST(HashTest, Deterministic) {
   EXPECT_EQ(Fnv1a64("abc"), Fnv1a64("abc"));
   EXPECT_NE(Fnv1a64("abc"), Fnv1a64("abd"));

@@ -466,6 +466,28 @@ TEST_F(VquelTest, ErrorsAreStatuses) {
   EXPECT_FALSE(vquel::Execute(db_.get(), "MERGE master").ok());
 }
 
+TEST_F(VquelTest, WhereClauseErrorsNameTheProblem) {
+  auto message = [&](const std::string& stmt) {
+    auto result = vquel::Execute(db_.get(), stmt);
+    return result.ok() ? std::string("ok") : result.status().ToString();
+  };
+  for (const char* stmt :
+       {"SCAN master WHERE c1", "SCAN master WHERE c1 =", "HEADS WHERE"}) {
+    EXPECT_NE(message(stmt).find("incomplete WHERE clause"),
+              std::string::npos)
+        << stmt << " -> " << message(stmt);
+  }
+  for (const char* stmt : {"SCAN master WHERE c1 = 5 junk",
+                           "JOIN master master WHERE c1 = 5 junk"}) {
+    EXPECT_NE(message(stmt).find("trailing tokens after '5'"),
+              std::string::npos)
+        << stmt << " -> " << message(stmt);
+  }
+  EXPECT_NE(message("SCAN master junk").find("expected WHERE clause"),
+            std::string::npos);
+  EXPECT_EQ(message("SCAN master WHERE c1 = 5"), "ok");
+}
+
 TEST_F(VquelTest, TransactionCommitIsAtomic) {
   vquel::Interpreter interp(db_.get());
   auto exec = [&](const std::string& stmt) {
@@ -528,6 +550,10 @@ TEST_F(VquelTest, MalformedStatementsReturnInvalidArgument) {
       // SCAN / writes: bad arity and bad values.
       "SCAN",
       "SCAN master WHERE c1",
+      "SCAN master WHERE c1 = 5 junk",
+      "SCAN COMMIT 1 WHERE c1 = 5 junk",
+      "JOIN master master WHERE c1 = 5 junk",
+      "HEADS WHERE c1 = 5 junk",
       "INSERT",
       "INSERT master",
       "INSERT master 1 2 3 4 5 6",

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/coding.h"
+#include "common/crc32.h"
+#include "common/logging.h"
 #include "common/random.h"
 #include "storage/buffer_pool.h"
 #include "storage/heap_file.h"
@@ -238,33 +241,210 @@ TEST_F(HeapFileTest, SealForbidsAppends) {
                   .IsInvalidArgument());
 }
 
+/// 32-byte records (flags + pk + a + 19-byte string), matching
+/// MakeRecordBytes(32, ...), so the same bytes can be written with or
+/// without a schema.
+Schema Schema32() {
+  auto schema = Schema::Make({{"pk", FieldType::kInt64, 0},
+                              {"a", FieldType::kInt32, 0},
+                              {"s", FieldType::kString, 19}});
+  DECIBEL_CHECK(schema.ok() && schema->record_size() == 32);
+  return *schema;
+}
+
+/// Overwrites \p bytes at \p offset in place (same inode, so an open
+/// HeapFile sees the change on its next read).
+void Poke(const std::string& path, uint64_t offset, const std::string& bytes) {
+  auto w = RandomWriteFile::Open(path);
+  ASSERT_TRUE(w.ok());
+  ASSERT_OK(w->WriteAt(offset, bytes));
+  ASSERT_OK(w->Close());
+}
+
+// With 256-byte pages and 32-byte records a page holds 7 records, so 30
+// records make 4 sealed pages and a 2-record tail; page p's slot starts
+// at byte 64 + 256 * p.
+
 TEST_F(HeapFileTest, CorruptPageDetected) {
+  // Schema-less files and files with a schema (whose pool misses read the
+  // length their page stats record); the file still open, and reopened
+  // the way an engine does it, restoring persisted stats.
+  const Schema schema = Schema32();
+  for (const Schema* s : {static_cast<const Schema*>(nullptr), &schema}) {
+    for (bool reopen : {false, true}) {
+      SCOPED_TRACE(std::string(s ? "schema" : "no schema") +
+                   (reopen ? ", reopened" : ", still open"));
+      HeapFile::Options opts;
+      opts.page_size = 256;
+      opts.schema = s;
+      const std::string path = JoinPath(dir_.path(), "t.dbhf");
+      auto file = HeapFile::Create(path, 32, opts, &pool_);
+      ASSERT_TRUE(file.ok());
+      for (int64_t i = 0; i < 30; ++i) {
+        ASSERT_TRUE((*file)->Append(MakeRecordBytes(32, i, 'c')).ok());
+      }
+      ASSERT_OK((*file)->Flush());
+      std::string stats;
+      (*file)->EncodeStats(&stats);
+      if (reopen) file->reset();
+
+      // Corrupt a byte in the middle of the first data page.
+      Poke(path, 64 + 100, std::string(1, 'c' ^ 0x7f));
+
+      if (reopen) {
+        file = HeapFile::Open(path, opts, &pool_);
+        if (!file.ok()) {
+          EXPECT_TRUE(file.status().IsCorruption());
+          continue;
+        }
+        if (s != nullptr) ASSERT_OK((*file)->LoadStats(stats));
+      }
+      // Tail page was fine; reading the corrupt sealed page must fail.
+      std::string buf;
+      Status st = (*file)->Get(0, &buf);
+      EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+      ASSERT_OK((*file)->Get(7, &buf));  // the next page is intact
+    }
+  }
+}
+
+TEST_F(HeapFileTest, StoredLengthDisagreeingWithStatsIsCorruption) {
+  // Page 1 rewritten as a self-consistent 6-record page: its count,
+  // stored_len and CRC agree with each other, so only the page's stats
+  // (7 records, 224 stored bytes) can tell the record it dropped is gone.
+  const Schema schema = Schema32();
+  for (const Schema* s : {static_cast<const Schema*>(nullptr), &schema}) {
+    for (bool reopen : {false, true}) {
+      if (reopen && s == nullptr) continue;  // no stats survive a reopen
+      SCOPED_TRACE(std::string(s ? "schema" : "no schema") +
+                   (reopen ? ", reopened" : ", still open"));
+      HeapFile::Options opts;
+      opts.page_size = 256;
+      opts.schema = s;
+      const std::string path = JoinPath(dir_.path(), "t.dbhf");
+      auto file = HeapFile::Create(path, 32, opts, &pool_);
+      ASSERT_TRUE(file.ok());
+      for (int64_t i = 0; i < 30; ++i) {
+        ASSERT_TRUE((*file)->Append(MakeRecordBytes(32, i, 'd')).ok());
+      }
+      ASSERT_OK((*file)->Flush());
+      std::string stats;
+      (*file)->EncodeStats(&stats);
+      if (reopen) file->reset();
+
+      std::string payload;
+      for (int64_t i = 7; i < 13; ++i) payload += MakeRecordBytes(32, i, 'd');
+      std::string header(16, '\0');
+      EncodeFixed32(header.data(), 6);
+      EncodeFixed32(header.data() + 4, MaskCrc(Crc32(payload)));
+      EncodeFixed32(header.data() + 12, static_cast<uint32_t>(payload.size()));
+      Poke(path, 64 + 256, header + payload);
+
+      if (reopen) {
+        file = HeapFile::Open(path, opts, &pool_);
+        ASSERT_TRUE(file.ok()) << file.status().ToString();
+        ASSERT_OK((*file)->LoadStats(stats));
+      }
+      std::string buf;
+      Status st = (*file)->Get(7, &buf);
+      EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+      EXPECT_NE(st.ToString().find("disagrees with its stats"),
+                std::string::npos)
+          << st.ToString();
+      ASSERT_OK((*file)->Get(0, &buf));
+    }
+  }
+}
+
+TEST_F(HeapFileTest, ReopenedWithoutStatsReadsCompressedPages) {
+  // Reopened without its persisted stats, a file reads whole page slots
+  // until EnsureStats catches up; pages it seals meanwhile must not be
+  // filed under the stats of the pages before them.
+  const Schema schema = Schema32();
   HeapFile::Options opts;
-  opts.page_size = 256;
+  opts.page_size = 1024;  // 31 records a page
+  opts.schema = &schema;
+  opts.compress_pages = true;
   const std::string path = JoinPath(dir_.path(), "t.dbhf");
+  // Records 0-61 repeat one fill byte and compress; records 62 on are
+  // random and stay raw, so the two kinds of page differ in stored length.
+  auto record = [&](int64_t i) {
+    std::string r = MakeRecordBytes(32, i, 'z');
+    if (i >= 62) {
+      Random rng(static_cast<uint64_t>(i));
+      for (size_t b = 9; b < r.size(); ++b) r[b] = static_cast<char>(rng.Next());
+    }
+    return r;
+  };
+  auto batch = [&](int64_t first, int64_t n) {
+    std::string out;
+    for (int64_t i = first; i < first + n; ++i) out += record(i);
+    return out;
+  };
   {
     auto file = HeapFile::Create(path, 32, opts, &pool_);
     ASSERT_TRUE(file.ok());
-    for (int64_t i = 0; i < 30; ++i) {
-      ASSERT_TRUE((*file)->Append(MakeRecordBytes(32, i, 'c')).ok());
-    }
+    ASSERT_TRUE((*file)->AppendBatch(batch(0, 62), 62).ok());
+    auto page = (*file)->PinPage(0);
+    ASSERT_TRUE(page.ok());
+    ASSERT_LT(page->io_bytes, 16u + 31 * 32) << "page 0 should compress";
     ASSERT_OK((*file)->Flush());
   }
-  // Corrupt a byte in the middle of the first data page.
-  auto contents = ReadFileToString(path);
-  ASSERT_TRUE(contents.ok());
-  std::string mutated = *contents;
-  mutated[64 + 100] ^= 0x7f;
-  ASSERT_OK(WriteStringToFile(path, mutated));
-
   auto file = HeapFile::Open(path, opts, &pool_);
-  if (file.ok()) {
-    // Tail page was fine; reading the corrupt sealed page must fail.
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  ASSERT_TRUE((*file)->AppendBatch(batch(62, 62), 62).ok());
+  for (int pass = 0; pass < 2; ++pass) {
+    pool_.EvictAll();
     std::string buf;
-    Status s = (*file)->Get(0, &buf);
-    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
-  } else {
-    EXPECT_TRUE(file.status().IsCorruption());
+    for (int64_t i = 0; i < 124; ++i) {
+      const Status st = (*file)->Get(static_cast<uint64_t>(i), &buf);
+      ASSERT_TRUE(st.ok()) << i << ": " << st.ToString();
+      EXPECT_EQ(buf, record(i)) << i;
+    }
+    ASSERT_OK((*file)->EnsureStats());  // the second pass reads by stats
+  }
+}
+
+TEST_F(HeapFileTest, TruncatedMidPageIsAnError) {
+  const Schema schema = Schema32();
+  for (const Schema* s : {static_cast<const Schema*>(nullptr), &schema}) {
+    SCOPED_TRACE(s ? "schema" : "no schema");
+    HeapFile::Options opts;
+    opts.page_size = 256;
+    opts.schema = s;
+    const std::string path = JoinPath(dir_.path(), "t.dbhf");
+    BufferPool pool(1 << 20);
+    auto file = HeapFile::Create(path, 32, opts, &pool);
+    ASSERT_TRUE(file.ok());
+    for (int64_t i = 0; i < 30; ++i) {
+      ASSERT_TRUE((*file)->Append(MakeRecordBytes(32, i, 't')).ok());
+    }
+    ASSERT_OK((*file)->Flush());
+
+    // Cut the file in the middle of page 1's payload under the open file.
+    ASSERT_OK(TruncateFile(path, 64 + 256 + 100));
+    std::string buf;
+    ASSERT_OK((*file)->Get(0, &buf));
+    EXPECT_EQ(buf, MakeRecordBytes(32, 0, 't'));
+    EXPECT_EQ(pool.resident_bytes(), 256u);
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      EXPECT_FALSE((*file)->Get(7, &buf).ok());
+      EXPECT_FALSE((*file)->PinPage(1).ok());
+    }
+    EXPECT_EQ(pool.resident_bytes(), 256u);  // no short page was cached
+    auto scanner = (*file)->NewScanner();
+    Slice rec;
+    uint64_t scanned = 0;
+    while (scanner.Next(&rec, nullptr)) ++scanned;
+    EXPECT_EQ(scanned, 7u);
+    EXPECT_FALSE(scanner.status().ok());
+
+    // Reopening the truncated file fails cleanly.
+    file->reset();
+    auto reopened = HeapFile::Open(path, opts, &pool);
+    ASSERT_FALSE(reopened.ok());
+    EXPECT_TRUE(reopened.status().IsCorruption())
+        << reopened.status().ToString();
   }
 }
 
