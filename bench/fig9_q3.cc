@@ -1,8 +1,9 @@
 /// Figure 9: Query 3 (primary-key join of two versions with a predicate)
 /// across the four branching strategies.
 ///
-/// Expected shape (§5.2): trends mirror Q2; version-first is competitive
-/// without merges (hash join over two streaming scans) but needs extra
+/// Expected shape (§5.2): trends mirror Q2. Every engine answers Q3 with
+/// one two-branch multi view (query::JoinVersions); version-first builds
+/// that view from winner tables over both ancestries, which costs extra
 /// passes under curation's merge-heavy ancestry.
 
 #include "bench_common.h"

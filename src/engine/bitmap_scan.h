@@ -6,6 +6,12 @@
 /// the tuple-first and hybrid engines. Pins one page at a time and skips
 /// directly between set bits, so sparse branches touch only the pages
 /// they occupy (the clustering benefit hybrid gets from small segments).
+/// PartsCursor chains such scans across segment files; it serves
+/// hybrid's views and version-first's multi-branch view.
+
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "bitmap/bitmap.h"
 #include "common/status.h"
@@ -87,6 +93,116 @@ class BitmapScanner {
   HeapFile::PinnedPage page_;
   uint64_t pinned_page_no_ = UINT64_MAX;
   uint64_t skip_page_no_ = UINT64_MAX;
+  Status status_;
+};
+
+/// One unit of a segmented scan: a segment file plus the bitmap(s)
+/// selecting its rows. Multi views carry one column per requested branch
+/// in `cols` and their union in `unioned`; single views leave `cols`
+/// empty. The file pointer is captured under the engine's registry lock
+/// at open, so cursors stream without re-reading the registry.
+struct ScanPart {
+  HeapFile* file = nullptr;
+  Bitmap unioned;
+  std::vector<Bitmap> cols;
+};
+
+/// Drops the parts whose file-level zone map rules \p predicate out and
+/// returns how many were dropped (whole segments skipped). Sound because
+/// the bitmaps already resolved visibility: a dropped segment's selected
+/// rows could only ever have failed the predicate.
+inline uint64_t DropUnmatchableParts(const PreparedPredicate& predicate,
+                                     std::vector<ScanPart>* parts) {
+  if (predicate.empty()) return 0;
+  const size_t before = parts->size();
+  std::vector<ScanPart> kept;
+  kept.reserve(before);
+  for (ScanPart& part : *parts) {
+    if (part.file->FileMayMatch(predicate)) kept.push_back(std::move(part));
+  }
+  *parts = std::move(kept);
+  return before - parts->size();
+}
+
+/// Streaming cursor chaining bitmap scans across scan parts, in part
+/// order. Owns the bitmaps. The pushed-down predicate runs on the
+/// in-page record bytes before the per-branch membership probes of multi
+/// views, and pages it rules out are skipped (BitmapScanner pruning).
+class PartsCursor : public ScanCursor {
+ public:
+  /// \p schema and \p counters must outlive the cursor; \p counters
+  /// receives the cursor's stats when it dies.
+  PartsCursor(const Schema* schema, ScanCounters* counters,
+              std::vector<ScanPart> parts, uint64_t segments_skipped,
+              std::vector<BranchId> branch_list, const ScanSpec& spec)
+      : schema_(schema),
+        counters_(counters),
+        parts_(std::move(parts)),
+        branch_list_(std::move(branch_list)),
+        prepared_(spec.predicate, *schema),
+        limit_(spec.limit),
+        row_bytes_(ProjectedRowBytes(*schema, spec.projection)) {
+    stats_.segments_skipped = segments_skipped;
+  }
+  ~PartsCursor() override { counters_->Add(stats_); }
+
+  bool Next(ScanRow* out) override {
+    if (limit_ != 0 && stats_.rows_emitted >= limit_) return false;
+    for (;;) {
+      if (!scanner_.has_value()) {
+        if (next_part_ >= parts_.size()) return false;
+        scanner_.emplace(parts_[next_part_].file, schema_,
+                         &parts_[next_part_].unioned);
+        scanner_->EnablePruning(&prepared_, &stats_);
+      }
+      RecordRef rec;
+      uint64_t idx;
+      if (!scanner_->Next(&rec, &idx)) {
+        if (!scanner_->status().ok()) {
+          status_ = scanner_->status();
+          return false;
+        }
+        scanner_.reset();
+        ++next_part_;
+        continue;
+      }
+      ++stats_.rows_scanned;
+      stats_.bytes_scanned += row_bytes_;
+      if (!prepared_.Matches(rec.data().data())) continue;
+      const ScanPart& part = parts_[next_part_];
+      if (!part.cols.empty()) {
+        present_.clear();
+        for (uint32_t i = 0; i < part.cols.size(); ++i) {
+          if (part.cols[i].Test(idx)) present_.push_back(i);
+        }
+        out->branches = &present_;
+      } else {
+        out->branches = nullptr;
+      }
+      out->record = rec;
+      ++stats_.rows_emitted;
+      return true;
+    }
+  }
+
+  const Status& status() const override { return status_; }
+  const ScanStats& stats() const override { return stats_; }
+  const std::vector<BranchId>& branches() const override {
+    return branch_list_;
+  }
+
+ private:
+  const Schema* schema_;
+  ScanCounters* counters_;
+  std::vector<ScanPart> parts_;
+  std::vector<BranchId> branch_list_;
+  PreparedPredicate prepared_;
+  uint64_t limit_;
+  uint32_t row_bytes_;
+  size_t next_part_ = 0;
+  std::optional<BitmapScanner> scanner_;
+  std::vector<uint32_t> present_;
+  ScanStats stats_;
   Status status_;
 };
 

@@ -561,84 +561,7 @@ Status HybridEngine::ApplyBatch(BranchId branch, const WriteBatch& batch) {
 
 // ------------------------------------------------------------------ queries
 
-/// Streaming cursor chaining bitmap scans across scan parts. Owns the
-/// bitmaps. The pushed-down predicate runs on the in-page record bytes
-/// before the per-branch membership probes of multi views.
-class HybridEngine::PartsCursor : public ScanCursor {
- public:
-  PartsCursor(const HybridEngine* engine, std::vector<ScanPart> parts,
-              uint64_t segments_skipped, std::vector<BranchId> branch_list,
-              const ScanSpec& spec)
-      : engine_(engine),
-        parts_(std::move(parts)),
-        branch_list_(std::move(branch_list)),
-        prepared_(spec.predicate, engine->schema_),
-        limit_(spec.limit),
-        row_bytes_(ProjectedRowBytes(engine->schema_, spec.projection)) {
-    stats_.segments_skipped = segments_skipped;
-  }
-  ~PartsCursor() override { engine_->scan_counters_.Add(stats_); }
-
-  bool Next(ScanRow* out) override {
-    if (limit_ != 0 && stats_.rows_emitted >= limit_) return false;
-    for (;;) {
-      if (!scanner_.has_value()) {
-        if (next_part_ >= parts_.size()) return false;
-        scanner_.emplace(parts_[next_part_].file, &engine_->schema_,
-                         &parts_[next_part_].unioned);
-        scanner_->EnablePruning(&prepared_, &stats_);
-      }
-      RecordRef rec;
-      uint64_t idx;
-      if (!scanner_->Next(&rec, &idx)) {
-        if (!scanner_->status().ok()) {
-          status_ = scanner_->status();
-          return false;
-        }
-        scanner_.reset();
-        ++next_part_;
-        continue;
-      }
-      ++stats_.rows_scanned;
-      stats_.bytes_scanned += row_bytes_;
-      if (!prepared_.Matches(rec.data().data())) continue;
-      const ScanPart& part = parts_[next_part_];
-      if (!part.cols.empty()) {
-        present_.clear();
-        for (uint32_t i = 0; i < part.cols.size(); ++i) {
-          if (part.cols[i].Test(idx)) present_.push_back(i);
-        }
-        out->branches = &present_;
-      } else {
-        out->branches = nullptr;
-      }
-      out->record = rec;
-      ++stats_.rows_emitted;
-      return true;
-    }
-  }
-
-  const Status& status() const override { return status_; }
-  const ScanStats& stats() const override { return stats_; }
-  const std::vector<BranchId>& branches() const override {
-    return branch_list_;
-  }
-
- private:
-  const HybridEngine* engine_;
-  std::vector<ScanPart> parts_;
-  std::vector<BranchId> branch_list_;
-  PreparedPredicate prepared_;
-  uint64_t limit_;
-  uint32_t row_bytes_;
-  size_t next_part_ = 0;
-  std::optional<BitmapScanner> scanner_;
-  std::vector<uint32_t> present_;
-  ScanStats stats_;
-  Status status_;
-};
-
-Result<std::vector<HybridEngine::ScanPart>> HybridEngine::BuildScanParts(
+Result<std::vector<ScanPart>> HybridEngine::BuildScanParts(
     const ScanSpec& spec, uint64_t* segments_skipped) {
   // Live-branch views materialize their bitmap copies under the branch's
   // stripe lock, so a snapshot always lands on a batch boundary; every
@@ -658,7 +581,6 @@ Result<std::vector<HybridEngine::ScanPart>> HybridEngine::BuildScanParts(
           stripes_.ForBranch(spec.branch));
       for (uint32_t seg : SegmentsOf(spec.branch)) {
         ScanPart part;
-        part.seg = seg;
         part.file = segments_[seg]->file.get();
         part.unioned = segments_[seg]->local.MaterializeBranch(spec.branch);
         parts.push_back(std::move(part));
@@ -670,7 +592,6 @@ Result<std::vector<HybridEngine::ScanPart>> HybridEngine::BuildScanParts(
       DECIBEL_RETURN_NOT_OK(CommitColumns(spec.commit, &columns));
       for (auto& [seg, bits] : columns) {
         ScanPart part;
-        part.seg = seg;
         part.file = segments_[seg]->file.get();
         part.unioned = std::move(bits);
         parts.push_back(std::move(part));
@@ -680,6 +601,12 @@ Result<std::vector<HybridEngine::ScanPart>> HybridEngine::BuildScanParts(
     case ScanView::kMulti: {
       // Segments relevant to any requested branch: a logical OR of rows
       // of the branch-segment bitmap (§3.4).
+      for (BranchId b : spec.branches) {
+        if (head_seg_.count(b) == 0) {
+          return Status::NotFound("hybrid: unknown branch " +
+                                  std::to_string(b));
+        }
+      }
       StripeLocks::MultiGuard stripe_locks(stripes_, spec.branches);
       Bitmap segs;
       for (BranchId b : spec.branches) {
@@ -688,7 +615,6 @@ Result<std::vector<HybridEngine::ScanPart>> HybridEngine::BuildScanParts(
       }
       segs.ForEachSet([&](uint64_t seg) {
         ScanPart part;
-        part.seg = static_cast<uint32_t>(seg);
         part.file = segments_[seg]->file.get();
         part.cols.resize(spec.branches.size());
         for (size_t i = 0; i < spec.branches.size(); ++i) {
@@ -708,19 +634,8 @@ Result<std::vector<HybridEngine::ScanPart>> HybridEngine::BuildScanParts(
   // out cannot contribute a matching row, whatever the bitmaps selected.
   // File zones only grow (they are supersets of any earlier snapshot the
   // bitmaps were built against), so the test is safe lock-free here.
-  if (!spec.predicate.empty()) {
-    const PreparedPredicate prepared(spec.predicate, schema_);
-    std::vector<ScanPart> kept;
-    kept.reserve(parts.size());
-    for (ScanPart& part : parts) {
-      if (part.file->FileMayMatch(prepared)) {
-        kept.push_back(std::move(part));
-      } else if (segments_skipped != nullptr) {
-        ++*segments_skipped;
-      }
-    }
-    parts = std::move(kept);
-  }
+  *segments_skipped +=
+      DropUnmatchableParts(PreparedPredicate(spec.predicate, schema_), &parts);
   return parts;
 }
 
@@ -820,8 +735,8 @@ Result<std::unique_ptr<ScanCursor>> HybridEngine::NewScan(
   std::vector<BranchId> branch_list =
       spec.view == ScanView::kMulti ? spec.branches : std::vector<BranchId>();
   return std::unique_ptr<ScanCursor>(
-      new PartsCursor(this, std::move(parts), segments_skipped,
-                      std::move(branch_list), spec));
+      new PartsCursor(&schema_, &scan_counters_, std::move(parts),
+                      segments_skipped, std::move(branch_list), spec));
 }
 
 Result<Record> HybridEngine::Get(BranchId branch, int64_t pk) {

@@ -35,6 +35,7 @@
 
 #include "bitmap/commit_history.h"
 #include "common/stripe_lock.h"
+#include "engine/bitmap_scan.h"
 #include "engine/engine.h"
 #include "storage/buffer_pool.h"
 #include "storage/heap_file.h"
@@ -155,30 +156,17 @@ class HybridEngine : public StorageEngine {
   std::unordered_map<BranchId, std::unordered_set<uint32_t>> dirty_;
   std::unordered_map<CommitId, BranchId> commit_branch_;
 
-  /// One unit of a segmented scan: a segment plus the bitmap(s) selecting
-  /// its rows (cols carries per-requested-branch columns for multi views).
-  /// The file pointer is captured under the registry lock at open so
-  /// cursors stream without re-reading segments_ (Segment objects are
-  /// stable; only the vector itself reallocates as branches appear).
-  struct ScanPart {
-    uint32_t seg = 0;
-    HeapFile* file = nullptr;
-    Bitmap unioned;
-    std::vector<Bitmap> cols;
-  };
-
   /// Builds the scan units for \p spec's view, dropping segments whose
   /// file-level zone map rules out the predicate entirely (each drop adds
-  /// one to *\p segments_skipped). Sound because the local bitmaps
-  /// resolve visibility — a dropped segment's selected rows could only
-  /// ever have failed the predicate.
+  /// one to *\p segments_skipped; see DropUnmatchableParts). The parts'
+  /// file pointers stay valid without the registry lock because Segment
+  /// objects are stable; only the vector itself reallocates as branches
+  /// appear.
   Result<std::vector<ScanPart>> BuildScanParts(const ScanSpec& spec,
                                                uint64_t* segments_skipped);
   Result<std::unique_ptr<ScanCursor>> ParallelScan(
       std::vector<ScanPart> parts, uint64_t segments_skipped,
       const ScanSpec& spec, int threads);
-
-  class PartsCursor;
 };
 
 }  // namespace decibel

@@ -443,6 +443,12 @@ Result<std::unique_ptr<ScanCursor>> TupleFirstEngine::NewScan(
       // is live in (§3.2 Multi-branch Scan). All requested stripes are
       // held together so the cross-branch snapshot is consistent.
       std::shared_lock<std::shared_mutex> registry(registry_mu_);
+      for (BranchId b : spec.branches) {
+        if (pk_index_.count(b) == 0) {
+          return Status::NotFound("tuple-first: unknown branch " +
+                                  std::to_string(b));
+        }
+      }
       std::vector<Bitmap> cols;
       cols.reserve(spec.branches.size());
       Bitmap unioned;

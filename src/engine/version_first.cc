@@ -4,6 +4,7 @@
 #include <map>
 
 #include "common/coding.h"
+#include "engine/bitmap_scan.h"
 #include "engine/scan_util.h"
 
 namespace decibel {
@@ -731,111 +732,6 @@ class VersionFirstEngine::BranchScanCursor : public ScanCursor {
   Status status_;
 };
 
-/// Multi-branch cursor: pass 1 builds the winner tables eagerly (§3.3's
-/// intermediate hash tables); pass 2 streams the winners in (segment,
-/// record) order — the paper's output priority queue — pinning one page
-/// at a time and checking the predicate on the in-page bytes before the
-/// membership annotation, so filtered-out winners are never copied.
-class VersionFirstEngine::MultiWinnerCursor : public ScanCursor {
- public:
-  using Output =
-      std::map<std::pair<uint32_t, uint64_t>, std::vector<uint32_t>>;
-
-  /// \p files is a snapshot of per-segment file pointers (indexed by
-  /// segment id) taken under the registry lock at open; Next streams the
-  /// winner locations without touching the engine's registry.
-  MultiWinnerCursor(const VersionFirstEngine* engine,
-                    std::vector<HeapFile*> files, Output output,
-                    std::vector<BranchId> branch_list, const ScanSpec& spec)
-      : engine_(engine),
-        files_(std::move(files)),
-        output_(std::move(output)),
-        next_(output_.begin()),
-        branch_list_(std::move(branch_list)),
-        prepared_(spec.predicate, engine->schema_),
-        limit_(spec.limit),
-        row_bytes_(ProjectedRowBytes(engine->schema_, spec.projection)) {}
-  ~MultiWinnerCursor() override { engine_->scan_counters_.Add(stats_); }
-
-  bool Next(ScanRow* out) override {
-    if (limit_ != 0 && stats_.rows_emitted >= limit_) return false;
-    while (status_.ok() && next_ != output_.end()) {
-      const auto& [loc, roots] = *next_;
-      HeapFile* file = files_[loc.first];
-      const uint64_t page_no = loc.second / file->records_per_page();
-      if (loc.first != pinned_seg_ || page_no != pinned_page_no_) {
-        // Zone-map pruning is sound here: the winner table already
-        // resolved version visibility, so a skipped winner was only ever
-        // going to be filtered out by the predicate.
-        if (loc.first == skip_seg_ && page_no == skip_page_no_) {
-          ++next_;
-          continue;
-        }
-        if (!prepared_.empty() && !file->PageMayMatch(page_no, prepared_)) {
-          skip_seg_ = loc.first;
-          skip_page_no_ = page_no;
-          ++stats_.pages_skipped;
-          ++next_;
-          continue;
-        }
-        bool no_matches = false;
-        auto page = file->PinPageCounted(page_no, &prepared_, &no_matches);
-        if (!page.ok()) {
-          status_ = page.status();
-          return false;
-        }
-        stats_.bytes_read += page.value().io_bytes;
-        if (no_matches) {
-          skip_seg_ = loc.first;
-          skip_page_no_ = page_no;
-          ++stats_.pages_skipped;
-          ++next_;
-          continue;
-        }
-        page_ = std::move(page).MoveValueUnsafe();
-        pinned_seg_ = loc.first;
-        pinned_page_no_ = page_no;
-      }
-      const uint64_t slot = loc.second % file->records_per_page();
-      const char* bytes = page_.payload + slot * file->record_size();
-      ++stats_.rows_scanned;
-      stats_.bytes_scanned += row_bytes_;
-      const std::vector<uint32_t>* present = &roots;
-      ++next_;
-      if (!prepared_.Matches(bytes)) continue;
-      out->record = RecordRef(&engine_->schema_,
-                              Slice(bytes, file->record_size()));
-      out->branches = present;
-      ++stats_.rows_emitted;
-      return true;
-    }
-    return false;
-  }
-
-  const Status& status() const override { return status_; }
-  const ScanStats& stats() const override { return stats_; }
-  const std::vector<BranchId>& branches() const override {
-    return branch_list_;
-  }
-
- private:
-  const VersionFirstEngine* engine_;
-  std::vector<HeapFile*> files_;
-  Output output_;
-  Output::const_iterator next_;
-  std::vector<BranchId> branch_list_;
-  PreparedPredicate prepared_;
-  uint64_t limit_;
-  uint32_t row_bytes_;
-  HeapFile::PinnedPage page_;
-  uint32_t pinned_seg_ = UINT32_MAX;
-  uint64_t pinned_page_no_ = UINT64_MAX;
-  uint32_t skip_seg_ = UINT32_MAX;
-  uint64_t skip_page_no_ = UINT64_MAX;
-  ScanStats stats_;
-  Status status_;
-};
-
 Result<std::unique_ptr<ScanCursor>> VersionFirstEngine::NewScan(
     const ScanSpec& spec) {
   DECIBEL_RETURN_NOT_OK(ValidateScanSpec(spec, schema_));
@@ -882,20 +778,37 @@ Result<std::unique_ptr<ScanCursor>> VersionFirstEngine::NewScan(
           roots.push_back(root);
         }
       }
+      // Pass 1 builds the winner tables eagerly (§3.3's intermediate hash
+      // tables). Pass 2 turns them into per-segment winner bitmaps, one
+      // column per root plus their union, and streams them in (segment,
+      // record) order — the paper's output priority queue — through the
+      // cursor hybrid uses, with the same zone-map pruning. A winner
+      // table already resolved visibility, so the pruning is sound here.
       std::vector<WinnerTable> tables;
       DECIBEL_RETURN_NOT_OK(BuildWinnerTables(roots, &tables, nullptr));
-      MultiWinnerCursor::Output output;
+      std::vector<ScanPart> by_seg(segments_.size());
       for (uint32_t r = 0; r < tables.size(); ++r) {
         for (const auto& [pk, winner] : tables[r]) {
           if (winner.tombstone) continue;
-          output[{winner.seg, winner.idx}].push_back(r);
+          ScanPart& part = by_seg[winner.seg];
+          if (part.cols.empty()) {
+            part.file = segments_[winner.seg]->file.get();
+            part.cols.assign(roots.size(), Bitmap(part.file->num_records()));
+          }
+          part.cols[r].Set(winner.idx);
         }
       }
-      std::vector<HeapFile*> files;
-      files.reserve(segments_.size());
-      for (const auto& segment : segments_) files.push_back(segment->file.get());
-      return std::unique_ptr<ScanCursor>(new MultiWinnerCursor(
-          this, std::move(files), std::move(output), spec.branches, spec));
+      std::vector<ScanPart> parts;
+      for (ScanPart& part : by_seg) {
+        if (part.cols.empty()) continue;
+        for (const Bitmap& col : part.cols) part.unioned.OrWith(col);
+        parts.push_back(std::move(part));
+      }
+      const uint64_t segments_skipped = DropUnmatchableParts(
+          PreparedPredicate(spec.predicate, schema_), &parts);
+      return std::unique_ptr<ScanCursor>(
+          new PartsCursor(&schema_, &scan_counters_, std::move(parts),
+                          segments_skipped, spec.branches, spec));
     }
     case ScanView::kDiff:
       return MakeDiffScanCursor(this, spec, &scan_counters_);
@@ -939,14 +852,19 @@ Status VersionFirstEngine::BuildWinnerTables(
     uint64_t* bytes_scanned) const {
   tables->assign(roots.size(), WinnerTable());
 
-  // Per root: scan order and each segment's rank + bound within it.
+  // Per root: each segment's rank in the root's scan order and its bound,
+  // indexed by segment id (kNotInRoot marks segments outside the
+  // ancestry), so the per-record test below is two array reads.
+  constexpr uint32_t kNotInRoot = UINT32_MAX;
   struct PerRoot {
-    std::unordered_map<uint32_t, uint32_t> rank;
-    std::unordered_map<uint32_t, uint64_t> bound;
+    std::vector<uint32_t> rank;
+    std::vector<uint64_t> bound;
   };
   std::vector<PerRoot> per_root(roots.size());
   std::map<uint32_t, uint64_t> union_bound;  // seg -> widest bound
   for (size_t r = 0; r < roots.size(); ++r) {
+    per_root[r].rank.assign(segments_.size(), kNotInRoot);
+    per_root[r].bound.assign(segments_.size(), 0);
     const std::vector<ScanStep> order = ComputeScanOrder(roots[r]);
     for (uint32_t pos = 0; pos < order.size(); ++pos) {
       per_root[r].rank[order[pos].seg] = pos;
@@ -968,10 +886,8 @@ Status VersionFirstEngine::BuildWinnerTables(
       if (bytes_scanned != nullptr) *bytes_scanned += schema_.record_size();
       const int64_t pk = rec.pk();
       for (size_t r = 0; r < roots.size(); ++r) {
-        auto rank_it = per_root[r].rank.find(seg);
-        if (rank_it == per_root[r].rank.end()) continue;
-        if (idx >= per_root[r].bound[seg]) continue;
-        const uint32_t rank = rank_it->second;
+        const uint32_t rank = per_root[r].rank[seg];
+        if (rank == kNotInRoot || idx >= per_root[r].bound[seg]) continue;
         auto [it, inserted] = (*tables)[r].try_emplace(pk);
         // Newer wins: smaller rank, then larger record index.
         if (inserted || rank < it->second.rank ||

@@ -191,7 +191,6 @@ class VersionFirstEngine : public StorageEngine {
   std::unordered_map<BranchId, PkIndex> pk_index_;
 
   class BranchScanCursor;
-  class MultiWinnerCursor;
 };
 
 }  // namespace decibel

@@ -1,6 +1,9 @@
 #include "query/queries.h"
 
-#include <unordered_map>
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace decibel {
 namespace query {
@@ -53,37 +56,64 @@ Result<QueryStats> PositiveDiff(Decibel* db, BranchId a, BranchId b,
 Result<QueryStats> JoinVersions(Decibel* db, BranchId a, BranchId b,
                                 const Predicate& predicate,
                                 const JoinCallback& callback) {
-  QueryStats stats;
+  // One pass over the two-branch view (§3.2's scan annotated with branch
+  // membership). A row live in both heads is the same stored version on
+  // both sides, so it pairs with itself: no copy, no hash. The predicate
+  // runs here, not in the scan, because b's rows must be seen whatever
+  // their values.
   const Schema* schema = &db->schema();
-
-  // Build side: branch a with the predicate pushed into the engine —
-  // non-matching rows never cross the cursor boundary.
-  std::unordered_map<int64_t, std::string> build;
-  DECIBEL_ASSIGN_OR_RETURN(auto build_cursor,
-                           db->NewScan(ScanSpec::Branch(a).Where(predicate)));
+  const PreparedPredicate prepared(predicate, *schema);
+  DECIBEL_ASSIGN_OR_RETURN(auto cursor, db->NewScan(ScanSpec::Multi({a, b})));
+  QueryStats stats;
+  // Rows live in one head only (a's only when they pass the predicate),
+  // copied out and matched by key after the pass.
+  struct OneSided {
+    std::string bytes;
+    std::vector<std::pair<int64_t, size_t>> keys;  // (pk, offset in bytes)
+    void Add(const RecordRef& rec) {
+      keys.emplace_back(rec.pk(), bytes.size());
+      bytes.append(rec.data().data(), rec.data().size());
+    }
+  };
+  OneSided only_a, only_b;
   ScanRow row;
-  while (build_cursor->Next(&row)) {
-    build.emplace(row.record.pk(), row.record.data().ToString());
-  }
-  DECIBEL_RETURN_NOT_OK(build_cursor->status());
-  stats.rows_scanned += build_cursor->stats().rows_scanned;
-  stats.bytes_scanned += build_cursor->stats().bytes_scanned;
-
-  // Probe side: branch b, pipelined.
-  DECIBEL_ASSIGN_OR_RETURN(auto probe_cursor,
-                           db->NewScan(ScanSpec::Branch(b)));
-  while (probe_cursor->Next(&row)) {
-    auto hit = build.find(row.record.pk());
-    if (hit != build.end()) {
-      ++stats.rows_emitted;
-      if (callback) {
-        callback(RecordRef(schema, hit->second), row.record);
+  while (cursor->Next(&row)) {
+    // Positions into {a, b}, ascending: {0}, {1} or {0, 1}.
+    const bool in_a = row.branches->front() == 0;
+    const bool in_b = row.branches->back() == 1;
+    if (!in_a) {
+      only_b.Add(row.record);
+    } else if (prepared.Matches(row.record.data().data())) {
+      if (!in_b) {
+        only_a.Add(row.record);
+        continue;
       }
+      ++stats.rows_emitted;
+      if (callback) callback(row.record, row.record);
     }
   }
-  DECIBEL_RETURN_NOT_OK(probe_cursor->status());
-  stats.rows_scanned += probe_cursor->stats().rows_scanned;
-  stats.bytes_scanned += probe_cursor->stats().bytes_scanned;
+  DECIBEL_RETURN_NOT_OK(cursor->status());
+  stats.rows_scanned = cursor->stats().rows_scanned;
+  stats.bytes_scanned = cursor->stats().bytes_scanned;
+
+  // Versions that differ between the heads: merge-join by key.
+  std::sort(only_a.keys.begin(), only_a.keys.end());
+  std::sort(only_b.keys.begin(), only_b.keys.end());
+  const size_t record_size = schema->record_size();
+  size_t i = 0;
+  for (const auto& [pk, b_offset] : only_b.keys) {
+    while (i < only_a.keys.size() && only_a.keys[i].first < pk) ++i;
+    if (i == only_a.keys.size()) break;
+    if (only_a.keys[i].first != pk) continue;
+    ++stats.rows_emitted;
+    if (callback) {
+      callback(RecordRef(schema, Slice(only_a.bytes.data() +
+                                           only_a.keys[i].second,
+                                       record_size)),
+               RecordRef(schema, Slice(only_b.bytes.data() + b_offset,
+                                       record_size)));
+    }
+  }
   return stats;
 }
 

@@ -51,8 +51,11 @@ Result<QueryStats> PositiveDiff(Decibel* db, BranchId a, BranchId b,
                                 const RowCallback& callback);
 
 /// Q3: primary-key join of two branches; emits pairs where the \p a side
-/// satisfies \p predicate. Implemented as a pipelined hash join: build on
-/// the filtered \p a side, probe with \p b.
+/// satisfies \p predicate. Reads one ScanSpec::Multi({a, b}) cursor: a
+/// row live in both heads is the same stored version on both sides and is
+/// emitted as (row, row) with no copy; only rows live in one head are
+/// copied, then matched by key after the pass. QueryStats::rows_scanned
+/// is that cursor's count of live versions in the two heads.
 Result<QueryStats> JoinVersions(Decibel* db, BranchId a, BranchId b,
                                 const Predicate& predicate,
                                 const JoinCallback& callback);

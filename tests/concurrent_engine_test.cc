@@ -160,11 +160,19 @@ TEST_P(ConcurrentEngineTest, CursorSnapshotsAtOpen) {
   for (int64_t pk = 0; pk < 50; ++pk) {
     ASSERT_OK(db->InsertInto(kMasterBranch, MakeRecord(schema, pk, 1)));
   }
+  Session s = db->NewSession();
+  ASSERT_OK_AND_ASSIGN(BranchId dev, db->Branch("dev", &s));
+  ASSERT_OK(db->UpdateIn(dev, MakeRecord(schema, 0, 3)));
   ASSERT_OK_AND_ASSIGN(auto cursor,
                        db->NewScan(ScanSpec::Branch(kMasterBranch)));
+  // The multi-branch view captures its bitmaps and files at open too.
+  ASSERT_OK_AND_ASSIGN(auto multi,
+                       db->NewScan(ScanSpec::Multi({kMasterBranch, dev})));
   for (int64_t pk = 50; pk < 150; ++pk) {
     ASSERT_OK(db->InsertInto(kMasterBranch, MakeRecord(schema, pk, 2)));
+    ASSERT_OK(db->InsertInto(dev, MakeRecord(schema, pk, 2)));
   }
+  ASSERT_OK(db->UpdateIn(dev, MakeRecord(schema, 1, 4)));
   ScanRow row;
   size_t count = 0;
   while (cursor->Next(&row)) {
@@ -173,6 +181,18 @@ TEST_P(ConcurrentEngineTest, CursorSnapshotsAtOpen) {
   }
   ASSERT_OK(cursor->status());
   EXPECT_EQ(count, 50u);
+  // 49 versions live in both heads plus pk 0's two versions.
+  size_t both = 0, multi_rows = 0;
+  while (multi->Next(&row)) {
+    EXPECT_LT(row.record.pk(), 50) << "multi cursor leaked a post-open row";
+    EXPECT_NE(row.record.GetInt32(1), 4) << "multi cursor leaked an update";
+    ASSERT_NE(row.branches, nullptr);
+    if (row.branches->size() == 2) ++both;
+    ++multi_rows;
+  }
+  ASSERT_OK(multi->status());
+  EXPECT_EQ(multi_rows, 51u);
+  EXPECT_EQ(both, 49u);
   EXPECT_EQ(CollectBranch(db.get(), kMasterBranch).size(), 150u);
 }
 

@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "query/predicate.h"
 #include "query/queries.h"
@@ -201,6 +206,106 @@ TEST_P(QueryTest, Q3JoinRespectsPredicateAndPairsVersions) {
   EXPECT_EQ(stats.rows_emitted, 10u);
   EXPECT_EQ(pairs, 10);
   EXPECT_EQ(changed, 5);  // evens were updated in dev
+}
+
+/// Reference Q3 from two plain branch cursors: for each key live in both
+/// heads whose a-side version passes the predicate, (a bytes, b bytes).
+std::vector<std::pair<std::string, std::string>> ReferenceJoin(
+    Decibel* db, BranchId a, BranchId b, const Predicate& predicate) {
+  auto rows_of = [db](BranchId branch) {
+    std::map<int64_t, std::string> rows;
+    auto cursor = db->NewScan(ScanSpec::Branch(branch));
+    EXPECT_TRUE(cursor.ok()) << cursor.status().ToString();
+    ScanRow row;
+    while ((*cursor)->Next(&row)) {
+      rows[row.record.pk()] = row.record.data().ToString();
+    }
+    EXPECT_OK((*cursor)->status());
+    return rows;
+  };
+  const std::map<int64_t, std::string> left = rows_of(a);
+  const std::map<int64_t, std::string> right = rows_of(b);
+  std::vector<std::pair<std::string, std::string>> pairs;
+  for (const auto& [pk, bytes] : left) {
+    auto hit = right.find(pk);
+    if (hit == right.end()) continue;
+    if (!predicate.Matches(RecordRef(&db->schema(), Slice(bytes)))) continue;
+    pairs.emplace_back(bytes, hit->second);
+  }
+  std::sort(pairs.begin(), pairs.end());
+  return pairs;
+}
+
+TEST_P(QueryTest, Q3MatchesReferenceJoinOverDivergedHeads) {
+  // On top of the fixture (dev: inserts 100..104, evens set to -1):
+  // master-only updates, an update on both sides with different values,
+  // a delete on each side, a master-only insert, and a merged branch
+  // (merges rewrite versions at new locations on some engines, so equal
+  // content may sit at different places in the two heads).
+  for (int64_t pk : {1, 3, 11}) {
+    ASSERT_OK(db_->UpdateIn(kMasterBranch, MakeRecord(schema_, pk, 500)));
+  }
+  ASSERT_OK(db_->UpdateIn(kMasterBranch, MakeRecord(schema_, 5, 55)));
+  ASSERT_OK(db_->UpdateIn(dev_, MakeRecord(schema_, 5, 66)));
+  ASSERT_OK(db_->DeleteFrom(dev_, 7));
+  ASSERT_OK(db_->DeleteFrom(kMasterBranch, 9));
+  ASSERT_OK(db_->InsertInto(kMasterBranch, MakeRecord(schema_, 200, 2)));
+  Session s = db_->NewSession();
+  ASSERT_OK_AND_ASSIGN(BranchId feat, db_->Branch("feat", &s));
+  ASSERT_OK(db_->UpdateIn(feat, MakeRecord(schema_, 13, 3)));
+  ASSERT_OK(db_->UpdateIn(feat, MakeRecord(schema_, 15, 700)));
+  ASSERT_OK(db_->InsertInto(feat, MakeRecord(schema_, 300, 4)));
+  ASSERT_OK(db_->Merge(dev_, feat, MergePolicy::kThreeWayLeft).status());
+  ASSERT_OK(db_->Merge(kMasterBranch, feat, MergePolicy::kThreeWayLeft)
+                .status());
+
+  // c1 < 10 rejects master's version of pk 1/3 (500) while dev's (1, 3)
+  // would pass it.
+  auto lt10 = Predicate::Compare(schema_, "c1", CompareOp::kLt, 10);
+  ASSERT_TRUE(lt10.ok());
+  const std::vector<BranchId> branches = {kMasterBranch, dev_, feat};
+  for (const Predicate& pred : {Predicate(), *lt10}) {
+    for (BranchId a : branches) {
+      for (BranchId b : branches) {
+        SCOPED_TRACE("join " + std::to_string(a) + " " + std::to_string(b) +
+                     (pred.empty() ? "" : " where c1 < 10"));
+        std::vector<std::pair<std::string, std::string>> got;
+        ASSERT_OK_AND_ASSIGN(
+            query::QueryStats stats,
+            query::JoinVersions(
+                db_.get(), a, b, pred,
+                [&](const RecordRef& left, const RecordRef& right) {
+                  got.emplace_back(left.data().ToString(),
+                                   right.data().ToString());
+                }));
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(got, ReferenceJoin(db_.get(), a, b, pred));
+        EXPECT_EQ(stats.rows_emitted, got.size());
+        // The work counters are the two-branch cursor's own.
+        ASSERT_OK_AND_ASSIGN(auto multi,
+                             db_->NewScan(ScanSpec::Multi({a, b})));
+        uint64_t versions = 0;
+        ScanRow row;
+        while (multi->Next(&row)) ++versions;
+        ASSERT_OK(multi->status());
+        EXPECT_EQ(stats.rows_scanned, versions);
+      }
+    }
+  }
+  // The fixture really diverged: master and dev disagree on some keys.
+  EXPECT_NE(ReferenceJoin(db_.get(), kMasterBranch, dev_, Predicate()),
+            ReferenceJoin(db_.get(), kMasterBranch, kMasterBranch,
+                          Predicate()));
+
+  const BranchId unknown = static_cast<BranchId>(999);
+  EXPECT_TRUE(query::JoinVersions(db_.get(), kMasterBranch, unknown,
+                                  Predicate(), nullptr)
+                  .status()
+                  .IsNotFound());
+  EXPECT_TRUE(query::JoinVersions(db_.get(), unknown, kMasterBranch,
+                                  Predicate(), nullptr)
+                  .status()
+                  .IsNotFound());
 }
 
 TEST_P(QueryTest, Q4HeadsAnnotated) {

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "engine/scan_spec.h"
 #include "query/predicate.h"
@@ -17,6 +21,7 @@ namespace decibel {
 namespace {
 
 using testing_util::MakeRecord;
+using testing_util::MakeRecordVals;
 using testing_util::CollectBranch;
 using testing_util::ScratchDir;
 using testing_util::TestSchema;
@@ -136,6 +141,18 @@ TEST_P(ScanApiTest, MultiBranchAnnotatesAfterPredicate) {
   }
   EXPECT_OK(cursor->status());
   EXPECT_EQ(pks, (std::set<int64_t>{100, 101, 102, 103, 104}));
+}
+
+TEST_P(ScanApiTest, MultiViewRejectsUnknownBranches) {
+  const BranchId unknown = static_cast<BranchId>(999);
+  const std::vector<std::vector<BranchId>> lists = {
+      {kMasterBranch, unknown}, {unknown, dev_}, {unknown}};
+  for (const std::vector<BranchId>& branches : lists) {
+    auto cursor = db_->NewScan(ScanSpec::Multi(branches));
+    EXPECT_TRUE(cursor.status().IsNotFound()) << cursor.status().ToString();
+  }
+  // As the single-branch view does.
+  EXPECT_TRUE(db_->NewScan(ScanSpec::Branch(unknown)).status().IsNotFound());
 }
 
 TEST_P(ScanApiTest, HeadsViewResolvesActiveBranches) {
@@ -419,6 +436,108 @@ TEST_P(ScanApiTest, ResolveProjectionMapsNames) {
                        ResolveProjection(schema_, {"c2", "pk"}));
   EXPECT_EQ(cols, (std::vector<size_t>{2, 0}));
   EXPECT_FALSE(ResolveProjection(schema_, {"nope"}).ok());
+}
+
+/// One multi-view row: its bytes (or the projected part) and annotation.
+using AnnotatedRows =
+    std::vector<std::pair<std::string, std::vector<uint32_t>>>;
+
+TEST(ScanApiCrossEngineTest, MultiViewsAgreeAcrossEngines) {
+  // The same history on every engine: master spans many 4 KiB pages with
+  // pk-correlated c1 (selective page zone maps); dev then diverges with
+  // updates inside and outside the filtered range plus inserts, and
+  // master updates after the branch point.
+  const Schema schema = TestSchema(2);
+  auto c1_ge = [&](int64_t value) {
+    auto pred = Predicate::Compare(schema, "c1", CompareOp::kGe, value);
+    EXPECT_TRUE(pred.ok());
+    return *pred;
+  };
+  struct Outcome {
+    AnnotatedRows filtered;
+    AnnotatedRows projected;
+    AnnotatedRows limited;
+    uint64_t pages_skipped = 0;
+  };
+  auto run = [&](EngineType engine) {
+    Outcome out;
+    ScratchDir dir("scan_api_multi");
+    DecibelOptions options;
+    options.engine = engine;
+    options.page_size = 4096;
+    auto opened = Decibel::Open(dir.path(), schema, options);
+    EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+    if (!opened.ok()) return out;
+    std::unique_ptr<Decibel> db = std::move(opened).MoveValueUnsafe();
+    auto txn = db->Begin(kMasterBranch);
+    EXPECT_TRUE(txn.ok());
+    for (int64_t pk = 1000; pk < 5000; ++pk) {
+      EXPECT_OK(txn->Insert(
+          MakeRecordVals(schema, pk, {static_cast<int32_t>(pk), 7})));
+    }
+    EXPECT_OK(txn->Commit());
+    Session s = db->NewSession();
+    auto dev = db->Branch("dev", &s);
+    EXPECT_TRUE(dev.ok());
+    for (int64_t pk = 4950; pk < 4960; ++pk) {
+      EXPECT_OK(db->UpdateIn(*dev, MakeRecordVals(schema, pk, {4999, 8})));
+    }
+    for (int64_t pk = 1000; pk < 1005; ++pk) {
+      EXPECT_OK(db->UpdateIn(*dev, MakeRecordVals(schema, pk, {4990, 9})));
+    }
+    for (int64_t pk = 6000; pk < 6010; ++pk) {
+      EXPECT_OK(db->InsertInto(*dev, MakeRecordVals(schema, pk, {6000, 6})));
+    }
+    EXPECT_OK(db->UpdateIn(kMasterBranch,
+                           MakeRecordVals(schema, 4990, {4991, 5})));
+
+    auto drain = [&](ScanSpec spec, bool projected_only) {
+      AnnotatedRows rows;
+      auto cursor = db->NewScan(std::move(spec));
+      EXPECT_TRUE(cursor.ok()) << cursor.status().ToString();
+      ScanRow row;
+      while ((*cursor)->Next(&row)) {
+        EXPECT_NE(row.branches, nullptr);
+        // Only the key and the projected c2 are specified when projected.
+        std::string bytes = projected_only
+                                ? std::to_string(row.record.pk()) + ":" +
+                                      std::to_string(row.record.GetInt32(2))
+                                : row.record.data().ToString();
+        rows.emplace_back(std::move(bytes), *row.branches);
+      }
+      EXPECT_OK((*cursor)->status());
+      out.pages_skipped += (*cursor)->stats().pages_skipped;
+      std::sort(rows.begin(), rows.end());
+      return rows;
+    };
+    const std::vector<BranchId> both = {kMasterBranch, *dev};
+    out.filtered = drain(ScanSpec::Multi(both).Where(c1_ge(4900)), false);
+    out.projected = drain(
+        ScanSpec::Multi(both).Where(c1_ge(4900)).Project({2}), true);
+    out.limited =
+        drain(ScanSpec::Multi(both).Where(c1_ge(4900)).WithLimit(7), false);
+    return out;
+  };
+
+  const Outcome tf = run(EngineType::kTupleFirst);
+  const Outcome vf = run(EngineType::kVersionFirst);
+  const Outcome hy = run(EngineType::kHybrid);
+  // 100 master versions with c1 >= 4900 (4990 in two versions, 4950..4959
+  // split off to dev), dev's 10 updates, 5 re-ranged updates, 10 inserts.
+  EXPECT_EQ(tf.filtered.size(), 126u);
+  EXPECT_EQ(tf.filtered, vf.filtered);
+  EXPECT_EQ(tf.filtered, hy.filtered);
+  EXPECT_EQ(tf.projected, vf.projected);
+  EXPECT_EQ(tf.projected, hy.projected);
+  for (const Outcome* r : {&tf, &vf, &hy}) {
+    EXPECT_EQ(r->limited.size(), 7u);
+    for (const auto& row : r->limited) {
+      EXPECT_TRUE(std::binary_search(tf.filtered.begin(), tf.filtered.end(),
+                                     row));
+    }
+  }
+  // Winner bitmaps keep version-first's zone-map page skipping.
+  EXPECT_GT(vf.pages_skipped, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, ScanApiTest,
