@@ -121,6 +121,11 @@ struct EngineStats {
   uint64_t bytes_read = 0;
   uint64_t segments_skipped = 0;
   uint64_t pages_skipped = 0;
+  /// The engine's buffer pool: lifetime page hits and misses (a miss is
+  /// one page load) and the decoded page bytes resident now.
+  uint64_t pool_hits = 0;
+  uint64_t pool_misses = 0;
+  uint64_t pool_resident_bytes = 0;
 };
 
 class StorageEngine {
@@ -178,7 +183,9 @@ class StorageEngine {
   /// Streams the positive diff (in \p a, not in \p b) to \p pos and the
   /// negative diff to \p neg. Either callback may be null. (NewScan's
   /// kDiff view serves the positive side with pushdown; merges and the
-  /// facade's Diff need both sides.)
+  /// facade's Diff need both sides.) Row order is unspecified: by-key
+  /// rows of tuple-first and hybrid arrive after their one walk, through
+  /// DiffEmitter (engine/diff_util.h).
   virtual Status Diff(BranchId a, BranchId b, DiffMode mode,
                       const DiffCallback& pos, const DiffCallback& neg) = 0;
 

@@ -8,6 +8,7 @@
 #include "common/coding.h"
 #include "common/thread_pool.h"
 #include "engine/bitmap_scan.h"
+#include "engine/diff_util.h"
 #include "engine/scan_util.h"
 
 namespace decibel {
@@ -771,8 +772,7 @@ Status HybridEngine::Diff(BranchId a, BranchId b, DiffMode mode,
   struct SegDiff {
     HeapFile* file = nullptr;
     Bitmap only_a;
-    Bitmap only_b;
-    Bitmap both;
+    Bitmap both;  // only_a | only_b
   };
   std::vector<SegDiff> seg_diffs;
   {
@@ -788,46 +788,22 @@ Status HybridEngine::Diff(BranchId a, BranchId b, DiffMode mode,
       const Bitmap la = segments_[seg]->local.MaterializeBranch(a);
       const Bitmap lb = segments_[seg]->local.MaterializeBranch(b);
       d.only_a = Bitmap::AndNot(la, lb);
-      d.only_b = Bitmap::AndNot(lb, la);
-      d.both = Bitmap::Or(d.only_a, d.only_b);
+      d.both = Bitmap::Xor(la, lb);
       seg_diffs.push_back(std::move(d));
     });
   }
 
-  // By-key mode needs each side's touched keys before emitting.
-  std::unordered_set<int64_t> pks_a, pks_b;
-  if (mode == DiffMode::kByKey) {
-    for (const SegDiff& d : seg_diffs) {
-      BitmapScanner scanner(d.file, &schema_, &d.both);
-      RecordRef rec;
-      uint64_t idx;
-      while (scanner.Next(&rec, &idx)) {
-        if (d.only_a.Test(idx)) pks_a.insert(rec.pk());
-        if (d.only_b.Test(idx)) pks_b.insert(rec.pk());
-      }
-      DECIBEL_RETURN_NOT_OK(scanner.status());
-    }
-  }
-
+  // One walk over every segment's changed rows; DiffEmitter applies the
+  // mode, holding by-key rows back until the walk ends.
+  DiffEmitter emitter(&schema_, mode, pos, neg);
   for (const SegDiff& d : seg_diffs) {
     BitmapScanner scanner(d.file, &schema_, &d.both);
     RecordRef rec;
     uint64_t idx;
-    while (scanner.Next(&rec, &idx)) {
-      const bool in_a = d.only_a.Test(idx);
-      if (in_a && pos) {
-        if (mode == DiffMode::kByContent || pks_b.count(rec.pk()) == 0) {
-          pos(rec);
-        }
-      }
-      if (!in_a && neg) {
-        if (mode == DiffMode::kByContent || pks_a.count(rec.pk()) == 0) {
-          neg(rec);
-        }
-      }
-    }
+    while (scanner.Next(&rec, &idx)) emitter.Add(rec, d.only_a.Test(idx));
     DECIBEL_RETURN_NOT_OK(scanner.status());
   }
+  emitter.Finish();
   return Status::OK();
 }
 
@@ -984,6 +960,9 @@ EngineStats HybridEngine::Stats() const {
   stats.bytes_read = scan_counters_.bytes_read();
   stats.segments_skipped = scan_counters_.segments_skipped();
   stats.pages_skipped = scan_counters_.pages_skipped();
+  stats.pool_hits = pool_.hits();
+  stats.pool_misses = pool_.misses();
+  stats.pool_resident_bytes = pool_.resident_bytes();
   return stats;
 }
 

@@ -1,9 +1,9 @@
 #include "engine/tuple_first.h"
 
 #include <map>
-#include <unordered_set>
 
 #include "common/coding.h"
+#include "engine/diff_util.h"
 #include "engine/scan_util.h"
 
 namespace decibel {
@@ -500,7 +500,7 @@ Status TupleFirstEngine::Diff(BranchId a, BranchId b, DiffMode mode,
   // "Diff is straightforward to compute in tuple-first: we simply XOR
   // bitmaps together and emit records on the appropriate iterator" (§3.2).
   // Both stripes are taken together (ascending order) so the two columns
-  // form one consistent snapshot; the record passes then run lock-free.
+  // form one consistent snapshot; the record walk then runs lock-free.
   Bitmap bits_a, bits_b;
   {
     std::shared_lock<std::shared_mutex> registry(registry_mu_);
@@ -509,42 +509,18 @@ Status TupleFirstEngine::Diff(BranchId a, BranchId b, DiffMode mode,
     bits_b = index_->MaterializeBranch(b);
   }
   const StripedHeap::Mapping mapping = heap_->SnapshotMapping();
+  // One walk over the changed rows (a XOR b); DiffEmitter applies the
+  // mode, holding by-key rows back until the walk ends.
   const Bitmap only_a = Bitmap::AndNot(bits_a, bits_b);
-  const Bitmap only_b = Bitmap::AndNot(bits_b, bits_a);
-
-  std::unordered_set<int64_t> pks_a, pks_b;
-  if (mode == DiffMode::kByKey) {
-    // Key-presence semantics: a key updated on the other side is still
-    // "present" there, so collect each side's touched keys first.
-    const Bitmap both = Bitmap::Or(only_a, only_b);
-    StripedBitmapScanner pass1(mapping, &schema_, &both);
-    RecordRef rec;
-    uint64_t idx;
-    while (pass1.Next(&rec, &idx)) {
-      if (only_a.Test(idx)) pks_a.insert(rec.pk());
-      if (only_b.Test(idx)) pks_b.insert(rec.pk());
-    }
-    DECIBEL_RETURN_NOT_OK(pass1.status());
-  }
-
-  const Bitmap both = Bitmap::Or(only_a, only_b);
+  const Bitmap both = Bitmap::Xor(bits_a, bits_b);
+  DiffEmitter emitter(&schema_, mode, pos, neg);
   StripedBitmapScanner scanner(mapping, &schema_, &both);
   RecordRef rec;
   uint64_t idx;
-  while (scanner.Next(&rec, &idx)) {
-    const bool in_a = only_a.Test(idx);
-    if (in_a && pos) {
-      if (mode == DiffMode::kByContent || pks_b.count(rec.pk()) == 0) {
-        pos(rec);
-      }
-    }
-    if (!in_a && neg) {
-      if (mode == DiffMode::kByContent || pks_a.count(rec.pk()) == 0) {
-        neg(rec);
-      }
-    }
-  }
-  return scanner.status();
+  while (scanner.Next(&rec, &idx)) emitter.Add(rec, only_a.Test(idx));
+  DECIBEL_RETURN_NOT_OK(scanner.status());
+  emitter.Finish();
+  return Status::OK();
 }
 
 // -------------------------------------------------------------------- merge
@@ -655,6 +631,9 @@ EngineStats TupleFirstEngine::Stats() const {
   stats.bytes_read = scan_counters_.bytes_read();
   stats.segments_skipped = scan_counters_.segments_skipped();
   stats.pages_skipped = scan_counters_.pages_skipped();
+  stats.pool_hits = pool_.hits();
+  stats.pool_misses = pool_.misses();
+  stats.pool_resident_bytes = pool_.resident_bytes();
   return stats;
 }
 

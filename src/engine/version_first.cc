@@ -1157,6 +1157,9 @@ EngineStats VersionFirstEngine::Stats() const {
   stats.bytes_read = scan_counters_.bytes_read();
   stats.segments_skipped = scan_counters_.segments_skipped();
   stats.pages_skipped = scan_counters_.pages_skipped();
+  stats.pool_hits = pool_.hits();
+  stats.pool_misses = pool_.misses();
+  stats.pool_resident_bytes = pool_.resident_bytes();
   return stats;
 }
 

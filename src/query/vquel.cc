@@ -630,6 +630,9 @@ Result<ExecResult> Interpreter::Execute(const std::string& statement) {
         << "\n"
         << "engine.rows_scanned: " << s.engine.rows_scanned << "\n"
         << "engine.bytes_scanned: " << s.engine.bytes_scanned << "\n"
+        << "pool.hits: " << s.engine.pool_hits << "\n"
+        << "pool.misses: " << s.engine.pool_misses << "\n"
+        << "pool.resident_bytes: " << s.engine.pool_resident_bytes << "\n"
         << "durable: " << (s.durable ? "true" : "false") << "\n"
         << "wal.bytes_appended: " << s.wal_bytes_appended << "\n"
         << "wal.segment_seq: " << s.wal_segment_seq << "\n"
@@ -637,7 +640,7 @@ Result<ExecResult> Interpreter::Execute(const std::string& statement) {
         << "checkpoint.generation: " << s.checkpoint_generation << "\n"
         << "subscriptions: " << s.subscriptions << "\n"
         << "events_published: " << s.events_published;
-    result.rows = 17;
+    result.rows = 20;
   } else if (verb == "SUBSCRIBE" || verb == "UNSUBSCRIBE") {
     // Subscriptions need a connection to push notifications down; the
     // net server intercepts these verbs per session before the

@@ -2,15 +2,29 @@
 #define DECIBEL_STORAGE_BUFFER_POOL_H_
 
 /// \file buffer_pool.h
-/// A read cache of immutable heap-file pages with LRU eviction (the paper
-/// runs a "fairly conventional buffer pool architecture (with 4 MB pages)",
-/// §2.1). Decibel's storage is no-overwrite: sealed pages never change, so
-/// the pool never needs dirty-page writeback — mutation happens only in a
-/// heap file's in-memory tail page, which is served by the file itself.
+/// A read cache of immutable heap-file pages (the paper runs a "fairly
+/// conventional buffer pool architecture (with 4 MB pages)", §2.1).
+/// Decibel's storage is no-overwrite: sealed pages never change, so the
+/// pool never needs dirty-page writeback — mutation happens only in a heap
+/// file's in-memory tail page, which is served by the file itself.
+///
+/// Eviction is a segmented LRU, so one long scan cannot flush the pages
+/// that queries keep coming back to. Plain LRU evicts every page of a loop
+/// longer than the pool before the loop returns to it: a versioned query
+/// that walks a branch's pages twice, or two queries in a row over the
+/// same 26 pages of a 15-page pool, then get no hits at all. Here a loaded
+/// page enters a *probation* list; a hit promotes it to a *protected* list
+/// capped at 3/4 of the capacity bytes, whose overflow
+/// demotes protected's least recent page to the head of probation.
+/// Eviction takes probation's least recent page first. A one-shot scan
+/// therefore only churns probation, and a loop over more pages than the
+/// pool keeps the protected share resident across laps. The split is
+/// fixed, like 2Q's recommended 25% admission queue.
 ///
 /// Pages are handed out as shared_ptr<const string>; a reader holding a
 /// page keeps it alive even if the pool evicts it concurrently.
 
+#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -38,7 +52,9 @@ class BufferPool {
   /// \p capacity_bytes caps resident page bytes (at least one page is
   /// always admitted).
   explicit BufferPool(uint64_t capacity_bytes)
-      : capacity_bytes_(capacity_bytes) {}
+      : capacity_bytes_(capacity_bytes),
+        protected_cap_bytes_(capacity_bytes -
+                             capacity_bytes / kProbationShare) {}
 
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
@@ -48,9 +64,10 @@ class BufferPool {
   Result<PageRef> GetPage(uint64_t file_id, uint64_t page_no,
                           PageSource* source);
 
-  /// Returns the cached page, or null on miss — never loads. Lets a
-  /// caller that can serve itself from compressed stored bytes check for
-  /// an already-decoded copy first.
+  /// Returns the cached page, or null on miss — never loads, but counts
+  /// the miss: its caller loads the page itself. Lets a caller that can
+  /// serve itself from compressed stored bytes check for an
+  /// already-decoded copy first.
   PageRef Peek(uint64_t file_id, uint64_t page_no);
 
   /// Caches an already-materialized page (e.g. one the caller decoded
@@ -66,11 +83,20 @@ class BufferPool {
   /// destroyed so ids can be recycled safely).
   void EvictFile(uint64_t file_id);
 
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-  uint64_t resident_bytes() const { return resident_bytes_; }
+  /// Lifetime lookup counters (GetPage and Peek) and the resident page
+  /// bytes; safe to read from any thread without the lock.
+  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
+  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
+  uint64_t resident_bytes() const {
+    return resident_bytes_.load(std::memory_order_relaxed);
+  }
 
  private:
+  /// Probation, where new pages are admitted, keeps 1/kProbationShare of
+  /// the capacity bytes; the protected (hit-at-least-once) list may hold
+  /// the rest.
+  static constexpr uint64_t kProbationShare = 4;
+
   struct Key {
     uint64_t file_id;
     uint64_t page_no;
@@ -86,19 +112,29 @@ class BufferPool {
   };
   struct Entry {
     PageRef page;
-    std::list<Key>::iterator lru_pos;
+    std::list<Key>::iterator pos;  // in protected_ or probation_
+    bool is_protected = false;
   };
 
-  void TouchLocked(Entry& e, const Key& k);
-  void EvictIfNeededLocked();
+  /// Records a hit on \p e: promotes a probation page, refreshes a
+  /// protected one.
+  void TouchLocked(Entry& e);
+  /// Evicts until \p page fits, then admits it at the head of probation.
+  void AdmitLocked(Entry& e, const Key& k, PageRef page);
+  /// Removes the entry \p it points at from its list and the map.
+  void DropLocked(std::unordered_map<Key, Entry, KeyHash>::iterator it);
 
   const uint64_t capacity_bytes_;
+  const uint64_t protected_cap_bytes_;
   std::mutex mu_;
   std::unordered_map<Key, Entry, KeyHash> pages_;
-  std::list<Key> lru_;  // front = most recent
-  uint64_t resident_bytes_ = 0;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
+  std::list<Key> probation_;  // front = most recent
+  std::list<Key> protected_;  // front = most recent
+  uint64_t protected_bytes_ = 0;
+  // Written under mu_, read lock-free by the accessors above.
+  std::atomic<uint64_t> resident_bytes_{0};
+  std::atomic<uint64_t> hits_{0};
+  std::atomic<uint64_t> misses_{0};
 };
 
 }  // namespace decibel

@@ -7,7 +7,12 @@
 #include <dirent.h>
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/decibel.h"
 #include "test_util.h"
@@ -31,11 +36,11 @@ class EngineTest : public ::testing::TestWithParam<EngineType> {
     Reopen();
   }
 
-  void Reopen() {
+  void Reopen(uint32_t page_size = 4096) {
     db_.reset();
     DecibelOptions options;
     options.engine = GetParam();
-    options.page_size = 4096;  // small pages exercise page boundaries
+    options.page_size = page_size;  // small pages exercise page boundaries
     auto db = Decibel::Open(dir_->path(), schema_, options);
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     db_ = std::move(db).MoveValueUnsafe();
@@ -306,6 +311,176 @@ TEST_P(EngineTest, DiffIdenticalBranchesIsEmpty) {
   ASSERT_OK(db_->Diff(kMasterBranch, dev, DiffMode::kByKey, counter,
                       counter));
   EXPECT_EQ(count, 0);
+}
+
+// The branch's rows as record bytes, sorted (a multiset).
+std::vector<std::string> BranchRows(Decibel* db, BranchId branch) {
+  std::vector<std::string> rows;
+  auto it = db->NewScan(ScanSpec::Branch(branch));
+  EXPECT_TRUE(it.ok()) << it.status().ToString();
+  if (!it.ok()) return rows;
+  ScanRow row;
+  while ((*it)->Next(&row)) rows.push_back(row.record.data().ToString());
+  EXPECT_TRUE((*it)->status().ok());
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+TEST_P(EngineTest, DiffMatchesReferenceFromBranchScans) {
+  // 512-byte pages hold 23 rows, so the changed rows span many pages and,
+  // on hybrid, several segments. Every write stores a fresh value, so a
+  // version's bytes identify it and by-content diffs compare as bytes.
+  db_.reset();
+  dir_ = std::make_unique<ScratchDir>("engine_diff");
+  Reopen(512);
+  int32_t value = 1;
+  auto write = [&](BranchId b, int64_t pk, bool insert) {
+    const Record rec = MakeRecord(schema_, pk, value++);
+    return insert ? db_->InsertInto(b, rec) : db_->UpdateIn(b, rec);
+  };
+  for (int64_t pk = 0; pk < 120; ++pk) {
+    ASSERT_OK(write(kMasterBranch, pk, true));
+  }
+  ASSERT_OK_AND_ASSIGN(CommitId base, db_->CommitBranch(kMasterBranch));
+  ASSERT_OK_AND_ASSIGN(BranchId dev, db_->BranchAt("dev", base));
+  ASSERT_OK_AND_ASSIGN(BranchId feat, db_->BranchAt("feat", base));
+  for (int64_t pk = 0; pk < 30; ++pk) ASSERT_OK(write(dev, pk, false));
+  for (int64_t pk = 30; pk < 35; ++pk) ASSERT_OK(db_->DeleteFrom(dev, pk));
+  for (int64_t pk = 1000; pk < 1015; ++pk) ASSERT_OK(write(dev, pk, true));
+  // 20..29 change on both sides; 30..34 change on master, die on dev.
+  for (int64_t pk = 20; pk < 45; ++pk) {
+    ASSERT_OK(write(kMasterBranch, pk, false));
+  }
+  for (int64_t pk = 2000; pk < 2010; ++pk) {
+    ASSERT_OK(write(kMasterBranch, pk, true));
+  }
+  // feat's changes reach master through a merge.
+  for (int64_t pk = 60; pk < 80; ++pk) ASSERT_OK(write(feat, pk, false));
+  ASSERT_OK(db_->DeleteFrom(feat, 90));
+  ASSERT_OK(write(feat, 3000, true));
+  ASSERT_OK(db_->CommitBranch(feat).status());
+  ASSERT_OK(db_->Merge(kMasterBranch, feat, MergePolicy::kThreeWayLeft)
+                .status());
+  ASSERT_OK_AND_ASSIGN(CommitId dev_head, db_->CommitBranch(dev));
+  ASSERT_OK_AND_ASSIGN(BranchId copy, db_->BranchAt("copy", dev_head));
+  if (GetParam() == EngineType::kHybrid) {
+    EXPECT_GE(db_->Stats().engine.num_segments, 3u);
+  }
+
+  auto row_pk = [&](const std::string& row) {
+    return RecordRef(&schema_, Slice(row)).pk();
+  };
+  // Rows of a absent from b, by bytes or by key.
+  auto reference = [&](BranchId a, BranchId b, DiffMode mode) {
+    const std::vector<std::string> rows_a = BranchRows(db_.get(), a);
+    const std::vector<std::string> rows_b = BranchRows(db_.get(), b);
+    std::set<int64_t> keys_b;
+    for (const std::string& r : rows_b) keys_b.insert(row_pk(r));
+    std::vector<std::string> out;
+    for (const std::string& r : rows_a) {
+      const bool absent =
+          mode == DiffMode::kByKey
+              ? keys_b.count(row_pk(r)) == 0
+              : !std::binary_search(rows_b.begin(), rows_b.end(), r);
+      if (absent) out.push_back(r);
+    }
+    return out;
+  };
+  auto sorted = [](std::vector<std::string> rows) {
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  };
+  auto minus = [](const std::vector<std::string>& x,
+                  const std::vector<std::string>& y) {  // sorted multisets
+    std::vector<std::string> out;
+    std::set_difference(x.begin(), x.end(), y.begin(), y.end(),
+                        std::back_inserter(out));
+    return out;
+  };
+
+  const std::pair<BranchId, BranchId> pairs[] = {
+      {kMasterBranch, dev}, {dev, kMasterBranch}, {kMasterBranch, feat},
+      {dev, copy},          {copy, copy}};
+  for (const auto& [a, b] : pairs) {
+    for (DiffMode mode : {DiffMode::kByKey, DiffMode::kByContent}) {
+      SCOPED_TRACE("diff(" + std::to_string(a) + ", " + std::to_string(b) +
+                   (mode == DiffMode::kByKey ? ") by key" : ") by content"));
+      const std::vector<std::string> want_pos = reference(a, b, mode);
+      const std::vector<std::string> want_neg = reference(b, a, mode);
+      if (a == dev && b == copy) {
+        EXPECT_TRUE(want_pos.empty() && want_neg.empty());
+      } else if (a != b) {
+        EXPECT_GE(want_pos.size() + want_neg.size(), 10u);
+      }
+      // Both sides at once, then each side alone (the by-key walk keeps
+      // less of the silent side).
+      std::vector<std::string> pos, neg, pos_only, neg_only;
+      auto sink = [](std::vector<std::string>* out) {
+        return [out](const RecordRef& r) {
+          out->push_back(r.data().ToString());
+        };
+      };
+      ASSERT_OK(db_->Diff(a, b, mode, sink(&pos), sink(&neg)));
+      ASSERT_OK(db_->Diff(a, b, mode, sink(&pos_only), nullptr));
+      ASSERT_OK(db_->Diff(a, b, mode, nullptr, sink(&neg_only)));
+      const std::vector<std::string> got_pos = sorted(pos);
+      const std::vector<std::string> got_neg = sorted(neg);
+      EXPECT_EQ(sorted(pos_only), got_pos);
+      EXPECT_EQ(sorted(neg_only), got_neg);
+      EXPECT_TRUE(minus(got_pos, BranchRows(db_.get(), a)).empty());
+      EXPECT_TRUE(minus(got_neg, BranchRows(db_.get(), b)).empty());
+      EXPECT_EQ(minus(want_pos, got_pos), std::vector<std::string>{});
+      EXPECT_EQ(minus(want_neg, got_neg), std::vector<std::string>{});
+      // Past the reference, only byte-equal rows live on both sides: the
+      // merge rewrote feat's versions into master on tuple-first and
+      // hybrid, and a by-content diff reports those distinct versions on
+      // both sides, once each.
+      const std::vector<std::string> copies = minus(got_pos, want_pos);
+      EXPECT_EQ(minus(got_neg, want_neg), copies);
+      if (mode == DiffMode::kByKey || (a != feat && b != feat)) {
+        EXPECT_TRUE(copies.empty());
+      }
+
+      // The kDiff view serves the positive side filtered, up to the limit.
+      auto pred = Predicate::Compare(schema_, "c1", CompareOp::kGe, 150);
+      ASSERT_TRUE(pred.ok());
+      std::vector<std::string> want_filtered;
+      for (const std::string& r : got_pos) {
+        if (pred->Matches(RecordRef(&schema_, Slice(r)))) {
+          want_filtered.push_back(r);
+        }
+      }
+      ASSERT_OK_AND_ASSIGN(
+          auto cursor, db_->NewScan(ScanSpec::Diff(a, b, mode).Where(*pred)));
+      std::vector<std::string> filtered;
+      ScanRow row;
+      while (cursor->Next(&row)) {
+        filtered.push_back(row.record.data().ToString());
+      }
+      ASSERT_OK(cursor->status());
+      EXPECT_EQ(sorted(filtered), want_filtered);
+      const uint64_t limit = 3;
+      ASSERT_OK_AND_ASSIGN(cursor, db_->NewScan(ScanSpec::Diff(a, b, mode)
+                                                    .Where(*pred)
+                                                    .WithLimit(limit)));
+      std::vector<std::string> limited;
+      while (cursor->Next(&row)) {
+        limited.push_back(row.record.data().ToString());
+      }
+      ASSERT_OK(cursor->status());
+      EXPECT_EQ(limited.size(), std::min<size_t>(limit, want_filtered.size()));
+      for (const std::string& r : limited) {
+        EXPECT_TRUE(std::binary_search(want_filtered.begin(),
+                                       want_filtered.end(), r));
+      }
+    }
+  }
+  // Those walks read sealed pages through the engine's buffer pool, and
+  // Stats() reports it.
+  const EngineStats stats = db_->Stats().engine;
+  EXPECT_GT(stats.pool_misses, 0u);
+  EXPECT_GT(stats.pool_hits, 0u);
+  EXPECT_GT(stats.pool_resident_bytes, 0u);
 }
 
 TEST_P(EngineTest, MergeUnionOfNonConflictingChanges) {

@@ -715,6 +715,16 @@ TEST_F(VquelTest, InfoReportsEngineAndGraphCounters) {
   EXPECT_NE(info.find("active_branches: 2"), std::string::npos) << info;
   EXPECT_NE(info.find("durable: false"), std::string::npos) << info;
   EXPECT_NE(info.find("engine.num_records:"), std::string::npos) << info;
+  // The buffer pool's counters are listed, and rows counts every line.
+  for (const char* key : {"pool.hits: ", "pool.misses: ",
+                          "pool.resident_bytes: "}) {
+    EXPECT_NE(Exec("INFO").find(key), std::string::npos) << key;
+  }
+  ASSERT_OK_AND_ASSIGN(vquel::ExecResult result,
+                       vquel::Execute(db_.get(), "INFO"));
+  EXPECT_EQ(result.rows, static_cast<uint64_t>(std::count(
+                             result.output.begin(), result.output.end(),
+                             '\n') + 1));
 }
 
 TEST_F(VquelTest, TransactionGuardsAndErrors) {

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <map>
+#include <thread>
+#include <vector>
+
 #include "common/coding.h"
 #include "common/crc32.h"
 #include "common/logging.h"
@@ -511,6 +516,174 @@ TEST(BufferPoolTest, EvictedPagesStayValidForHolders) {
   ASSERT_OK((*file)->Get(128, &buf));
   // The pinned view is still readable (shared ownership).
   EXPECT_EQ(pinned->payload[0], 'v');
+}
+
+// Pages for the policy tests, served straight to the pool: every byte of
+// page p of file f is PageByte(f, p), so a reader can check what it got.
+constexpr uint64_t kTestPage = 256;
+
+char PageByte(uint64_t file_id, uint64_t page_no) {
+  return static_cast<char>('a' + (file_id * 7 + page_no) % 26);
+}
+
+class PatternSource : public PageSource {
+ public:
+  explicit PatternSource(uint64_t file_id) : file_id_(file_id) {}
+  Status ReadPageFromDisk(uint64_t page_no, std::string* out) override {
+    out->assign(kTestPage, PageByte(file_id_, page_no));
+    return Status::OK();
+  }
+
+ private:
+  uint64_t file_id_;
+};
+
+TEST(BufferPoolTest, HotPageSurvivesAOneShotScan) {
+  BufferPool pool(8 * kTestPage);
+  PatternSource source(1);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(pool.GetPage(1, 0, &source).ok());
+  EXPECT_EQ(pool.misses(), 1u);
+  EXPECT_EQ(pool.hits(), 2u);
+  // A scan over twice the capacity, each page touched once.
+  for (uint64_t p = 100; p < 116; ++p) {
+    ASSERT_TRUE(pool.GetPage(1, p, &source).ok());
+  }
+  const uint64_t misses = pool.misses();
+  ASSERT_TRUE(pool.GetPage(1, 0, &source).ok());
+  EXPECT_EQ(pool.misses(), misses) << "the scan evicted the hot page";
+}
+
+TEST(BufferPoolTest, LoopLongerThanPoolHitsOnSecondLap) {
+  // A loop over capacity + 4 pages; the first 6 pages hold two records
+  // each, read one page access apiece, the rest one record. Plain LRU
+  // evicts every page before the loop returns to it, so each lap misses
+  // all 12 pages; the protected list keeps the twice-read pages.
+  constexpr uint64_t kCapacityPages = 8;
+  constexpr uint64_t kLoopPages = kCapacityPages + 4;
+  BufferPool pool(kCapacityPages * kTestPage);
+  PatternSource source(1);
+  auto lap = [&] {
+    const uint64_t misses = pool.misses();
+    for (uint64_t p = 0; p < kLoopPages; ++p) {
+      for (int r = 0; r < (p < 6 ? 2 : 1); ++r) {
+        auto page = pool.GetPage(1, p, &source);
+        EXPECT_TRUE(page.ok());
+      }
+    }
+    return pool.misses() - misses;
+  };
+  EXPECT_EQ(lap(), kLoopPages);
+  const uint64_t second = lap();
+  EXPECT_LT(second, kLoopPages) << "no page of the loop survived a lap";
+  EXPECT_EQ(lap(), second);
+}
+
+TEST(BufferPoolTest, EvictionKeepsResidentBytesExactAcrossBothLists) {
+  constexpr uint64_t kCapacity = 8 * kTestPage;
+  BufferPool pool(kCapacity);
+  PatternSource source(1);
+  // Every page ever cached, by (file, page), with its size.
+  std::map<std::pair<uint64_t, uint64_t>, uint64_t> sizes;
+  auto resident_of = [&](uint64_t f) {  // Peek's hit only reorders
+    uint64_t bytes = 0;
+    for (const auto& [key, size] : sizes) {
+      if (key.first == f && pool.Peek(f, key.second) != nullptr) {
+        bytes += size;
+      }
+    }
+    return bytes;
+  };
+  // Pages of mixed sizes from two files, half of them hit (protected).
+  for (uint64_t p = 0; p < 10; ++p) {
+    for (uint64_t f = 1; f <= 2; ++f) {
+      const uint64_t size = kTestPage / 2 + p * 16;
+      sizes[{f, p}] = size;
+      pool.Insert(f, p, std::make_shared<std::string>(size, PageByte(f, p)));
+      if (p % 2 == 0) {
+        ASSERT_NE(pool.Peek(f, p), nullptr);
+      }
+      ASSERT_LE(pool.resident_bytes(), kCapacity);
+    }
+  }
+  ASSERT_EQ(pool.resident_bytes(), resident_of(1) + resident_of(2));
+  ASSERT_GT(resident_of(1), 0u);
+  pool.EvictFile(1);
+  EXPECT_EQ(resident_of(1), 0u);
+  EXPECT_EQ(pool.resident_bytes(), resident_of(2));
+  // Reload file 1 past capacity at full page size, hitting every third
+  // page, then drop file 2 and finally everything.
+  for (uint64_t p = 0; p < 20; ++p) {
+    sizes[{1, p}] = kTestPage;
+    ASSERT_TRUE(pool.GetPage(1, p, &source).ok());
+    if (p % 3 == 0) {
+      ASSERT_TRUE(pool.GetPage(1, p, &source).ok());
+    }
+    ASSERT_LE(pool.resident_bytes(), kCapacity);
+  }
+  EXPECT_EQ(pool.resident_bytes(), resident_of(1) + resident_of(2));
+  pool.EvictFile(2);
+  EXPECT_EQ(resident_of(2), 0u);
+  EXPECT_EQ(pool.resident_bytes(), resident_of(1));
+  pool.EvictAll();
+  EXPECT_EQ(pool.resident_bytes(), 0u);
+  EXPECT_EQ(resident_of(1), 0u);
+  // The emptied lists take pages again.
+  ASSERT_TRUE(pool.GetPage(1, 0, &source).ok());
+  EXPECT_EQ(pool.resident_bytes(), kTestPage);
+}
+
+TEST(BufferPoolTest, ConcurrentReadersInsertersAndEvictors) {
+  // 4 threads against a pool a quarter the size of the page set; run
+  // under TSan in CI. Every page a thread gets must carry its own bytes.
+  constexpr uint64_t kCapacity = 8 * kTestPage;
+  constexpr uint64_t kPages = 32;
+  BufferPool pool(kCapacity);
+  std::atomic<bool> failed{false};
+  auto check = [&](const PageRef& page, uint64_t f, uint64_t p) {
+    if (page == nullptr) return;
+    if (page->size() != kTestPage ||
+        page->find_first_not_of(PageByte(f, p)) != std::string::npos) {
+      failed = true;
+    }
+  };
+  std::vector<std::thread> threads;
+  for (uint64_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      Random rng(t + 1);
+      PatternSource sources[2] = {PatternSource(1), PatternSource(2)};
+      for (int i = 0; i < 2000; ++i) {
+        const uint64_t f = 1 + rng.Uniform(2);
+        const uint64_t p = rng.Uniform(kPages);
+        switch (t) {
+          case 0:
+          case 1: {
+            auto page = pool.GetPage(f, p, &sources[f - 1]);
+            if (!page.ok()) {
+              failed = true;
+            } else {
+              check(page.value(), f, p);
+            }
+            break;
+          }
+          case 2:
+            check(pool.Peek(f, p), f, p);
+            pool.Insert(f, p, std::make_shared<std::string>(kTestPage,
+                                                            PageByte(f, p)));
+            break;
+          default:
+            if (i % 50 == 0) pool.EvictFile(f);
+            else check(pool.Peek(f, p), f, p);
+            break;
+        }
+        if (pool.resident_bytes() > kCapacity) failed = true;
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_FALSE(failed.load());
+  EXPECT_LE(pool.resident_bytes(), kCapacity);
+  EXPECT_GT(pool.hits(), 0u);
+  EXPECT_GT(pool.misses(), 0u);
 }
 
 }  // namespace
