@@ -1,6 +1,7 @@
 #include "bitmap/commit_history.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/coding.h"
 #include "common/crc32.h"
@@ -195,9 +196,13 @@ Result<Bitmap> CommitHistory::Checkout(uint64_t seq) const {
   return Bitmap::FromBytes(bytes, layer0_[pos].nbits);
 }
 
-bool CommitHistory::HasCommitAtOrBefore(uint64_t seq) const {
+std::optional<uint64_t> CommitHistory::FloorCommit(uint64_t seq) const {
   std::lock_guard<std::mutex> guard(mu_);
-  return !layer0_.empty() && layer0_.front().seq <= seq;
+  auto it = std::upper_bound(
+      layer0_.begin(), layer0_.end(), seq,
+      [](uint64_t s, const Entry& e) { return s < e.seq; });
+  if (it == layer0_.begin()) return std::nullopt;
+  return std::prev(it)->seq;
 }
 
 uint64_t CommitHistory::SizeBytes() const {

@@ -65,8 +65,10 @@ class CommitHistory {
   /// NotFound if there is no such commit.
   Result<Bitmap> Checkout(uint64_t seq) const;
 
-  /// True if some commit with seq' <= seq exists.
-  bool HasCommitAtOrBefore(uint64_t seq) const;
+  /// The seq of the latest commit at or before \p seq — the one Checkout
+  /// would replay — or nullopt if there is none. Two equal floors of one
+  /// history name the same bitmap without reading it.
+  std::optional<uint64_t> FloorCommit(uint64_t seq) const;
 
   uint64_t num_commits() const {
     std::lock_guard<std::mutex> guard(mu_);

@@ -20,6 +20,7 @@
 /// scan loops (scan_spec.h); Get(branch, pk) is the point lookup the pk
 /// index makes O(1) in the bitmap engines.
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -51,11 +52,12 @@ const char* EngineTypeName(EngineType type);
 /// "unsupported version" error instead of a misleading Corruption from
 /// half-way through the decode. v2 added per-segment checkpoint state
 /// and history sizes; v3 appends per-segment zone-map stats blobs
-/// (HeapFile::EncodeStats) in the segmented engines; v1 metas
+/// (HeapFile::EncodeStats) in the segmented engines; v4 appends hybrid's
+/// inherited-column registry (branch -> base commit); v1 metas
 /// (pre-durability) had neither the header nor those fields and cannot
 /// be opened.
 inline constexpr uint32_t kEngineMetaMagic = 0x4d454244;  // "DBEM"
-inline constexpr uint32_t kEngineMetaVersion = 3;
+inline constexpr uint32_t kEngineMetaVersion = 4;
 
 /// Appends the engine.meta format header to \p meta.
 void PutEngineMetaHeader(std::string* meta);
@@ -105,6 +107,22 @@ using DiffCallback = std::function<void(const RecordRef&)>;
 // engine/merge_spec.h (included above): the merge surface is shared
 // semantics over a per-engine walk primitive, exactly as scan_spec.h is
 // shared pushdown over per-engine cursors.
+
+/// Heap bytes of a node-based hash table (std::unordered_map/set, the
+/// engines' pk indexes): the bucket array plus one allocation per entry.
+/// An entry node is a next pointer and the value (libstdc++ caches no hash
+/// for integer keys), and glibc malloc rounds each request plus its 8-byte
+/// header up to 16 bytes, 32 at least. A std::unordered_map<int64_t, 16-byte
+/// value> entry thus takes a 48-byte chunk plus its share of the buckets,
+/// ~60 bytes in all — not the 24 that sizeof(value_type) suggests.
+template <typename HashTable>
+uint64_t HashTableMemoryBytes(const HashTable& table) {
+  constexpr uint64_t kNode =
+      sizeof(void*) + sizeof(typename HashTable::value_type);
+  constexpr uint64_t kChunk =
+      std::max<uint64_t>(32, (kNode + sizeof(size_t) + 15) / 16 * 16);
+  return table.bucket_count() * sizeof(void*) + table.size() * kChunk;
+}
 
 struct EngineStats {
   uint64_t data_bytes = 0;          ///< heap/segment file bytes on disk

@@ -1,6 +1,7 @@
 #include "engine/hybrid.h"
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -210,6 +211,23 @@ Status HybridEngine::LoadExisting() {
       DECIBEL_RETURN_NOT_OK(TruncateFile(HistoryPath(branch, seg), bytes));
     }
   }
+  uint64_t num_inherits;
+  if (!GetVarint64(&input, &num_inherits)) {
+    return Status::Corruption("hybrid: truncated inherited-column registry");
+  }
+  for (uint64_t i = 0; i < num_inherits; ++i) {
+    uint32_t branch;
+    uint64_t base;
+    if (!GetVarint32(&input, &branch) || !GetVarint64(&input, &base)) {
+      return Status::Corruption("hybrid: truncated inherited-column entry");
+    }
+    if (commit_branch_.count(base) == 0) {
+      return Status::Corruption("hybrid: branch " + std::to_string(branch) +
+                                " inherits from unknown commit " +
+                                std::to_string(base));
+    }
+    inherits_[branch] = base;
+  }
   // The pk indexes are memory-only; rebuild them from the local bitmaps.
   for (const auto& [branch, row] : branch_segments_) {
     DECIBEL_RETURN_NOT_OK(RebuildPkIndex(branch));
@@ -275,6 +293,11 @@ std::string HybridEngine::EncodeMeta() {
         PutVarint64(&meta, bytes);
       }
     }
+    PutVarint64(&meta, inherits_.size());
+    for (const auto& [branch, base] : inherits_) {
+      PutVarint32(&meta, branch);
+      PutVarint64(&meta, base);
+    }
   }
   return meta;
 }
@@ -335,6 +358,13 @@ std::vector<uint32_t> HybridEngine::SegmentsOf(BranchId b) const {
   return out;
 }
 
+bool HybridEngine::HistoryKnownLocked(BranchId branch, uint32_t seg) const {
+  auto segs_it = history_segs_.find(branch);
+  return segs_it != history_segs_.end() &&
+         std::find(segs_it->second.begin(), segs_it->second.end(), seg) !=
+             segs_it->second.end();
+}
+
 Result<CommitHistory*> HybridEngine::HistoryFor(BranchId branch,
                                                 uint32_t seg) {
   // Held across the (rare) first open of a history file: concurrent
@@ -348,11 +378,7 @@ Result<CommitHistory*> HybridEngine::HistoryFor(BranchId branch,
   // history file on disk for a (branch, seg) the registry does not know
   // is stale post-checkpoint debris from a crash, and Create truncates
   // it away (WAL replay re-appends its commits).
-  auto segs_it = history_segs_.find(branch);
-  const bool known =
-      segs_it != history_segs_.end() &&
-      std::find(segs_it->second.begin(), segs_it->second.end(), seg) !=
-          segs_it->second.end();
+  const bool known = HistoryKnownLocked(branch, seg);
   Result<std::unique_ptr<CommitHistory>> h =
       known ? CommitHistory::Open(
                   path, {.composite_every = options_.composite_every})
@@ -372,18 +398,28 @@ Status HybridEngine::CreateBranch(BranchId child, BranchId parent,
   pk_index_.try_emplace(child);
   branch_segments_.try_emplace(child);
   dirty_.try_emplace(child);
+  // The child's committed columns are its base commit's until it writes
+  // them (see inherits_), so no history is copied here. An engine that
+  // never saw base_commit (a rejected replay) falls back to copying.
+  bool by_reference = false;
+  {
+    std::lock_guard<std::mutex> commit_lock(commit_mu_);
+    by_reference = commit_branch_.count(base_commit) != 0;
+    if (by_reference) inherits_[child] = base_commit;
+  }
   if (at_head) {
     // §3.4 Branch: the parent's head freezes into an internal segment
     // whose bitmap gains a column for the child; both branches get fresh
     // head segments. The clone touches only segments in the direct
-    // ancestry, not a global bitmap.
+    // ancestry, not a global bitmap, and the parent's live columns equal
+    // its columns at base_commit (the facade commits before branching).
     const uint32_t old_head = head_seg_[parent];
     segments_[old_head]->is_head = false;
     DECIBEL_RETURN_NOT_OK(segments_[old_head]->file->Seal());
     for (uint32_t seg : SegmentsOf(parent)) {
       segments_[seg]->local.CloneBranch(parent, child);
       branch_segments_[child].Set(seg);
-      MarkDirty(child, seg);
+      if (!by_reference) MarkDirty(child, seg);
     }
     pk_index_[child] = pk_index_[parent];
     DECIBEL_RETURN_NOT_OK(NewHeadSegment(parent).status());
@@ -404,7 +440,7 @@ Status HybridEngine::CreateBranch(BranchId child, BranchId parent,
     return Status::OK();
   }
   // Branch from a historical commit: restore the parent's per-segment
-  // columns as of that commit into the child's columns.
+  // columns as of that commit into the child's live columns.
   std::vector<std::pair<uint32_t, Bitmap>> columns;
   DECIBEL_RETURN_NOT_OK(CommitColumns(base_commit, &columns));
   for (auto& [seg, bits] : columns) {
@@ -412,7 +448,6 @@ Status HybridEngine::CreateBranch(BranchId child, BranchId parent,
     segments_[seg]->local.AddBranch(child);
     segments_[seg]->local.RestoreBranch(child, bits);
     branch_segments_[child].Set(seg);
-    MarkDirty(child, seg);
   }
   DECIBEL_RETURN_NOT_OK(NewHeadSegment(child).status());
   return RebuildPkIndex(child);
@@ -435,9 +470,17 @@ Status HybridEngine::CommitImpl(BranchId branch, CommitId commit_id) {
     std::sort(segs.begin(), segs.end());
     const auto head_it = head_seg_.find(branch);
     for (uint32_t seg : segs) {
+      const Bitmap* view = segments_[seg]->local.BranchView(branch);
+      if ((view == nullptr || !view->Any()) &&
+          segments_[seg]->owner == branch) {
+        // A head segment of this branch that it has never written (it
+        // forked again first) is younger than the branch's base, so with
+        // no history its column reads as empty: no file needed yet.
+        std::lock_guard<std::mutex> commit_lock(commit_mu_);
+        if (!HistoryKnownLocked(branch, seg)) continue;
+      }
       DECIBEL_ASSIGN_OR_RETURN(CommitHistory * history,
                                HistoryFor(branch, seg));
-      const Bitmap* view = segments_[seg]->local.BranchView(branch);
       Bitmap empty;
       DECIBEL_RETURN_NOT_OK(
           history->AppendCommit(commit_id, view ? *view : empty));
@@ -456,29 +499,66 @@ Status HybridEngine::CommitImpl(BranchId branch, CommitId commit_id) {
   return Status::OK();
 }
 
+Status HybridEngine::ResolveColumns(CommitId commit,
+                                    std::vector<ColumnRef>* out) {
+  // Walk commit -> its branch's histories -> that branch's base commit ->
+  // ...: a segment takes its column from the first branch on the chain
+  // whose history holds a commit at or before the chain's commit there;
+  // a branch that never wrote the segment by then inherited it. Registry
+  // entries are snapshotted under the leaf lock, histories consulted
+  // outside it (each has its own internal lock).
+  std::unordered_set<uint32_t> resolved;
+  for (bool first = true; commit != kInvalidCommit; first = false) {
+    BranchId branch = kInvalidBranch;
+    std::vector<uint32_t> segs;
+    CommitId base = kInvalidCommit;
+    {
+      std::lock_guard<std::mutex> commit_lock(commit_mu_);
+      auto it = commit_branch_.find(commit);
+      if (it == commit_branch_.end()) {
+        return Status::NotFound("hybrid: unknown " +
+                                std::string(first ? "" : "base ") +
+                                "commit " + std::to_string(commit));
+      }
+      branch = it->second;
+      if (auto segs_it = history_segs_.find(branch);
+          segs_it != history_segs_.end()) {
+        segs = segs_it->second;
+      }
+      if (auto base_it = inherits_.find(branch); base_it != inherits_.end()) {
+        base = base_it->second;
+      }
+    }
+    // A branch is created at a commit older than any of its own, so the
+    // chain strictly descends; anything else is a corrupt registry.
+    if (base != kInvalidCommit && base >= commit) {
+      return Status::Corruption("hybrid: branch " + std::to_string(branch) +
+                                " inherits from a commit not older than " +
+                                std::to_string(commit));
+    }
+    for (uint32_t seg : segs) {
+      if (resolved.count(seg) != 0) continue;
+      DECIBEL_ASSIGN_OR_RETURN(CommitHistory * history,
+                               HistoryFor(branch, seg));
+      const std::optional<uint64_t> floor = history->FloorCommit(commit);
+      if (!floor.has_value()) continue;  // inherited at this commit
+      resolved.insert(seg);
+      out->push_back(ColumnRef{seg, history, *floor});
+    }
+    commit = base;
+  }
+  std::sort(out->begin(), out->end(),
+            [](const ColumnRef& a, const ColumnRef& b) { return a.seg < b.seg; });
+  return Status::OK();
+}
+
 Status HybridEngine::CommitColumns(
     CommitId commit, std::vector<std::pair<uint32_t, Bitmap>>* out) {
-  // Snapshot the registry entries under the leaf lock, then replay the
-  // history files outside it (each file has its own internal lock).
-  BranchId branch;
-  std::vector<uint32_t> segs;
-  {
-    std::lock_guard<std::mutex> commit_lock(commit_mu_);
-    auto it = commit_branch_.find(commit);
-    if (it == commit_branch_.end()) {
-      return Status::NotFound("hybrid: unknown commit " +
-                              std::to_string(commit));
-    }
-    branch = it->second;
-    auto segs_it = history_segs_.find(branch);
-    if (segs_it == history_segs_.end()) return Status::OK();
-    segs = segs_it->second;
-  }
-  for (uint32_t seg : segs) {
-    DECIBEL_ASSIGN_OR_RETURN(CommitHistory * history, HistoryFor(branch, seg));
-    if (!history->HasCommitAtOrBefore(commit)) continue;  // not yet member
-    DECIBEL_ASSIGN_OR_RETURN(Bitmap bits, history->Checkout(commit));
-    out->emplace_back(seg, std::move(bits));
+  std::vector<ColumnRef> refs;
+  DECIBEL_RETURN_NOT_OK(ResolveColumns(commit, &refs));
+  for (const ColumnRef& ref : refs) {
+    DECIBEL_ASSIGN_OR_RETURN(Bitmap bits, ref.history->Checkout(ref.seq));
+    out->emplace_back(ref.seg, std::move(bits));
   }
   return Status::OK();
 }
@@ -824,21 +904,17 @@ Status HybridEngine::MergeWalk(CommitId left, CommitId right, CommitId base,
   std::shared_lock<std::shared_mutex> registry_lock(registry_mu_);
   const uint32_t rs = schema_.record_size();
 
-  std::unordered_map<uint32_t, Bitmap> cols_l, cols_r, cols_b;
-  auto load = [&](CommitId commit,
-                  std::unordered_map<uint32_t, Bitmap>* out) -> Status {
-    std::vector<std::pair<uint32_t, Bitmap>> cols;
-    DECIBEL_RETURN_NOT_OK(CommitColumns(commit, &cols));
-    for (auto& [seg, bits] : cols) (*out)[seg] = std::move(bits);
-    return Status::OK();
-  };
-  DECIBEL_RETURN_NOT_OK(load(left, &cols_l));
-  DECIBEL_RETURN_NOT_OK(load(right, &cols_r));
-  DECIBEL_RETURN_NOT_OK(load(base, &cols_b));
-
-  std::unordered_set<uint32_t> seg_set;
-  for (const auto* cols : {&cols_l, &cols_r, &cols_b}) {
-    for (const auto& [seg, bits] : *cols) seg_set.insert(seg);
+  // Each side's columns are first only located. A segment whose three
+  // columns are one stored bitmap (the child never wrote it and the
+  // parent has not rewritten it since the fork — most of a long
+  // ancestry) is skipped without replaying any history.
+  std::vector<ColumnRef> refs[3];
+  DECIBEL_RETURN_NOT_OK(ResolveColumns(left, &refs[0]));
+  DECIBEL_RETURN_NOT_OK(ResolveColumns(right, &refs[1]));
+  DECIBEL_RETURN_NOT_OK(ResolveColumns(base, &refs[2]));
+  std::map<uint32_t, std::array<const ColumnRef*, 3>> by_seg;
+  for (int side = 0; side < 3; ++side) {
+    for (const ColumnRef& ref : refs[side]) by_seg[ref.seg][side] = &ref;
   }
 
   constexpr uint64_t kAbsentSeg = ~uint64_t{0};
@@ -848,16 +924,27 @@ Status HybridEngine::MergeWalk(CommitId left, CommitId right, CommitId base,
   };
   std::map<int64_t, Positions> keys;
 
-  static const Bitmap kEmpty;
-  for (uint32_t seg : seg_set) {
-    auto view = [&](const std::unordered_map<uint32_t, Bitmap>& cols)
-        -> const Bitmap& {
-      auto it = cols.find(seg);
-      return it == cols.end() ? kEmpty : it->second;
+  for (const auto& [seg, sides] : by_seg) {
+    auto same = [](const ColumnRef* a, const ColumnRef* b) {
+      return a != nullptr && b != nullptr && *a == *b;
     };
-    const Bitmap& bits_l = view(cols_l);
-    const Bitmap& bits_r = view(cols_r);
-    const Bitmap& bits_b = view(cols_b);
+    if (same(sides[0], sides[2]) && same(sides[1], sides[2])) continue;
+    // Load each distinct column once; an absent side is empty.
+    Bitmap bits[3];
+    for (int side = 0; side < 3; ++side) {
+      if (sides[side] == nullptr) continue;
+      int twin = 0;
+      while (twin < side && !same(sides[twin], sides[side])) ++twin;
+      if (twin < side) {
+        bits[side] = bits[twin];
+        continue;
+      }
+      DECIBEL_ASSIGN_OR_RETURN(
+          bits[side], sides[side]->history->Checkout(sides[side]->seq));
+    }
+    const Bitmap& bits_l = bits[0];
+    const Bitmap& bits_r = bits[1];
+    const Bitmap& bits_b = bits[2];
     const Bitmap mask =
         Bitmap::Or(Bitmap::Xor(bits_l, bits_b), Bitmap::Xor(bits_r, bits_b));
     if (!mask.Any()) continue;  // segment untouched between the commits
@@ -945,7 +1032,7 @@ EngineStats HybridEngine::Stats() const {
       stats.index_memory_bytes += row.MemoryBytes();
     }
     for (const auto& [branch, pks] : pk_index_) {
-      stats.index_memory_bytes += pks.size() * 24;
+      stats.index_memory_bytes += HashTableMemoryBytes(pks);
     }
   }
   {

@@ -14,6 +14,18 @@
 /// Segments are either *head* segments (the working tail of one branch)
 /// or *internal* segments (frozen at the first branch taken from them).
 ///
+/// Commit storage is one history file per (branch, segment) the branch
+/// *wrote* (§5.3, Table 2). A new branch inherits its parent's columns by
+/// reference: until it first dirties a segment, its committed column
+/// there is "the column of its base commit", recorded once per branch in
+/// the inherited-column registry (inherits_) rather than copied into a
+/// history file per ancestor segment. ResolveColumns locates a commit's
+/// columns by walking that chain — the commit's own branch histories
+/// first, then its base commit's branch, and so on to master — so a fork
+/// copies no history and a commit writes only the segments it changed. The
+/// in-memory live columns are still cloned at fork (CloneBranch), so
+/// scans, Get and the pk index never resolve anything.
+///
 /// Concurrency: a branch's writes touch only its own head-segment tail,
 /// its own pk index, and its own columns of the per-segment local
 /// bitmaps (a column is private to its branch even when the segment is
@@ -108,6 +120,9 @@ class HybridEngine : public StorageEngine {
 
   /// Caller holds registry_mu_ unique (grows segments_ and the maps).
   Result<uint32_t> NewHeadSegment(BranchId owner);
+  /// Whether (branch, seg) has a history in the registry. Caller holds
+  /// commit_mu_.
+  bool HistoryKnownLocked(BranchId branch, uint32_t seg) const;
   /// The (branch, segment) commit history, creating it on first use.
   /// Takes commit_mu_ internally for the registry maps.
   Result<CommitHistory*> HistoryFor(BranchId branch, uint32_t seg);
@@ -121,7 +136,22 @@ class HybridEngine : public StorageEngine {
   }
   /// Segments whose bit is set in branch \p b's row of the global bitmap.
   std::vector<uint32_t> SegmentsOf(BranchId b) const;
-  /// Restores the per-segment columns of \p branch as of \p commit.
+  /// Where a commit's column in one segment is stored: the history of
+  /// the first branch on the commit's base-commit chain that wrote the
+  /// segment, at that history's commit \p seq. Equal refs are equal
+  /// columns, known without reading either.
+  struct ColumnRef {
+    uint32_t seg = 0;
+    CommitHistory* history = nullptr;
+    uint64_t seq = 0;
+    bool operator==(const ColumnRef&) const = default;
+  };
+  /// Locates every column of \p commit, in ascending segment order,
+  /// resolving inherited columns through the base-commit chain (see
+  /// inherits_). Reads no history payload.
+  Status ResolveColumns(CommitId commit, std::vector<ColumnRef>* out);
+  /// Restores the per-segment columns of \p commit's branch as of
+  /// \p commit, in ascending segment order.
   Status CommitColumns(CommitId commit,
                        std::vector<std::pair<uint32_t, Bitmap>>* out);
   Status RebuildPkIndex(BranchId b);
@@ -139,8 +169,8 @@ class HybridEngine : public StorageEngine {
   mutable std::shared_mutex registry_mu_;
   /// Per-branch write serialization; see file comment for the hierarchy.
   mutable StripeLocks stripes_;
-  /// Leaf lock: histories_/history_segs_/commit_branch_ shape. Never
-  /// acquire another engine lock while holding it.
+  /// Leaf lock: histories_/history_segs_/commit_branch_/inherits_ shape.
+  /// Never acquire another engine lock while holding it.
   mutable std::mutex commit_mu_;
 
   std::vector<std::unique_ptr<Segment>> segments_;
@@ -155,6 +185,12 @@ class HybridEngine : public StorageEngine {
   std::unordered_map<BranchId, std::vector<uint32_t>> history_segs_;
   std::unordered_map<BranchId, std::unordered_set<uint32_t>> dirty_;
   std::unordered_map<CommitId, BranchId> commit_branch_;
+  /// Inherited-column registry: branch -> the commit it was created from.
+  /// A branch's committed column in a segment whose history has no commit
+  /// at or before the one asked for is its base commit's column there.
+  /// Master has no entry. Guarded by commit_mu_ like the other commit
+  /// registries; persisted in engine.meta.
+  std::unordered_map<BranchId, CommitId> inherits_;
 
   /// Builds the scan units for \p spec's view, dropping segments whose
   /// file-level zone map rules out the predicate entirely (each drop adds

@@ -616,7 +616,7 @@ EngineStats TupleFirstEngine::Stats() const {
   stats.data_bytes = heap_->SizeBytes();
   stats.index_memory_bytes = index_->MemoryBytes();
   for (const auto& [branch, pks] : pk_index_) {
-    stats.index_memory_bytes += pks.size() * 16;
+    stats.index_memory_bytes += HashTableMemoryBytes(pks);
   }
   {
     std::lock_guard<std::mutex> commits(commit_mu_);

@@ -1144,7 +1144,7 @@ EngineStats VersionFirstEngine::Stats() const {
     // The pk indexes are per-branch state guarded by the stripes.
     StripeLocks::AllGuard stripe_locks(stripes_);
     for (const auto& [branch, pks] : pk_index_) {
-      stats.index_memory_bytes += pks.size() * 24;
+      stats.index_memory_bytes += HashTableMemoryBytes(pks);
     }
   }
   {

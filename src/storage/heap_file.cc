@@ -118,17 +118,22 @@ Result<std::unique_ptr<HeapFile>> HeapFile::Open(const std::string& path,
   std::unique_ptr<HeapFile> file(
       new HeapFile(path, record_size, opts, pool));
 
+  // Every page but the last fills a whole page_size slot; the last one may
+  // be short (a partial tail is stored as header + used bytes).
   const uint64_t data_bytes = r.Size() - kFileHeaderSize;
-  if (data_bytes % page_size != 0) {
-    return Status::Corruption("heapfile: truncated page in " + path);
+  const uint64_t whole_slots = data_bytes / page_size;
+  const uint64_t short_slot = data_bytes % page_size;
+  const uint64_t num_pages = whole_slots + (short_slot > 0 ? 1 : 0);
+  if (short_slot > 0 && short_slot < kPageHeaderSize) {
+    return Status::Corruption("heapfile: truncated page header in " + path);
   }
-  const uint64_t num_pages = data_bytes / page_size;
 
   if (num_pages > 0) {
     // Inspect the last page: partial -> becomes the in-memory tail.
+    const uint64_t last_len = short_slot > 0 ? short_slot : page_size;
     std::string last;
     DECIBEL_RETURN_NOT_OK(
-        r.Read(kFileHeaderSize + (num_pages - 1) * page_size, page_size,
+        r.Read(kFileHeaderSize + (num_pages - 1) * page_size, last_len,
                &last));
     const uint32_t count = DecodeFixed32(last.data());
     if (count > file->records_per_page_) {
@@ -145,6 +150,10 @@ Result<std::unique_ptr<HeapFile>> HeapFile::Open(const std::string& path,
          stored_len != count * record_size)) {
       return Status::Corruption("heapfile: bad page length in " + path);
     }
+    if (kPageHeaderSize + stored_len > last_len) {
+      return Status::Corruption(
+          "heapfile: last page cut inside its stored bytes in " + path);
+    }
     const uint32_t crc = UnmaskCrc(DecodeFixed32(last.data() + 4));
     if (crc != Crc32(Slice(last.data() + kPageHeaderSize, stored_len))) {
       return Status::Corruption("heapfile: tail page checksum in " + path);
@@ -160,6 +169,10 @@ Result<std::unique_ptr<HeapFile>> HeapFile::Open(const std::string& path,
       file->tail_.assign(last.data() + kPageHeaderSize,
                          count * record_size);
       file->tail_count_ = count;
+    } else if (short_slot > 0) {
+      // Full pages are read back by whole slot; a short one was cut.
+      return Status::Corruption("heapfile: full page in a short slot in " +
+                                path);
     } else {
       file->sealed_pages_ = num_pages;
     }
@@ -190,8 +203,13 @@ Result<std::unique_ptr<HeapFile>> HeapFile::OpenAtCheckpoint(
     const uint64_t sealed = state.num_records / records_per_page;
     const uint32_t tail_count =
         static_cast<uint32_t>(state.num_records % records_per_page);
-    const uint64_t pages = sealed + (tail_count > 0 ? 1 : 0);
-    const uint64_t need = kFileHeaderSize + pages * page_size;
+    // The checkpointed tail is at least header + its tail_count records;
+    // whatever the slot holds beyond that was appended afterwards.
+    const uint64_t tail_bytes =
+        tail_count > 0 ? kPageHeaderSize +
+                             static_cast<uint64_t>(tail_count) * record_size
+                       : 0;
+    const uint64_t need = kFileHeaderSize + sealed * page_size + tail_bytes;
     if (r.Size() < need) {
       // Every checkpointed page was written and synced before the
       // checkpoint acknowledged it; a shorter file means the checkpoint
@@ -206,9 +224,9 @@ Result<std::unique_ptr<HeapFile>> HeapFile::OpenAtCheckpoint(
       // the checkpoint. Ignore its on-disk count/CRC; the checkpoint's
       // own CRC over the first tail_count records is the authority.
       DECIBEL_RETURN_NOT_OK(
-          r.Read(kFileHeaderSize + sealed * page_size, page_size, &tail));
+          r.Read(kFileHeaderSize + sealed * page_size, tail_bytes, &tail));
       const Slice prefix(tail.data() + kPageHeaderSize,
-                         static_cast<uint64_t>(tail_count) * record_size);
+                         tail_bytes - kPageHeaderSize);
       if (Crc32(prefix) != state.tail_crc) {
         return Status::Corruption("heapfile: tail page torn past recovery in " +
                                   path);
@@ -216,20 +234,18 @@ Result<std::unique_ptr<HeapFile>> HeapFile::OpenAtCheckpoint(
     }
 
     // Roll the file back to the checkpoint: drop post-checkpoint pages and
-    // rewrite the tail page with a header matching the surviving prefix.
+    // bytes, and rewrite the tail page's header to match the surviving
+    // prefix (the slot stays header + checkpointed bytes, unpadded).
     DECIBEL_ASSIGN_OR_RETURN(RandomWriteFile w, RandomWriteFile::Open(path));
     DECIBEL_RETURN_NOT_OK(w.Truncate(need));
     if (tail_count > 0) {
-      std::string page(kPageHeaderSize, '\0');
       const Slice prefix(tail.data() + kPageHeaderSize,
-                         static_cast<uint64_t>(tail_count) * record_size);
-      EncodePageHeader(page.data(), tail_count, MaskCrc(Crc32(prefix)),
+                         tail_bytes - kPageHeaderSize);
+      EncodePageHeader(tail.data(), tail_count, MaskCrc(Crc32(prefix)),
                        columnar::PageFormat::kRaw,
                        static_cast<uint32_t>(prefix.size()));
-      page.append(prefix.data(), prefix.size());
-      page.resize(page_size, '\0');
-      DECIBEL_RETURN_NOT_OK(w.WriteAt(kFileHeaderSize + sealed * page_size,
-                                      page));
+      DECIBEL_RETURN_NOT_OK(
+          w.WriteAt(kFileHeaderSize + sealed * page_size, tail));
     }
     DECIBEL_RETURN_NOT_OK(w.Sync());
     DECIBEL_RETURN_NOT_OK(w.Close());
@@ -420,17 +436,22 @@ Result<uint64_t> HeapFile::AppendBatch(Slice records, uint64_t count) {
 }
 
 Status HeapFile::WriteTailPage() {
+  // A full page keeps its whole slot, so PageOffset stays arithmetic; a
+  // partial one is stored as header + used bytes. Only the file's last
+  // slot is ever partial, and a later rewrite of it only grows.
   std::string page;
-  page.reserve(options_.page_size);
+  bool full = false;
   {
     std::lock_guard<std::mutex> lock(tail_mu_);
+    full = tail_count_ == records_per_page_;
+    page.reserve(full ? options_.page_size : kPageHeaderSize + tail_.size());
     page.resize(kPageHeaderSize);
     EncodePageHeader(page.data(), tail_count_, MaskCrc(Crc32(Slice(tail_))),
                      columnar::PageFormat::kRaw,
                      static_cast<uint32_t>(tail_.size()));
     page.append(tail_);
   }
-  page.resize(options_.page_size, '\0');
+  if (full) page.resize(options_.page_size, '\0');
   return writer_->WriteAt(PageOffset(sealed_pages_), page);
 }
 
@@ -491,7 +512,8 @@ Status HeapFile::ReadStoredPage(uint64_t page_no, std::string* page,
   // The page's stats know its stored length, so header and stored bytes
   // arrive in one pread. A page with no stats yet (its file was opened
   // without persisted stats and EnsureStats has not reached it) reads its
-  // whole slot instead: sealed pages always fill a page_size slot.
+  // whole slot instead: only a partial tail's slot is short, and partial
+  // tails are served from memory, never read through here.
   bool have_stats = false;
   PageHeader expected;
   {
@@ -680,8 +702,9 @@ Result<HeapFile::PinnedPage> HeapFile::PinPageCounted(
 
 uint64_t HeapFile::SizeBytes() const {
   std::lock_guard<std::mutex> lock(tail_mu_);
-  const uint64_t pages = sealed_pages_ + (tail_count_ > 0 ? 1 : 0);
-  return kFileHeaderSize + pages * options_.page_size;
+  const uint64_t tail_bytes =
+      tail_count_ > 0 ? kPageHeaderSize + tail_.size() : 0;
+  return kFileHeaderSize + sealed_pages_ * options_.page_size + tail_bytes;
 }
 
 // ---------------------------------------------------------------- zone maps

@@ -13,18 +13,24 @@
 ///   header := magic u32 | version u32 | page_size u64 | record_size u32 |
 ///             reserved | crc u32                          (64 bytes)
 ///   page   := count u32 | masked_crc u32 | format u8 | pad u8*3 |
-///             stored_len u32 | stored bytes | zero padding
+///             stored_len u32 | stored bytes | zero padding to page_size
+///   last   := the same header and stored bytes, unpadded when partial
 ///
 /// `format` is a columnar::PageFormat tag; `stored_len` counts the stored
 /// bytes, and the CRC covers exactly those bytes. A kRaw page stores the
 /// `count` records verbatim (stored_len == count * record_size); compressed
 /// formats store the page_codec encoding and are decoded on read, with the
-/// BufferPool caching the *decoded* page. Pages occupy fixed page_size
-/// slots on disk either way — compression buys read I/O and pre-decode
-/// predicate evaluation, not disk footprint.
+/// BufferPool caching the *decoded* page. Full pages occupy fixed
+/// page_size slots on disk either way — compression buys read I/O and
+/// pre-decode predicate evaluation, not disk footprint — so page n starts
+/// at header + n * page_size. The one exception is a partial tail page:
+/// it is stored as its 16-byte header plus the used bytes, so only a
+/// file's final slot can be short, and a branch's small sealed segment
+/// costs what it holds rather than a whole page.
 ///
 /// Appends accumulate in an in-memory tail page; a page is written to disk
-/// when it fills (or on Flush, which rewrites the partial tail in place).
+/// when it fills (or on Flush, which rewrites the partial tail in place,
+/// growing its short slot).
 /// The tail and pages sealed *from* the tail are always kRaw: the tail
 /// slot is rewritten in place, and crash recovery relies on a reseal
 /// preserving the already-checkpointed byte prefix — recompressing it
@@ -79,7 +85,9 @@ class HeapFile : public PageSource {
                                                   const Options& options,
                                                   BufferPool* pool);
 
-  /// Opens an existing heap file, restoring append position.
+  /// Opens an existing heap file, restoring append position. A short final
+  /// slot is the partial tail; one cut inside its stored bytes (or a full
+  /// page in a short slot) is Corruption.
   static Result<std::unique_ptr<HeapFile>> Open(const std::string& path,
                                                 const Options& options,
                                                 BufferPool* pool);
@@ -102,9 +110,10 @@ class HeapFile : public PageSource {
   /// appended after the checkpoint are truncated away and the tail page
   /// is rewritten with a valid header. Fails with Corruption if the first
   /// state.num_records records do not verify (a genuinely torn write
-  /// inside checkpointed data). This is the crash-recovery entry point —
-  /// after it succeeds the file is byte-identical (up to zero padding) to
-  /// the checkpoint.
+  /// inside checkpointed data, or a file cut short of it). This is the
+  /// crash-recovery entry point — after it succeeds the file ends at the
+  /// checkpointed tail's header + bytes, exactly as a flush at checkpoint
+  /// time left it.
   static Result<std::unique_ptr<HeapFile>> OpenAtCheckpoint(
       const std::string& path, const Options& options, BufferPool* pool,
       const CheckpointState& state);
@@ -160,7 +169,9 @@ class HeapFile : public PageSource {
   uint64_t file_id() const { return file_id_; }
   const std::string& path() const { return path_; }
 
-  /// Bytes this file occupies on disk (header + written pages).
+  /// Bytes this file occupies on disk once flushed: the header, a whole
+  /// slot per full page, and header + used bytes for a partial tail. After
+  /// Flush this is the file's length.
   uint64_t SizeBytes() const;
 
   /// PageSource: reads a sealed page from disk, verifying its checksum.

@@ -307,7 +307,10 @@ TEST(CommitHistoryTest, FloorSemantics) {
   ASSERT_OK((*h)->AppendCommit(10, b1));
   ASSERT_OK((*h)->AppendCommit(20, b2));
 
-  EXPECT_FALSE((*h)->HasCommitAtOrBefore(9));
+  EXPECT_FALSE((*h)->FloorCommit(9).has_value());
+  EXPECT_EQ((*h)->FloorCommit(10), std::optional<uint64_t>(10));
+  EXPECT_EQ((*h)->FloorCommit(15), std::optional<uint64_t>(10));
+  EXPECT_EQ((*h)->FloorCommit(99), std::optional<uint64_t>(20));
   EXPECT_TRUE((*h)->Checkout(9).status().IsNotFound());
   auto at15 = (*h)->Checkout(15);  // floor -> seq 10
   ASSERT_TRUE(at15.ok());

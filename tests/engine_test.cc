@@ -5,12 +5,14 @@
 /// differ, the versioning semantics must not.
 
 #include <dirent.h>
+#include <malloc.h>
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <iterator>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -761,6 +763,31 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, EngineTest,
                                       ? "VersionFirst"
                                       : "Hybrid";
                          });
+
+TEST(EngineStatsTest, HashTableMemoryBytesMatchesTheAllocator) {
+  // EngineStats::index_memory_bytes charges pk indexes through this
+  // helper; it must agree with what malloc really hands out for one.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer allocators bypass mallinfo2";
+#else
+  struct Loc {
+    uint32_t seg = 0;
+    uint64_t idx = 0;
+  };
+  constexpr int64_t kKeys = 100000;
+  auto heap_bytes = [] {
+    const struct mallinfo2 mi = ::mallinfo2();
+    return static_cast<double>(mi.uordblks + mi.hblkhd);
+  };
+  const double before = heap_bytes();
+  auto index = std::make_unique<std::unordered_map<int64_t, Loc>>();
+  for (int64_t k = 0; k < kKeys; ++k) (*index)[k * 7] = Loc{1, 2};
+  const double allocated = heap_bytes() - before;
+  const double estimate = static_cast<double>(HashTableMemoryBytes(*index));
+  EXPECT_NEAR(estimate, allocated, allocated * 0.1);
+  EXPECT_GT(estimate / kKeys, 50.0);  // not the 24 B/entry of sizeof
+#endif
+}
 
 }  // namespace
 }  // namespace decibel

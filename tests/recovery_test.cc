@@ -31,7 +31,9 @@
 namespace decibel {
 namespace {
 
+using testing_util::CollectAll;
 using testing_util::CollectBranch;
+using testing_util::CollectBranchAll;
 using testing_util::MakeRecord;
 using testing_util::ScratchDir;
 using testing_util::TestSchema;
@@ -1061,6 +1063,137 @@ TEST_P(RecoveryTest, ConcurrentWritersSurviveBackgroundCheckpoints) {
     }
     EXPECT_FALSE(db->IsDirty(branches[t]));
   }
+}
+
+/// What the version-control read paths answer about a child branch and
+/// its commits; compared before and after a crash.
+struct InheritedAnswers {
+  std::map<int64_t, std::vector<int32_t>> child_first;   ///< its 1st commit
+  std::map<int64_t, std::vector<int32_t>> child_second;  ///< its 2nd commit
+  std::map<int64_t, std::vector<int32_t>> grandchild;    ///< its commit
+  std::map<int64_t, std::vector<int32_t>> branched_at;   ///< BranchAt(1st)
+  /// DiffCommits(master head, child's 2nd commit): pk -> (kind, left c1,
+  /// right c1), a missing side as INT32_MIN.
+  std::map<int64_t, std::vector<int32_t>> diff;
+  std::map<int64_t, std::vector<int32_t>> merged_master;  ///< after Merge
+  uint64_t merged_records = 0;
+};
+
+/// Reads every answer. BranchAt and Merge write, so the same calls on a
+/// database and on its crash copy produce the same ids and the same rows.
+InheritedAnswers ReadInheritedAnswers(Decibel* db, CommitId child_first,
+                                      CommitId child_second,
+                                      CommitId grandchild, BranchId child) {
+  InheritedAnswers a;
+  auto commit_rows = [db](CommitId c) {
+    auto cursor = db->NewScan(ScanSpec::Commit(c));
+    EXPECT_TRUE(cursor.ok()) << cursor.status().ToString();
+    return cursor.ok() ? CollectAll(cursor->get())
+                       : std::map<int64_t, std::vector<int32_t>>{};
+  };
+  a.child_first = commit_rows(child_first);
+  a.child_second = commit_rows(child_second);
+  a.grandchild = commit_rows(grandchild);
+  auto again = db->BranchAt("again", child_first);
+  EXPECT_TRUE(again.ok()) << again.status().ToString();
+  if (again.ok()) a.branched_at = CollectBranchAll(db, *again);
+  auto diff = db->DiffCommits(db->graph().Head(kMasterBranch), child_second);
+  EXPECT_TRUE(diff.ok()) << diff.status().ToString();
+  if (diff.ok()) {
+    auto c1 = [](const std::optional<Record>& r) {
+      return r.has_value() ? r->ref().GetInt32(1) : INT32_MIN;
+    };
+    while (const MergeRow* row = (*diff)->Next()) {
+      a.diff[row->pk] = {static_cast<int32_t>(row->change), c1(row->left),
+                         c1(row->right)};
+    }
+    EXPECT_OK((*diff)->status());
+  }
+  auto merged = db->Merge(kMasterBranch, child, MergePolicy::kThreeWayLeft);
+  EXPECT_TRUE(merged.ok()) << merged.status().ToString();
+  if (merged.ok()) a.merged_records = merged->result.merged_records;
+  a.merged_master = CollectBranchAll(db, kMasterBranch);
+  return a;
+}
+
+TEST_P(RecoveryTest, InheritedColumnsSurviveCheckpointAndReplay) {
+  // A child that never writes an inherited segment reads it through its
+  // base commit (hybrid keeps no history file of its own there). That
+  // reference must survive a checkpoint and the WAL replay after it, for
+  // a child committed before the checkpoint and for one branched after.
+  ScratchDir dir("recov_inherit");
+  ScratchDir crash("recov_inherit_copy");
+  CommitId child_first = kInvalidCommit, child_second = kInvalidCommit;
+  CommitId grand_commit = kInvalidCommit;
+  BranchId child = kInvalidBranch;
+  InheritedAnswers before;
+  {
+    ASSERT_OK_AND_ASSIGN(auto db, OpenDb(dir.path()));
+    const Schema& schema = db->schema();
+    for (int i = 0; i < 30; ++i) {
+      ASSERT_OK(db->InsertInto(kMasterBranch, MakeRecord(schema, i, i)));
+    }
+    ASSERT_OK_AND_ASSIGN(CommitId base, db->CommitBranch(kMasterBranch));
+    ASSERT_OK_AND_ASSIGN(child, db->BranchAt("child", base));
+    // Only new keys: the child's writes land in its own head segment.
+    for (int i = 100; i < 104; ++i) {
+      ASSERT_OK(db->InsertInto(child, MakeRecord(schema, i, i)));
+    }
+    ASSERT_OK_AND_ASSIGN(child_first, db->CommitBranch(child));
+    ASSERT_OK(db->UpdateIn(kMasterBranch, MakeRecord(schema, 3, 333)));
+    ASSERT_OK(db->DeleteFrom(kMasterBranch, 4));
+    ASSERT_OK(db->CommitBranch(kMasterBranch).status());
+    ASSERT_OK(db->Flush());  // checkpoint
+
+    // After the checkpoint: the child now writes an inherited key, a
+    // grandchild branches from the child's first commit, master moves.
+    ASSERT_OK(db->InsertInto(child, MakeRecord(schema, 104, 104)));
+    ASSERT_OK(db->UpdateIn(child, MakeRecord(schema, 5, 555)));
+    ASSERT_OK_AND_ASSIGN(child_second, db->CommitBranch(child));
+    ASSERT_OK_AND_ASSIGN(BranchId grand, db->BranchAt("grand", child_first));
+    ASSERT_OK(db->InsertInto(grand, MakeRecord(schema, 200, 200)));
+    ASSERT_OK_AND_ASSIGN(grand_commit, db->CommitBranch(grand));
+    ASSERT_OK(db->InsertInto(kMasterBranch, MakeRecord(schema, 50, 50)));
+    ASSERT_OK(db->CommitBranch(kMasterBranch).status());
+    // Crash copy: the checkpoint plus the WAL written after it.
+    ASSERT_OK(CopyDirRecursive(dir.path(), crash.path()));
+    before = ReadInheritedAnswers(db.get(), child_first, child_second,
+                                  grand_commit, child);
+  }
+
+  // The answers themselves are right, not merely stable.
+  EXPECT_EQ(before.child_first.size(), 34u);
+  EXPECT_EQ(before.child_first.at(3)[0], 3);
+  EXPECT_EQ(before.child_first.count(4), 1u);
+  EXPECT_EQ(before.child_second.size(), 35u);
+  EXPECT_EQ(before.child_second.at(5)[0], 555);
+  EXPECT_EQ(before.grandchild.size(), 35u);
+  EXPECT_EQ(before.grandchild.at(5)[0], 5);
+  EXPECT_EQ(before.grandchild.at(200)[0], 200);
+  EXPECT_EQ(before.branched_at, before.child_first);
+  EXPECT_FALSE(before.diff.empty());
+  EXPECT_EQ(before.merged_master.size(), 35u);  // 30 - pk4 + 50 + 100..104
+  EXPECT_EQ(before.merged_master.at(3)[0], 333);
+  EXPECT_EQ(before.merged_master.at(5)[0], 555);
+  EXPECT_EQ(before.merged_master.count(4), 0u);
+
+  ASSERT_OK_AND_ASSIGN(auto db, ReopenDb(crash.path()));
+  const InheritedAnswers after = ReadInheritedAnswers(
+      db.get(), child_first, child_second, grand_commit, child);
+  EXPECT_EQ(after.child_first, before.child_first);
+  EXPECT_EQ(after.child_second, before.child_second);
+  EXPECT_EQ(after.grandchild, before.grandchild);
+  EXPECT_EQ(after.branched_at, before.branched_at);
+  EXPECT_EQ(after.diff, before.diff);
+  EXPECT_EQ(after.merged_records, before.merged_records);
+  EXPECT_EQ(after.merged_master, before.merged_master);
+
+  // And once more from a clean checkpoint of the recovered state.
+  db.reset();
+  ASSERT_OK_AND_ASSIGN(db, ReopenDb(crash.path()));
+  auto child_first_rows = db->NewScan(ScanSpec::Commit(child_first));
+  ASSERT_OK(child_first_rows.status());
+  EXPECT_EQ(CollectAll(child_first_rows->get()), before.child_first);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, RecoveryTest,

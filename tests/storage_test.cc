@@ -453,6 +453,148 @@ TEST_F(HeapFileTest, TruncatedMidPageIsAnError) {
   }
 }
 
+// A partial tail is stored as its 16-byte page header plus the used
+// bytes; full pages keep their whole 256-byte slot. 10 records make one
+// full page and a 3-record tail: 64 + 256 + 16 + 3 * 32 = 432 bytes.
+constexpr uint64_t kTenRecordBytes = 64 + 256 + 16 + 3 * 32;
+
+uint64_t FileLength(const std::string& path) {
+  auto size = FileSize(path);
+  DECIBEL_CHECK(size.ok());
+  return *size;
+}
+
+TEST_F(HeapFileTest, ShortTailSlotReopensAtAppendPosition) {
+  HeapFile::Options opts;
+  opts.page_size = 256;
+  const std::string path = JoinPath(dir_.path(), "t.dbhf");
+  {
+    auto file = HeapFile::Create(path, 32, opts, &pool_);
+    ASSERT_TRUE(file.ok());
+    for (int64_t i = 0; i < 10; ++i) {
+      ASSERT_TRUE((*file)->Append(MakeRecordBytes(32, i, 's')).ok());
+    }
+    ASSERT_OK((*file)->Flush());
+    EXPECT_EQ(FileLength(path), kTenRecordBytes);
+    EXPECT_EQ((*file)->SizeBytes(), kTenRecordBytes);
+  }
+  auto file = HeapFile::Open(path, opts, &pool_);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  EXPECT_EQ((*file)->num_records(), 10u);
+  EXPECT_EQ((*file)->SizeBytes(), kTenRecordBytes);
+  // The tail grows in place; then it fills, takes a whole slot, and the
+  // next tail starts one slot further on.
+  for (int64_t i = 10; i < 16; ++i) {
+    ASSERT_TRUE((*file)->Append(MakeRecordBytes(32, i, 's')).ok());
+    ASSERT_OK((*file)->Flush());
+    EXPECT_EQ(FileLength(path), (*file)->SizeBytes()) << i;
+  }
+  EXPECT_EQ(FileLength(path), 64u + 2 * 256 + 16 + 2 * 32);
+  // Sealing (a hybrid fork) leaves the partial tail unpadded too.
+  ASSERT_OK((*file)->Seal());
+  EXPECT_EQ(FileLength(path), (*file)->SizeBytes());
+  file->reset();
+  file = HeapFile::Open(path, opts, &pool_);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  ASSERT_EQ((*file)->num_records(), 16u);
+  pool_.EvictAll();
+  std::string buf;
+  for (int64_t i = 0; i < 16; ++i) {
+    ASSERT_OK((*file)->Get(static_cast<uint64_t>(i), &buf));
+    EXPECT_EQ(buf, MakeRecordBytes(32, i, 's')) << i;
+  }
+}
+
+TEST_F(HeapFileTest, FinalSlotCutInsideStoredBytesIsCorruption) {
+  const Schema schema = Schema32();
+  for (const Schema* s : {static_cast<const Schema*>(nullptr), &schema}) {
+    SCOPED_TRACE(s ? "schema" : "no schema");
+    HeapFile::Options opts;
+    opts.page_size = 256;
+    opts.schema = s;
+    const std::string path = JoinPath(dir_.path(), "t.dbhf");
+    std::string whole;
+    {
+      auto file = HeapFile::Create(path, 32, opts, &pool_);
+      ASSERT_TRUE(file.ok());
+      for (int64_t i = 0; i < 10; ++i) {
+        ASSERT_TRUE((*file)->Append(MakeRecordBytes(32, i, 'c')).ok());
+      }
+      ASSERT_OK((*file)->Flush());
+      ASSERT_OK_AND_ASSIGN(whole, ReadFileToString(path));
+    }
+    ASSERT_EQ(whole.size(), kTenRecordBytes);
+    // Every cut inside the tail slot — in its header or its records — is
+    // a short final slot that no longer holds what its header promises.
+    for (uint64_t cut = 64 + 256 + 1; cut < kTenRecordBytes; ++cut) {
+      ASSERT_OK(WriteStringToFile(path, whole.substr(0, cut)));
+      auto reopened = HeapFile::Open(path, opts, &pool_);
+      ASSERT_FALSE(reopened.ok()) << cut;
+      EXPECT_TRUE(reopened.status().IsCorruption())
+          << cut << ": " << reopened.status().ToString();
+    }
+    // A full page cut short of its slot is corruption as well.
+    ASSERT_OK(WriteStringToFile(path, whole.substr(0, 64 + 255)));
+    auto cut_full = HeapFile::Open(path, opts, &pool_);
+    ASSERT_FALSE(cut_full.ok());
+    EXPECT_TRUE(cut_full.status().IsCorruption())
+        << cut_full.status().ToString();
+    // Cut exactly at the slot boundary, the file is one sealed page.
+    ASSERT_OK(WriteStringToFile(path, whole.substr(0, 64 + 256)));
+    auto at_boundary = HeapFile::Open(path, opts, &pool_);
+    ASSERT_TRUE(at_boundary.ok()) << at_boundary.status().ToString();
+    EXPECT_EQ((*at_boundary)->num_records(), 7u);
+  }
+}
+
+TEST_F(HeapFileTest, OpenAtCheckpointRollsAGrownTailBack) {
+  HeapFile::Options opts;
+  opts.page_size = 256;
+  const std::string path = JoinPath(dir_.path(), "t.dbhf");
+  // After the checkpoint the tail grows in place (+2 records), or fills,
+  // seals and starts another page (+9 records).
+  for (int64_t extra : {2, 9}) {
+    SCOPED_TRACE(extra);
+    HeapFile::CheckpointState state;
+    {
+      auto file = HeapFile::Create(path, 32, opts, &pool_);
+      ASSERT_TRUE(file.ok());
+      for (int64_t i = 0; i < 10; ++i) {
+        ASSERT_TRUE((*file)->Append(MakeRecordBytes(32, i, 'k')).ok());
+      }
+      ASSERT_OK((*file)->Flush());
+      state = (*file)->GetCheckpointState();
+      for (int64_t i = 10; i < 10 + extra; ++i) {
+        ASSERT_TRUE((*file)->Append(MakeRecordBytes(32, i, 'x')).ok());
+      }
+      ASSERT_OK((*file)->Flush());
+      ASSERT_GT(FileLength(path), kTenRecordBytes);
+    }
+    auto file = HeapFile::OpenAtCheckpoint(path, opts, &pool_, state);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    EXPECT_EQ((*file)->num_records(), 10u);
+    EXPECT_EQ(FileLength(path), kTenRecordBytes);
+    EXPECT_EQ((*file)->SizeBytes(), kTenRecordBytes);
+    ASSERT_TRUE((*file)->Append(MakeRecordBytes(32, 10, 'n')).ok());
+    ASSERT_OK((*file)->Flush());
+    file->reset();
+    file = HeapFile::Open(path, opts, &pool_);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    ASSERT_EQ((*file)->num_records(), 11u);
+    std::string buf;
+    for (int64_t i = 0; i < 11; ++i) {
+      ASSERT_OK((*file)->Get(static_cast<uint64_t>(i), &buf));
+      EXPECT_EQ(buf, MakeRecordBytes(32, i, i < 10 ? 'k' : 'n')) << i;
+    }
+    // A file cut inside the checkpointed tail cannot be rolled back.
+    file->reset();
+    ASSERT_OK(TruncateFile(path, kTenRecordBytes - 1));
+    auto cut = HeapFile::OpenAtCheckpoint(path, opts, &pool_, state);
+    ASSERT_FALSE(cut.ok());
+    EXPECT_TRUE(cut.status().IsCorruption()) << cut.status().ToString();
+  }
+}
+
 // -------------------------------------------------------------- BufferPool
 
 TEST(BufferPoolTest, HitAndMissAccounting) {
