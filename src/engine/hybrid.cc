@@ -70,7 +70,6 @@ Result<uint32_t> HybridEngine::NewHeadSegment(BranchId owner) {
   segments_.push_back(std::move(segment));
   head_seg_[owner] = id;
   branch_segments_[owner].Set(id);
-  MarkDirty(owner, id);
   return id;
 }
 
@@ -228,6 +227,32 @@ Status HybridEngine::LoadExisting() {
     }
     inherits_[branch] = base;
   }
+  uint64_t num_dirty;
+  if (!GetVarint64(&input, &num_dirty)) {
+    return Status::Corruption("hybrid: truncated dirty-segment sets");
+  }
+  for (uint64_t i = 0; i < num_dirty; ++i) {
+    uint32_t branch;
+    uint64_t count;
+    if (!GetVarint32(&input, &branch) || !GetVarint64(&input, &count)) {
+      return Status::Corruption("hybrid: truncated dirty-segment set");
+    }
+    auto dirty_it = dirty_.find(branch);
+    if (dirty_it == dirty_.end()) {
+      return Status::Corruption("hybrid: dirty segments of unknown branch " +
+                                std::to_string(branch));
+    }
+    for (uint64_t j = 0; j < count; ++j) {
+      uint32_t seg;
+      if (!GetVarint32(&input, &seg)) {
+        return Status::Corruption("hybrid: truncated dirty-segment set");
+      }
+      if (seg >= segments_.size()) {
+        return Status::Corruption("hybrid: dirty segment past segments");
+      }
+      dirty_it->second.insert(seg);
+    }
+  }
   // The pk indexes are memory-only; rebuild them from the local bitmaps.
   for (const auto& [branch, row] : branch_segments_) {
     DECIBEL_RETURN_NOT_OK(RebuildPkIndex(branch));
@@ -298,6 +323,19 @@ std::string HybridEngine::EncodeMeta() {
       PutVarint32(&meta, branch);
       PutVarint64(&meta, base);
     }
+  }
+  // The dirty sets: a checkpoint can capture writes no commit recorded
+  // yet, and the commit that follows a reopen must still record them.
+  uint64_t dirty_branches = 0;
+  for (const auto& [branch, segs] : dirty_) {
+    if (!segs.empty()) ++dirty_branches;
+  }
+  PutVarint64(&meta, dirty_branches);
+  for (const auto& [branch, segs] : dirty_) {
+    if (segs.empty()) continue;
+    PutVarint32(&meta, branch);
+    PutVarint64(&meta, segs.size());
+    for (uint32_t seg : segs) PutVarint32(&meta, seg);
   }
   return meta;
 }
@@ -395,41 +433,46 @@ Status HybridEngine::CreateBranch(BranchId child, BranchId parent,
                                   CommitId base_commit, bool at_head) {
   // Grows segments_, the branch maps, and local-index column sets.
   std::unique_lock<std::shared_mutex> registry_lock(registry_mu_);
+  {
+    // The child's committed columns are its base commit's until it
+    // writes them (see inherits_), so no history is copied here.
+    std::lock_guard<std::mutex> commit_lock(commit_mu_);
+    if (commit_branch_.count(base_commit) == 0) {
+      return Status::NotFound("hybrid: unknown base commit " +
+                              std::to_string(base_commit));
+    }
+    inherits_[child] = base_commit;
+  }
   pk_index_.try_emplace(child);
   branch_segments_.try_emplace(child);
   dirty_.try_emplace(child);
-  // The child's committed columns are its base commit's until it writes
-  // them (see inherits_), so no history is copied here. An engine that
-  // never saw base_commit (a rejected replay) falls back to copying.
-  bool by_reference = false;
-  {
-    std::lock_guard<std::mutex> commit_lock(commit_mu_);
-    by_reference = commit_branch_.count(base_commit) != 0;
-    if (by_reference) inherits_[child] = base_commit;
-  }
   if (at_head) {
     // §3.4 Branch: the parent's head freezes into an internal segment
     // whose bitmap gains a column for the child; both branches get fresh
     // head segments. The clone touches only segments in the direct
-    // ancestry, not a global bitmap, and the parent's live columns equal
-    // its columns at base_commit (the facade commits before branching).
+    // ancestry, not a global bitmap. The parent's live columns equal its
+    // columns at base_commit except in the segments it dirtied since
+    // (normally none: the facade commits before branching, but writes a
+    // checkpoint captured uncommitted are still dirty after a reopen).
+    // The child's live columns there differ from base_commit's too, so
+    // they are dirty for the child as well.
     const uint32_t old_head = head_seg_[parent];
     segments_[old_head]->is_head = false;
     DECIBEL_RETURN_NOT_OK(segments_[old_head]->file->Seal());
     for (uint32_t seg : SegmentsOf(parent)) {
       segments_[seg]->local.CloneBranch(parent, child);
       branch_segments_[child].Set(seg);
-      if (!by_reference) MarkDirty(child, seg);
     }
+    const std::unordered_set<uint32_t>& parent_dirty = dirty_[parent];
+    dirty_[child].insert(parent_dirty.begin(), parent_dirty.end());
     pk_index_[child] = pk_index_[parent];
     DECIBEL_RETURN_NOT_OK(NewHeadSegment(parent).status());
     DECIBEL_RETURN_NOT_OK(NewHeadSegment(child).status());
-    // Only a branch's current head is ever dirtied, so the parent's
-    // history for the old head will never be appended again (the facade
-    // auto-committed any dirty state before branching). Close its
-    // descriptors — under fork churn one held writer per rolled head
-    // otherwise accumulates without bound. Reads (and any append, should
-    // the assumption ever break) lazily reopen.
+    // Only a branch's current head takes new records, so the parent's
+    // history for the old head is normally never appended again. Close
+    // its descriptors — under fork churn one held writer per rolled head
+    // otherwise accumulates without bound. Reads, and the append of a
+    // parent still dirty there, lazily reopen.
     {
       std::lock_guard<std::mutex> commit_lock(commit_mu_);
       auto hist_it = histories_.find(HistoryKey(parent, old_head));
@@ -473,9 +516,10 @@ Status HybridEngine::CommitImpl(BranchId branch, CommitId commit_id) {
       const Bitmap* view = segments_[seg]->local.BranchView(branch);
       if ((view == nullptr || !view->Any()) &&
           segments_[seg]->owner == branch) {
-        // A head segment of this branch that it has never written (it
-        // forked again first) is younger than the branch's base, so with
-        // no history its column reads as empty: no file needed yet.
+        // A head segment of this branch whose records were all deleted
+        // before any commit recorded them is younger than the branch's
+        // base, so with no history its column reads as empty: no file
+        // needed yet.
         std::lock_guard<std::mutex> commit_lock(commit_mu_);
         if (!HistoryKnownLocked(branch, seg)) continue;
       }

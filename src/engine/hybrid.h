@@ -114,8 +114,8 @@ class HybridEngine : public StorageEngine {
   std::string HistoryPath(BranchId branch, uint32_t seg) const;
   /// Serializes the engine meta (schema, segments with local indexes and
   /// checkpoint state, heads, branch-segment bitmap, commit and history
-  /// registries with history byte sizes). Caller holds the registry
-  /// unique.
+  /// registries with history byte sizes, inherited columns, dirty
+  /// segments). Caller holds the registry unique.
   std::string EncodeMeta();
 
   /// Caller holds registry_mu_ unique (grows segments_ and the maps).
@@ -183,6 +183,10 @@ class HybridEngine : public StorageEngine {
   /// Commit storage: one history file per (branch, segment) (§5.3).
   std::unordered_map<uint64_t, std::unique_ptr<CommitHistory>> histories_;
   std::unordered_map<BranchId, std::vector<uint32_t>> history_segs_;
+  /// Per branch, the segments whose live column it changed since its
+  /// last commit: the only columns that commit writes. Persisted in
+  /// engine.meta (a checkpoint can capture uncommitted writes), and a
+  /// branch forked at head starts with its parent's set.
   std::unordered_map<BranchId, std::unordered_set<uint32_t>> dirty_;
   std::unordered_map<CommitId, BranchId> commit_branch_;
   /// Inherited-column registry: branch -> the commit it was created from.

@@ -1196,6 +1196,69 @@ TEST_P(RecoveryTest, InheritedColumnsSurviveCheckpointAndReplay) {
   EXPECT_EQ(CollectAll(child_first_rows->get()), before.child_first);
 }
 
+TEST_P(RecoveryTest, UncommittedWritesAtCheckpointReachTheNextCommits) {
+  // A checkpoint can capture writes no commit recorded yet; the WAL
+  // replay after it does not see them again. The commits that follow the
+  // reopen — the parent's own, and those of a child forked at its head —
+  // must still record them: each commit reads back as the live rows its
+  // branch had when it committed.
+  ScratchDir dir("recov_uncommitted");
+  ScratchDir crash("recov_uncommitted_copy");
+  {
+    ASSERT_OK_AND_ASSIGN(auto db, OpenDb(dir.path()));
+    const Schema& schema = db->schema();
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_OK(db->InsertInto(kMasterBranch, MakeRecord(schema, i, i)));
+    }
+    ASSERT_OK_AND_ASSIGN(CommitId base, db->CommitBranch(kMasterBranch));
+    // Forking at the head freezes master's segment, so the writes below
+    // dirty both that older segment and master's new head.
+    ASSERT_OK(db->BranchAt("side", base).status());
+    for (int i = 20; i < 25; ++i) {
+      ASSERT_OK(db->InsertInto(kMasterBranch, MakeRecord(schema, i, i)));
+    }
+    ASSERT_OK(db->UpdateIn(kMasterBranch, MakeRecord(schema, 3, 333)));
+    ASSERT_OK(db->DeleteFrom(kMasterBranch, 4));
+    ASSERT_OK(db->Flush());  // checkpoint with the writes uncommitted
+    ASSERT_OK(CopyDirRecursive(dir.path(), crash.path()));
+  }
+
+  ASSERT_OK_AND_ASSIGN(auto db, ReopenDb(crash.path()));
+  const auto live_master = CollectBranchAll(db.get(), kMasterBranch);
+  ASSERT_EQ(live_master.size(), 24u);  // 0..24 without pk4
+  EXPECT_EQ(live_master.at(3)[0], 333);
+  auto commit_rows = [&db](CommitId c) {
+    auto cursor = db->NewScan(ScanSpec::Commit(c));
+    EXPECT_TRUE(cursor.ok()) << cursor.status().ToString();
+    return cursor.ok() ? CollectAll(cursor->get())
+                       : std::map<int64_t, std::vector<int32_t>>{};
+  };
+
+  Session session = db->NewSession();
+  ASSERT_OK(db->Use(&session, kMasterBranch));
+  ASSERT_OK_AND_ASSIGN(BranchId child, db->Branch("child", &session));
+  EXPECT_EQ(CollectBranchAll(db.get(), child), live_master);
+  ASSERT_OK_AND_ASSIGN(CommitId child_commit, db->CommitBranch(child));
+  EXPECT_EQ(commit_rows(child_commit), live_master);
+  ASSERT_OK(db->InsertInto(child, MakeRecord(db->schema(), 100, 100)));
+  ASSERT_OK_AND_ASSIGN(CommitId child_second, db->CommitBranch(child));
+  const auto live_child = CollectBranchAll(db.get(), child);
+  EXPECT_EQ(commit_rows(child_second), live_child);
+  ASSERT_OK_AND_ASSIGN(BranchId again, db->BranchAt("again", child_commit));
+  EXPECT_EQ(CollectBranchAll(db.get(), again), live_master);
+
+  ASSERT_OK_AND_ASSIGN(CommitId master_commit,
+                       db->CommitBranch(kMasterBranch));
+  EXPECT_EQ(commit_rows(master_commit), live_master);
+
+  // The same commits read the same after a clean reopen.
+  db.reset();
+  ASSERT_OK_AND_ASSIGN(db, ReopenDb(crash.path()));
+  EXPECT_EQ(commit_rows(child_commit), live_master);
+  EXPECT_EQ(commit_rows(child_second), live_child);
+  EXPECT_EQ(commit_rows(master_commit), live_master);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllEngines, RecoveryTest,
                          ::testing::Values(EngineType::kTupleFirst,
                                            EngineType::kVersionFirst,
