@@ -27,6 +27,7 @@ Result<ScopedDb> FreshOriented(BitmapOrientation orientation,
   options.engine = EngineType::kTupleFirst;
   options.orientation = orientation;
   options.page_size = 64 << 10;
+  options.sync_mode = wal::SyncMode::kOff;
   DECIBEL_ASSIGN_OR_RETURN(scoped.db,
                            Decibel::Open(scoped.path, BenchSchema(), options));
   return scoped;

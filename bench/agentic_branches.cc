@@ -197,9 +197,10 @@ Result<ScopedDb> FreshAgentDb(const std::string& tag) {
                 tag + "_" + std::to_string(counter++);
   DECIBEL_RETURN_NOT_OK(RemoveDirRecursive(scoped.path));
   // The server-facing schema (pk, c1, c2) — same as decibel_server.
+  DecibelOptions options;
+  options.sync_mode = wal::SyncMode::kOff;
   DECIBEL_ASSIGN_OR_RETURN(
-      scoped.db,
-      Decibel::Open(scoped.path, Schema::MakeBenchmark(2), DecibelOptions{}));
+      scoped.db, Decibel::Open(scoped.path, Schema::MakeBenchmark(2), options));
   return scoped;
 }
 

@@ -159,7 +159,7 @@ Result<bool> CompressedScansMatch(EngineType engine, uint64_t records) {
     for (int64_t pk = 500; pk < 510; ++pk) {
       DECIBEL_RETURN_NOT_OK(db->DeleteFrom(kMasterBranch, pk));
     }
-    DECIBEL_RETURN_NOT_OK(db->engine()->Flush());
+    DECIBEL_RETURN_NOT_OK(db->Flush());
   }
   DECIBEL_ASSIGN_OR_RETURN(auto a, Snapshot(plain.db.get()));
   DECIBEL_ASSIGN_OR_RETURN(auto b, Snapshot(packed.db.get()));

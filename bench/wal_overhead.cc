@@ -1,8 +1,8 @@
 /// WAL overhead: durability-mode sweep + recovery time per WAL MB.
 ///
 /// Part 1 loads the same batched workload under each durability level —
-/// no WAL at all (the in-memory baseline), then SyncMode kNone / kFlush /
-/// kFsync — and reports throughput, the WAL bytes written, and the
+/// SyncMode kOff (no log records: the engine-only baseline), then kNone /
+/// kFlush / kFsync — and reports throughput, the WAL bytes written, and the
 /// slowdown against the baseline. This prices the write-ahead log: kNone
 /// is the pure framing/copy cost, kFlush adds a page-cache push per
 /// commit, kFsync adds the group-committed fdatasync that makes
@@ -45,7 +45,6 @@ Status CopyDirRecursive(const std::string& src, const std::string& dst) {
 
 struct Mode {
   const char* name;
-  bool durable;
   wal::SyncMode sync;
 };
 
@@ -59,10 +58,7 @@ Result<ScopedDb> FreshDurableDb(const Mode& mode, const std::string& tag) {
   options.engine = EngineType::kHybrid;
   options.page_size = 64 << 10;
   options.buffer_pool_bytes = 64 << 20;
-  if (mode.durable) {
-    options.data_dir = scoped.path;
-    options.sync_mode = mode.sync;
-  }
+  options.sync_mode = mode.sync;
   DECIBEL_ASSIGN_OR_RETURN(scoped.db,
                            Decibel::Open(scoped.path, BenchSchema(), options));
   return scoped;
@@ -89,10 +85,10 @@ Result<double> Load(Decibel* db, uint64_t records, uint64_t batch) {
 
 void RunSyncModeSweep(uint64_t records) {
   const Mode kModes[] = {
-      {"off", false, wal::SyncMode::kNone},
-      {"none", true, wal::SyncMode::kNone},
-      {"flush", true, wal::SyncMode::kFlush},
-      {"fsync", true, wal::SyncMode::kFsync},
+      {"off", wal::SyncMode::kOff},
+      {"none", wal::SyncMode::kNone},
+      {"flush", wal::SyncMode::kFlush},
+      {"fsync", wal::SyncMode::kFsync},
   };
   printf("=== WAL overhead: sync-mode sweep (%llu records, hybrid) ===\n",
          static_cast<unsigned long long>(records));
@@ -104,7 +100,7 @@ void RunSyncModeSweep(uint64_t records) {
     BENCH_ASSIGN_OR_DIE(double seconds,
                         Load(scoped.db.get(), records, /*batch=*/500));
     const double wal_mb = Mb(DirSizeBytes(JoinPath(scoped.path, "wal")));
-    if (!mode.durable) baseline = seconds;
+    if (mode.sync == wal::SyncMode::kOff) baseline = seconds;
     printf("%-6s %10.3f %12.0f %9.2f %8.2fx\n", mode.name, seconds,
            records / seconds, wal_mb,
            baseline > 0 ? seconds / baseline : 1.0);
@@ -116,7 +112,7 @@ void RunRecoverySweep(uint64_t base_records) {
   printf("%10s %9s %12s %10s\n", "records", "wal_mb", "open_sec", "mb/s");
   for (int mult : {1, 4, 16}) {
     const uint64_t records = base_records * static_cast<uint64_t>(mult);
-    const Mode mode = {"flush", true, wal::SyncMode::kFlush};
+    const Mode mode = {"flush", wal::SyncMode::kFlush};
     BENCH_ASSIGN_OR_DIE(ScopedDb live, FreshDurableDb(mode, "wal_recov"));
     BENCH_ASSIGN_OR_DIE(double unused,
                         Load(live.db.get(), records, /*batch=*/500));
@@ -133,7 +129,6 @@ void RunRecoverySweep(uint64_t base_records) {
     options.engine = EngineType::kHybrid;
     options.page_size = 64 << 10;
     options.buffer_pool_bytes = 64 << 20;
-    options.data_dir = crash.path;
     options.sync_mode = wal::SyncMode::kFlush;
     Stopwatch watch;
     BENCH_ASSIGN_OR_DIE(crash.db, Decibel::Open(crash.path, options));

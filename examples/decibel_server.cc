@@ -1,9 +1,12 @@
-/// The Decibel network server: one durable (or in-memory) Decibel
-/// instance behind the TCP wire protocol (src/net/). Sessions run VQuel
-/// statements; SUBSCRIBE pushes commit notifications.
+/// The Decibel network server: one Decibel database behind the TCP wire
+/// protocol (src/net/). Sessions run VQuel statements; SUBSCRIBE pushes
+/// commit notifications.
 ///
-///   $ ./decibel_server --data-dir /tmp/db --sync fsync --port 7447
+///   $ ./decibel_server --sync fsync --port 7447 /tmp/db
 ///   decibel_server listening on 127.0.0.1:7447
+///
+/// The database path defaults to /tmp/decibel_server; --sync (default
+/// flush) is the durability setting (see wal::SyncMode).
 ///
 /// --port 0 (the default) binds an ephemeral port; the "listening on"
 /// line is machine-parseable, which is how the CI smoke script finds it.
@@ -14,7 +17,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "core/decibel.h"
@@ -30,9 +32,8 @@ void OnSignal(int) { g_stop.store(true); }
 
 int Usage(const char* argv0) {
   fprintf(stderr,
-          "usage: %s [--data-dir <path>] [--host <ip>] [--port <n>]\n"
-          "          [--sync none|flush|fsync] [--threads <n>]\n"
-          "A non-durable in-memory database is used without --data-dir.\n",
+          "usage: %s [--host <ip>] [--port <n>] [--threads <n>]\n"
+          "          [--sync off|none|flush|fsync] [<path>]\n",
           argv0);
   return 2;
 }
@@ -40,16 +41,13 @@ int Usage(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string data_dir;
+  std::string path = "/tmp/decibel_server";
   net::ServerOptions net_opts;
-  wal::SyncMode sync = wal::SyncMode::kFlush;
+  DecibelOptions options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
-    if (arg == "--data-dir" && value != nullptr) {
-      data_dir = value;
-      ++i;
-    } else if (arg == "--host" && value != nullptr) {
+    if (arg == "--host" && value != nullptr) {
       net_opts.host = value;
       ++i;
     } else if (arg == "--port" && value != nullptr) {
@@ -59,16 +57,12 @@ int main(int argc, char** argv) {
       net_opts.worker_threads = static_cast<size_t>(atoi(value));
       ++i;
     } else if (arg == "--sync" && value != nullptr) {
-      if (strcmp(value, "none") == 0) {
-        sync = wal::SyncMode::kNone;
-      } else if (strcmp(value, "flush") == 0) {
-        sync = wal::SyncMode::kFlush;
-      } else if (strcmp(value, "fsync") == 0) {
-        sync = wal::SyncMode::kFsync;
-      } else {
+      if (!wal::ParseSyncMode(value, &options.sync_mode)) {
         return Usage(argv[0]);
       }
       ++i;
+    } else if (!arg.empty() && arg[0] != '-') {
+      path = arg;
     } else {
       return Usage(argv[0]);
     }
@@ -76,13 +70,6 @@ int main(int argc, char** argv) {
 
   // The same benchmark schema the shell uses: pk, c1, c2.
   const Schema schema = Schema::MakeBenchmark(2);
-  DecibelOptions options;
-  std::string path = "/tmp/decibel_server";
-  if (!data_dir.empty()) {
-    path = data_dir;
-    options.data_dir = data_dir;
-    options.sync_mode = sync;
-  }
   auto db = Decibel::Open(path, schema, options);
   if (!db.ok()) {
     fprintf(stderr, "open failed: %s\n", db.status().ToString().c_str());

@@ -36,9 +36,8 @@ Record Row(const Schema& schema, int64_t pk, int32_t value) {
   return rec;
 }
 
-DecibelOptions LoadOptions(const std::string& dir) {
+DecibelOptions LoadOptions() {
   DecibelOptions options;
-  options.data_dir = dir;
   options.sync_mode = wal::SyncMode::kFsync;
   options.page_size = 1 << 16;
   // Checkpoint aggressively so a kill lands between checkpoints too.
@@ -49,7 +48,7 @@ DecibelOptions LoadOptions(const std::string& dir) {
 std::string ProgressPath(const std::string& dir) { return dir + ".progress"; }
 
 int RunLoad(const std::string& dir, int num_records) {
-  auto db = Decibel::Open(dir, Schema::MakeBenchmark(3), LoadOptions(dir));
+  auto db = Decibel::Open(dir, Schema::MakeBenchmark(3), LoadOptions());
   if (!db.ok()) {
     fprintf(stderr, "open failed: %s\n", db.status().ToString().c_str());
     return 1;
@@ -98,7 +97,7 @@ int RunVerify(const std::string& dir) {
     return 1;
   }
   const int acked = std::atoi(note->c_str());
-  auto db = Decibel::Open(dir, LoadOptions(dir));
+  auto db = Decibel::Open(dir, LoadOptions());
   if (!db.ok()) {
     fprintf(stderr, "reopen failed: %s\n", db.status().ToString().c_str());
     return 1;

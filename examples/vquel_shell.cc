@@ -2,7 +2,8 @@
 /// pipe statements in, or run with no stdin redirection for a REPL. With
 /// no input at all it executes a short demo script.
 ///
-///   $ ./vquel_shell --data-dir /tmp/mydb         # durable, in-process
+///   $ ./vquel_shell /tmp/mydb                    # in-process database
+///   $ ./vquel_shell --sync fsync /tmp/mydb       # ... surviving power loss
 ///   $ ./vquel_shell --connect 127.0.0.1:7447     # against decibel_server
 ///   vquel> INSERT master 1 10 20
 ///   vquel> BRANCH dev FROM master
@@ -123,8 +124,9 @@ struct Shell {
 
 int Usage(const char* argv0) {
   fprintf(stderr,
-          "usage: %s [--data-dir <path> | --connect <host:port>] [<path>]\n",
-          argv0);
+          "usage: %s [--sync off|none|flush|fsync] [<path>]\n"
+          "       %s --connect <host:port>\n",
+          argv0, argv0);
   return 2;
 }
 
@@ -132,21 +134,23 @@ int Usage(const char* argv0) {
 
 int main(int argc, char** argv) {
   std::string path;
-  std::string data_dir;
   std::string connect;
+  DecibelOptions options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
-    if (arg == "--data-dir" && value != nullptr) {
-      data_dir = value;
-      ++i;
-    } else if (arg == "--connect" && value != nullptr) {
+    if (arg == "--connect" && value != nullptr) {
       connect = value;
+      ++i;
+    } else if (arg == "--sync" && value != nullptr) {
+      if (!wal::ParseSyncMode(value, &options.sync_mode)) {
+        return Usage(argv[0]);
+      }
       ++i;
     } else if (!arg.empty() && arg[0] == '-') {
       return Usage(argv[0]);
     } else {
-      path = arg;  // legacy positional path (non-durable)
+      path = arg;
     }
   }
 
@@ -170,11 +174,7 @@ int main(int argc, char** argv) {
     client.emplace(std::move(connected).MoveValueUnsafe());
     shell.client = &*client;
   } else {
-    DecibelOptions options;
-    if (!data_dir.empty()) {
-      path = data_dir;
-      options.data_dir = data_dir;
-    } else if (path.empty()) {
+    if (path.empty()) {
       path = "/tmp/decibel_vquel";
       RemoveDirRecursive(path).ok();  // scratch database, start fresh
     }

@@ -24,7 +24,7 @@ trap cleanup EXIT
 fail() { echo "ci_server_smoke: $*" >&2; exit 1; }
 
 # --- 1. durable server on an ephemeral port --------------------------------
-"$SERVER" --data-dir "$DIR/db" --sync fsync --port 0 \
+"$SERVER" --sync fsync --port 0 "$DIR/db" \
     > "$DIR/server.out" 2>&1 &
 SERVER_PID=$!
 ADDR=""
@@ -85,7 +85,7 @@ SERVER_PID=""
 grep -q "error:" "$DIR/kill.out" || fail "client reported no error after server kill"
 
 # --- 5. recovery: acknowledged commits survive the kill --------------------
-"$SHELL_BIN" --data-dir "$DIR/db" > "$DIR/recovered.out" <<'EOF'
+"$SHELL_BIN" "$DIR/db" > "$DIR/recovered.out" <<'EOF'
 SCAN master
 INSERT master 999999 7 7
 COMMIT master

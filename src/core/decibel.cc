@@ -77,20 +77,6 @@ Status Transaction::Abort() {
 
 namespace {
 
-Result<VersionGraph> LoadGraphFile(const std::string& path) {
-  DECIBEL_ASSIGN_OR_RETURN(std::string blob, ReadFileToString(path));
-  if (blob.size() < sizeof(uint32_t)) {
-    return Status::Corruption("version graph file truncated: " + path);
-  }
-  const uint32_t stored =
-      UnmaskCrc(DecodeFixed32(blob.data() + blob.size() - 4));
-  blob.resize(blob.size() - 4);
-  if (stored != Crc32(blob)) {
-    return Status::Corruption("version graph checksum mismatch: " + path);
-  }
-  return VersionGraph::DecodeFrom(blob);
-}
-
 Status ValidateOptions(const std::string& path, const DecibelOptions& o) {
   if (o.write_stripes == 0) {
     return Status::InvalidArgument(
@@ -124,30 +110,34 @@ Result<std::unique_ptr<Decibel>> Decibel::Open(const std::string& path,
   std::unique_ptr<Decibel> db(new Decibel(path, schema, options));
   DECIBEL_RETURN_NOT_OK(CreateDir(path));
 
-  // Durable reopen: the manifest pins the checkpoint the engines restore
-  // to and the WAL suffix to replay on top.
-  const bool durable = !options.data_dir.empty();
+  // The manifest pins the checkpoint the engines restore to and the WAL
+  // suffix to replay on top.
   wal::ManifestData manifest;
   bool have_manifest = false;
-  if (durable) {
-    auto m = wal::ReadCurrentManifest(path);
-    if (m.ok()) {
-      manifest = std::move(*m);
-      have_manifest = true;
-      std::string mine;
-      schema.EncodeTo(&mine);
-      if (mine != manifest.schema) {
-        return Status::InvalidArgument(
-            "schema does not match the database at " + path);
-      }
-      if (manifest.engine != options.engine) {
-        return Status::InvalidArgument(
-            "engine type does not match the database at " + path +
-            " (on disk: " + EngineTypeName(manifest.engine) + ")");
-      }
-    } else if (!m.status().IsNotFound()) {
-      return m.status();
+  auto m = wal::ReadCurrentManifest(path);
+  if (m.ok()) {
+    manifest = std::move(*m);
+    have_manifest = true;
+    std::string mine;
+    schema.EncodeTo(&mine);
+    if (mine != manifest.schema) {
+      return Status::InvalidArgument(
+          "schema does not match the database at " + path);
     }
+    if (manifest.engine != options.engine) {
+      return Status::InvalidArgument(
+          "engine type does not match the database at " + path +
+          " (on disk: " + EngineTypeName(manifest.engine) + ")");
+    }
+  } else if (!m.status().IsNotFound()) {
+    return m.status();
+  } else if (FileExists(JoinPath(path, "graph.bin"))) {
+    // An untagged graph.bin without a manifest is a database from before
+    // every Open checkpointed. A fresh init would recreate (truncate) its
+    // data files, so refuse instead.
+    return Status::InvalidArgument(
+        "unsupported database format at " + path +
+        ": graph.bin without a MANIFEST-* (written by an older release)");
   }
 
   EngineOptions engine_options;
@@ -164,88 +154,97 @@ Result<std::unique_ptr<Decibel>> Decibel::Open(const std::string& path,
   DECIBEL_ASSIGN_OR_RETURN(db->engine_,
                            MakeEngine(options.engine, schema, engine_options));
 
-  if (durable && have_manifest) {
-    // Durable recovery never reads the per-commit graph.bin (its
-    // write-then-rename is not fsynced, so after a power loss it can be
-    // stale or garbage even though the WAL has everything). It starts
-    // from the checkpoint's synced graph.bin.<tag> copy — written by the
-    // same CheckpointLocked that produced this manifest — and WAL replay
+  if (have_manifest) {
+    // Recovery starts from the checkpoint's synced graph copy, written by
+    // the same CheckpointLocked that produced this manifest; WAL replay
     // rebuilds every newer branch/commit on top.
-    DECIBEL_ASSIGN_OR_RETURN(
-        db->graph_, LoadGraphFile(db->GraphPath(manifest.checkpoint_tag)));
-  } else if (!durable && FileExists(db->GraphPath())) {
-    DECIBEL_ASSIGN_OR_RETURN(db->graph_, LoadGraphFile(db->GraphPath()));
+    DECIBEL_RETURN_NOT_OK(db->LoadCheckpointGraph(manifest.checkpoint_tag));
   } else {
-    if (durable && FileExists(db->GraphPath())) {
-      // No manifest means no durable Open ever completed here (the first
-      // checkpoint runs inside Open), so nothing was ever acknowledged:
-      // discard the leftover graph and start over.
-      DECIBEL_RETURN_NOT_OK(RemoveFile(db->GraphPath()));
-    }
-    // Init (§2.2.3): create the master branch and its initial commit.
+    // No manifest means no Open ever completed here (the first checkpoint
+    // runs inside Open), so nothing was ever acknowledged. Init (§2.2.3):
+    // create the master branch and its initial commit.
     DECIBEL_ASSIGN_OR_RETURN(CommitId init, db->graph_.Init());
     DECIBEL_RETURN_NOT_OK(db->engine_->Commit(kMasterBranch, init));
-    DECIBEL_RETURN_NOT_OK(db->PersistGraph());
   }
 
-  if (durable) {
-    db->manifest_ = std::move(manifest);
-    DECIBEL_RETURN_NOT_OK(db->InitDurability(have_manifest));
-  }
+  db->manifest_ = std::move(manifest);
+  DECIBEL_RETURN_NOT_OK(db->InitDurability(have_manifest));
   return db;
 }
 
-Result<std::unique_ptr<Decibel>> Decibel::Open(const std::string& data_dir,
+Result<std::unique_ptr<Decibel>> Decibel::Open(const std::string& path,
                                                const DecibelOptions& options) {
-  if (!FileExists(data_dir)) {
-    return Status::NotFound("no Decibel database at " + data_dir);
+  if (!FileExists(path)) {
+    return Status::NotFound("no Decibel database at " + path);
   }
   DECIBEL_ASSIGN_OR_RETURN(wal::ManifestData m,
-                           wal::ReadCurrentManifest(data_dir));
+                           wal::ReadCurrentManifest(path));
   Slice schema_in(m.schema);
   DECIBEL_ASSIGN_OR_RETURN(Schema schema, Schema::DecodeFrom(&schema_in));
   DecibelOptions opts = options;
-  opts.data_dir = data_dir;
   opts.engine = m.engine;
-  return Open(data_dir, schema, opts);
+  return Open(path, schema, opts);
 }
 
 Decibel::~Decibel() {
   // Stop the background checkpointer before tearing anything down, then
   // leave a final checkpoint so the next Open replays an empty tail.
   if (checkpointer_ != nullptr) checkpointer_->Stop();
-  if (engine_ == nullptr) return;  // Open failed part-way through
-  if (durable()) {
-    CheckpointNow().ok();
-    wal_->Close().ok();
-  } else {
-    engine_->Flush().ok();
-    PersistGraph().ok();
-  }
+  if (wal_ == nullptr) return;  // Open failed part-way through
+  CheckpointNow().ok();
+  wal_->Close().ok();
 }
 
 std::string Decibel::GraphPath(const std::string& tag) const {
-  const std::string base = JoinPath(path_, "graph.bin");
-  return tag.empty() ? base : base + "." + tag;
+  return JoinPath(path_, "graph.bin." + tag);
 }
 
 std::string Decibel::WalDir() const { return JoinPath(path_, "wal"); }
 
-Status Decibel::PersistGraph(bool sync) {
-  // "this graph is updated and persisted on disk as a part of each branch
-  // or commit operation" (§3). In durable mode the WAL record is that
-  // persistence — the unsynced graph.bin rename can roll back arbitrarily
-  // far under power loss, so recovery only ever reads the per-checkpoint
-  // graph.bin.<tag> copies (CheckpointLocked) and this is a no-op.
-  if (!options_.data_dir.empty()) return Status::OK();
-  return PersistGraphTo(GraphPath(), sync);
-}
-
-Status Decibel::PersistGraphTo(const std::string& path, bool sync) {
+Status Decibel::WriteCheckpointGraph(const std::string& tag, bool sync) {
+  // The graph, then the branches with uncommitted writes: the checkpoint
+  // captured those writes, and replay starts after them, so without the
+  // map a reopened branch would look clean and fork without committing.
   std::string blob;
   graph_.EncodeTo(&blob);
+  PutVarint64(&blob, dirty_.size());
+  for (const auto& [branch, ops] : dirty_) {
+    PutVarint32(&blob, branch);
+    PutVarint64(&blob, ops);
+  }
   PutFixed32(&blob, MaskCrc(Crc32(blob)));
-  return AtomicWriteFile(path, blob, sync);
+  return AtomicWriteFile(GraphPath(tag), blob, sync);
+}
+
+Status Decibel::LoadCheckpointGraph(const std::string& tag) {
+  const std::string path = GraphPath(tag);
+  DECIBEL_ASSIGN_OR_RETURN(std::string blob, ReadFileToString(path));
+  if (blob.size() < sizeof(uint32_t)) {
+    return Status::Corruption("version graph file truncated: " + path);
+  }
+  const uint32_t stored =
+      UnmaskCrc(DecodeFixed32(blob.data() + blob.size() - 4));
+  blob.resize(blob.size() - 4);
+  if (stored != Crc32(blob)) {
+    return Status::Corruption("version graph checksum mismatch: " + path);
+  }
+  Slice input(blob);
+  DECIBEL_ASSIGN_OR_RETURN(graph_, VersionGraph::DecodeFrom(&input));
+  // Files from before the dirty map end right after the graph.
+  uint64_t num_dirty = 0;
+  if (!input.empty() && !GetVarint64(&input, &num_dirty)) {
+    return Status::Corruption("version graph: truncated dirty map in " + path);
+  }
+  for (uint64_t i = 0; i < num_dirty; ++i) {
+    BranchId branch;
+    uint64_t ops;
+    if (!GetVarint32(&input, &branch) || !GetVarint64(&input, &ops)) {
+      return Status::Corruption("version graph: truncated dirty entry in " +
+                                path);
+    }
+    dirty_[branch] = ops;
+  }
+  return Status::OK();
 }
 
 // ------------------------------------------------------------- durability
@@ -268,7 +267,11 @@ Status Decibel::InitDurability(bool have_manifest) {
   // replayed tail in so repeated crash/reopen cycles cannot grow the WAL
   // without bound.
   DECIBEL_RETURN_NOT_OK(CheckpointNow());
-  checkpointer_->Start();
+  // Under kOff no log bytes ever credit the scheduler, so its worker
+  // would never run. Not starting it also keeps a single-threaded caller
+  // single-threaded, which lets the C and C++ runtimes skip atomic
+  // operations: an idle worker cost ~8% of a one-record insert.
+  if (durable()) checkpointer_->Start();
   return Status::OK();
 }
 
@@ -340,12 +343,12 @@ Status Decibel::ReplayWal(uint64_t* next_lsn, uint64_t* next_seg) {
 }
 
 Status Decibel::ApplyWalRecord(const wal::FrameView& frame) {
-  // Runs single-threaded inside Open. The graph replays idempotently
-  // (graph.bin may already be ahead of this record); the engine — rolled
-  // back to the checkpoint — has seen nothing past checkpoint_lsn, so it
-  // gets every record exactly once. Deterministic user-level failures
-  // (a batch whose delete was invalid, a merge that was rejected) failed
-  // identically in the original timeline and are skipped, not fatal.
+  // Runs single-threaded inside Open. The graph replays idempotently;
+  // the engine — rolled back to the checkpoint — has seen nothing past
+  // checkpoint_lsn, so it gets every record exactly once. Deterministic
+  // user-level failures (a batch whose delete was invalid, a merge that
+  // was rejected) failed identically in the original timeline and are
+  // skipped, not fatal.
   switch (frame.type) {
     case wal::RecordType::kBatch: {
       WriteBatch batch(&schema_);
@@ -434,7 +437,6 @@ Status Decibel::LogWal(wal::RecordType type, const std::string& body) {
 }
 
 Status Decibel::CheckpointNow() {
-  if (!durable()) return Flush();
   // Quiesce the write path: writers hold checkpoint_mu_ shared across
   // {WAL append, engine apply, graph mutate}, so under the unique lock
   // every logged operation is fully applied and the engines are at an
@@ -463,8 +465,7 @@ Status Decibel::CheckpointLocked() {
   DECIBEL_RETURN_NOT_OK(engine_->Checkpoint(m.checkpoint_tag, sync));
   // The graph copy recovery restores from; tagged per generation so a
   // torn rewrite of one generation never strands the fallback one.
-  DECIBEL_RETURN_NOT_OK(
-      PersistGraphTo(GraphPath(m.checkpoint_tag), sync));
+  DECIBEL_RETURN_NOT_OK(WriteCheckpointGraph(m.checkpoint_tag, sync));
   DECIBEL_RETURN_NOT_OK(wal::WriteManifest(path_, m, sync));
 
   const wal::ManifestData prev = manifest_;
@@ -592,7 +593,6 @@ Result<CommitId> Decibel::CommitLocked(BranchId branch) {
     ops = it->second;
     dirty_.erase(it);
   }
-  DECIBEL_RETURN_NOT_OK(PersistGraph());
   CommitEvent event;
   event.branch = branch;
   if (Result<BranchInfo> info = graph_.GetBranch(branch); info.ok()) {
@@ -623,9 +623,7 @@ Result<CommitId> Decibel::CommitBranch(BranchId branch) {
   DECIBEL_ASSIGN_OR_RETURN(
       LockGuard guard, LockGuard::Acquire(&locks_, NextOwnerId(), branch,
                                           LockMode::kExclusive));
-  std::shared_lock<std::shared_mutex> barrier(checkpoint_mu_,
-                                              std::defer_lock);
-  if (durable()) barrier.lock();
+  std::shared_lock<std::shared_mutex> barrier(checkpoint_mu_);
   std::lock_guard<std::mutex> lock(mu_);
   return CommitLocked(branch);
 }
@@ -639,9 +637,7 @@ Result<BranchId> Decibel::Branch(const std::string& name, Session* session) {
   DECIBEL_ASSIGN_OR_RETURN(
       LockGuard guard, LockGuard::Acquire(&locks_, NextOwnerId(), parent,
                                           LockMode::kExclusive));
-  std::shared_lock<std::shared_mutex> barrier(checkpoint_mu_,
-                                              std::defer_lock);
-  if (durable()) barrier.lock();
+  std::shared_lock<std::shared_mutex> barrier(checkpoint_mu_);
   std::lock_guard<std::mutex> lock(mu_);
   DECIBEL_ASSIGN_OR_RETURN(CommitId base, EnsureCommitted(parent));
   DECIBEL_ASSIGN_OR_RETURN(BranchId child, graph_.CreateBranch(name, base));
@@ -649,14 +645,11 @@ Result<BranchId> Decibel::Branch(const std::string& name, Session* session) {
       LogBranchCreation(child, name, base, parent, /*at_head=*/true));
   DECIBEL_RETURN_NOT_OK(
       engine_->CreateBranch(child, parent, base, /*at_head=*/true));
-  DECIBEL_RETURN_NOT_OK(PersistGraph());
   return child;
 }
 
 Result<BranchId> Decibel::BranchAt(const std::string& name, CommitId commit) {
-  std::shared_lock<std::shared_mutex> barrier(checkpoint_mu_,
-                                              std::defer_lock);
-  if (durable()) barrier.lock();
+  std::shared_lock<std::shared_mutex> barrier(checkpoint_mu_);
   std::lock_guard<std::mutex> lock(mu_);
   DECIBEL_ASSIGN_OR_RETURN(CommitInfo info, graph_.GetCommit(commit));
   const bool at_head =
@@ -666,7 +659,6 @@ Result<BranchId> Decibel::BranchAt(const std::string& name, CommitId commit) {
       LogBranchCreation(child, name, commit, info.branch, at_head));
   DECIBEL_RETURN_NOT_OK(
       engine_->CreateBranch(child, info.branch, commit, at_head));
-  DECIBEL_RETURN_NOT_OK(PersistGraph());
   return child;
 }
 
@@ -674,9 +666,7 @@ Status Decibel::RetireBranch(BranchId branch) {
   if (branch == kMasterBranch) {
     return Status::InvalidArgument("cannot retire master");
   }
-  std::shared_lock<std::shared_mutex> barrier(checkpoint_mu_,
-                                              std::defer_lock);
-  if (durable()) barrier.lock();
+  std::shared_lock<std::shared_mutex> barrier(checkpoint_mu_);
   std::lock_guard<std::mutex> lock(mu_);
   if (!graph_.HasBranch(branch)) {
     return Status::NotFound("no branch " + std::to_string(branch));
@@ -700,8 +690,7 @@ Status Decibel::RetireBranch(BranchId branch) {
   // Drop the file descriptors the branch pinned (head segment, commit
   // histories) — under agentic fork/merge/retire churn the held handles
   // otherwise accumulate until the process hits its descriptor limit.
-  DECIBEL_RETURN_NOT_OK(engine_->ReleaseBranch(branch));
-  return PersistGraph();
+  return engine_->ReleaseBranch(branch);
 }
 
 Status Decibel::LogBranchCreation(BranchId child, const std::string& name,
@@ -732,9 +721,7 @@ Result<MergeInfo> Decibel::Merge(const MergeSpec& spec) {
   DECIBEL_RETURN_NOT_OK(scope.Lock(spec.into, LockMode::kExclusive));
   DECIBEL_RETURN_NOT_OK(scope.Lock(spec.from, LockMode::kShared));
 
-  std::shared_lock<std::shared_mutex> barrier(checkpoint_mu_,
-                                              std::defer_lock);
-  if (durable()) barrier.lock();
+  std::shared_lock<std::shared_mutex> barrier(checkpoint_mu_);
   std::lock_guard<std::mutex> lock(mu_);
   // Both heads must be committed so the lca and the merge commit are
   // well-defined versions.
@@ -781,7 +768,6 @@ Result<MergeInfo> Decibel::Merge(const MergeSpec& spec) {
   }
   DECIBEL_RETURN_NOT_OK(engine_->Commit(spec.into, commit));
   dirty_.erase(spec.into);
-  DECIBEL_RETURN_NOT_OK(PersistGraph());
   CommitEvent event;
   event.branch = spec.into;
   if (Result<BranchInfo> binfo = graph_.GetBranch(spec.into); binfo.ok()) {
@@ -806,9 +792,7 @@ Result<std::unique_ptr<MergeCursor>> Decibel::PreviewMerge(
   DECIBEL_RETURN_NOT_OK(scope.Lock(spec.into, LockMode::kExclusive));
   DECIBEL_RETURN_NOT_OK(scope.Lock(spec.from, LockMode::kShared));
 
-  std::shared_lock<std::shared_mutex> barrier(checkpoint_mu_,
-                                              std::defer_lock);
-  if (durable()) barrier.lock();
+  std::shared_lock<std::shared_mutex> barrier(checkpoint_mu_);
   std::lock_guard<std::mutex> lock(mu_);
   DECIBEL_ASSIGN_OR_RETURN(CommitId head_into, EnsureCommitted(spec.into));
   DECIBEL_ASSIGN_OR_RETURN(CommitId head_from, EnsureCommitted(spec.from));
@@ -859,10 +843,8 @@ Status Decibel::ApplyBatchLocked(BranchId branch, const WriteBatch& batch) {
   // (the WAL writer group-commits their fsyncs) — and spans both the log
   // append and the engine apply so a checkpoint never captures one
   // without the other.
-  std::shared_lock<std::shared_mutex> barrier(checkpoint_mu_,
-                                              std::defer_lock);
+  std::shared_lock<std::shared_mutex> barrier(checkpoint_mu_);
   if (durable()) {
-    barrier.lock();
     std::string body;
     wal::EncodeBatchBody(&body, branch, batch);
     DECIBEL_RETURN_NOT_OK(LogWal(wal::RecordType::kBatch, body));
@@ -959,7 +941,7 @@ DecibelStats Decibel::Stats() const {
     stats.commits = graph_.num_commits();
   }
   stats.durable = durable();
-  if (stats.durable) {
+  {
     // Writer counters and the manifest generation move under
     // checkpoint_mu_ unique; shared is enough for a consistent read.
     std::shared_lock<std::shared_mutex> barrier(checkpoint_mu_);
@@ -1033,13 +1015,6 @@ Status Decibel::Diff(BranchId a, BranchId b, DiffMode mode,
   return engine_->Diff(a, b, mode, pos, neg);
 }
 
-Status Decibel::Flush() {
-  // A durable Flush is a checkpoint: it both persists and truncates the
-  // log, which is strictly stronger than the legacy meta rewrite.
-  if (durable()) return CheckpointNow();
-  DECIBEL_RETURN_NOT_OK(engine_->Flush());
-  std::lock_guard<std::mutex> lock(mu_);
-  return PersistGraph();
-}
+Status Decibel::Flush() { return CheckpointNow(); }
 
 }  // namespace decibel

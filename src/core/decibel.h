@@ -87,22 +87,21 @@ struct DecibelOptions {
 
   // ------------------------------------------------------------ durability
   //
-  // Non-empty data_dir (it must equal the Open path) switches on the
-  // durability subsystem: every mutation is written to a write-ahead log
-  // before it reaches the engine, a background thread periodically
-  // checkpoints the engine state and truncates the log, and a versioned
-  // manifest records which checkpoint + WAL suffix reconstitute the
-  // database. Reopening then replays the WAL tail, so — under kFsync —
-  // every acknowledged commit survives even a kill -9 / power loss.
-  // Empty data_dir (the default) keeps the historical behavior: engine
-  // files are written but there is no log; a crash loses everything
-  // since the last Flush().
+  // Every database persists one way. A versioned manifest names the last
+  // checkpoint: tagged engine metadata, plus the version graph and the
+  // uncommitted-branch map in graph.bin.<tag>. A write-ahead log holds
+  // every operation since. Open restores the checkpoint and replays the
+  // log. A background thread checkpoints (and truncates the log) every
+  // checkpoint_interval_bytes; Flush(), CheckpointNow() and close
+  // checkpoint on demand. sync_mode is the only durability setting.
 
-  /// Durability root; empty disables the WAL subsystem.
+  /// Unused; kept for source compatibility. Must be empty or equal to the
+  /// Open path, which is the database root either way.
   std::string data_dir;
-  /// How durable an acknowledged write is (see wal::SyncMode): kNone
-  /// buffers in-process, kFlush survives process death, kFsync survives
-  /// power loss.
+  /// How durable an acknowledged write is (see wal::SyncMode): kOff logs
+  /// nothing, so a crash rolls back to the last checkpoint; kNone buffers
+  /// log records in-process; kFlush survives process death; kFsync
+  /// survives power loss.
   wal::SyncMode sync_mode = wal::SyncMode::kFlush;
   /// WAL segment rollover threshold.
   uint64_t wal_segment_bytes = 16ull << 20;
@@ -144,6 +143,7 @@ struct DecibelStats {
   uint64_t branches = 0;
   uint64_t active_branches = 0;
   uint64_t commits = 0;
+  /// Operations are logged (sync_mode is not kOff).
   bool durable = false;
   /// WAL frame bytes appended over this process's writer lifetime.
   uint64_t wal_bytes_appended = 0;
@@ -229,11 +229,11 @@ class Decibel {
                                                const Schema& schema,
                                                const DecibelOptions& options);
 
-  /// Reopens a durable database without knowing its schema: the schema
-  /// and engine type are restored from the manifest at \p data_dir, the
-  /// engines from the last checkpoint, and the WAL tail is replayed.
-  /// NotFound when no manifest exists there.
-  static Result<std::unique_ptr<Decibel>> Open(const std::string& data_dir,
+  /// Reopens a database without knowing its schema: the schema and
+  /// engine type are restored from the manifest at \p path, the engines
+  /// from the last checkpoint, and the WAL tail is replayed. NotFound
+  /// when no manifest exists there.
+  static Result<std::unique_ptr<Decibel>> Open(const std::string& path,
                                                const DecibelOptions& options);
 
   ~Decibel();
@@ -394,17 +394,17 @@ class Decibel {
   /// Aggregated engine + version-graph + WAL/checkpoint statistics.
   DecibelStats Stats() const;
 
-  /// In durable mode, Flush() runs a full checkpoint (CheckpointNow).
+  /// Runs a full checkpoint (CheckpointNow). Under kOff this is the only
+  /// way besides close to persist writes.
   Status Flush();
 
   /// Quiesces writers, checkpoints the engine under a fresh tag, rolls
   /// the WAL, and publishes a new manifest generation (the previous one
   /// is retained as a fallback; older generations are garbage-collected).
-  /// In non-durable mode this is Flush().
   Status CheckpointNow();
 
-  /// True when the durability subsystem (WAL + checkpoints) is active.
-  bool durable() const { return wal_ != nullptr; }
+  /// True when operations are logged (sync_mode is not kOff).
+  bool durable() const { return options_.sync_mode != wal::SyncMode::kOff; }
   /// Current manifest generation (0 until the first checkpoint).
   uint64_t checkpoint_generation() const;
 
@@ -417,16 +417,13 @@ class Decibel {
         options_(options),
         locks_(std::chrono::milliseconds(options.lock_timeout_ms)) {}
 
-  /// Persists the graph to graph.bin in non-durable mode. In durable
-  /// mode this is a no-op: the WAL record *is* the per-operation
-  /// persistence (graph.bin's unsynced rename cannot be trusted after a
-  /// power loss), and each checkpoint writes a synced graph.bin.<tag>
-  /// copy that recovery starts from.
-  Status PersistGraph(bool sync = false);
-  /// Encodes the graph (CRC-trailed) and atomically replaces \p path.
-  Status PersistGraphTo(const std::string& path, bool sync);
-  /// "graph.bin", or the per-checkpoint copy "graph.bin.<tag>".
-  std::string GraphPath(const std::string& tag = {}) const;
+  /// Writes graph.bin.<tag>: the graph and the dirty map, CRC-trailed,
+  /// atomically. Caller holds checkpoint_mu_ unique and mu_.
+  Status WriteCheckpointGraph(const std::string& tag, bool sync);
+  /// Restores graph_ and dirty_ from graph.bin.<tag>. Open only.
+  Status LoadCheckpointGraph(const std::string& tag);
+  /// "graph.bin.<tag>", the version graph of checkpoint \p tag.
+  std::string GraphPath(const std::string& tag) const;
   std::string WalDir() const;
 
   // ----------------------------------------------------------- durability
@@ -437,8 +434,9 @@ class Decibel {
   // unique for the checkpointer, which never takes branch locks), then
   // mu_, then the engine's internal locks.
 
-  /// Opens the WAL writer (replaying any tail first when \p have_manifest)
-  /// and starts the background checkpointer. Called from Open only.
+  /// Opens the WAL writer (replaying any tail first when \p have_manifest),
+  /// checkpoints the opened state, and starts the background
+  /// checkpointer unless sync_mode is kOff. Called from Open only.
   Status InitDurability(bool have_manifest);
   /// Replays every WAL record past the manifest's checkpoint_lsn, then
   /// truncates the (sole permissible) torn tail. Outputs the next lsn and
@@ -452,7 +450,7 @@ class Decibel {
   /// credits the checkpoint scheduler. Caller holds checkpoint_mu_ shared.
   Status LogWal(wal::RecordType type, const std::string& body);
   /// Logs a kBranch record for an already graph-registered child branch.
-  /// Caller holds checkpoint_mu_ shared and mu_. No-op when not durable.
+  /// Caller holds checkpoint_mu_ shared and mu_. No-op under kOff.
   Status LogBranchCreation(BranchId child, const std::string& name,
                            CommitId base, BranchId parent, bool at_head);
   /// Checkpoint body; caller holds checkpoint_mu_ unique and mu_.

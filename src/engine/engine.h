@@ -83,10 +83,10 @@ struct EngineOptions {
   /// number of heap-file shards the tuple-first engine splits its shared
   /// heap into.
   uint32_t write_stripes = 32;
-  /// Non-empty: open the engine at the named checkpoint instead of the
-  /// last Flush — data files are rolled back to exactly the state the
-  /// checkpoint captured, so a WAL tail can be replayed on top (crash
-  /// recovery).
+  /// Non-empty: open the engine at the named checkpoint — data files are
+  /// rolled back to exactly the state the checkpoint captured, so a WAL
+  /// tail can be replayed on top. Empty: initialize a fresh engine,
+  /// overwriting any data files already in the directory.
   std::string checkpoint_tag;
   /// Seal full heap pages through the adaptive columnar/LZ page codec
   /// (storage format v2's non-raw page formats). Scans stay byte-identical
@@ -231,7 +231,6 @@ class StorageEngine {
 
   // -------------------------------------------------------- maintenance
 
-  virtual Status Flush() = 0;
   /// Checkpoints the engine under \p tag: data files are flushed (and, if
   /// \p sync, fsynced) and a tagged metadata snapshot is written that
   /// records exactly how many bytes of each file belong to the

@@ -29,7 +29,7 @@ Result<std::unique_ptr<HybridEngine>> HybridEngine::Make(
   std::unique_ptr<HybridEngine> engine(new HybridEngine(schema, options));
   DECIBEL_RETURN_NOT_OK(CreateDir(options.directory));
   DECIBEL_RETURN_NOT_OK(CreateDir(JoinPath(options.directory, "commits")));
-  if (!options.checkpoint_tag.empty() || FileExists(engine->MetaPath())) {
+  if (!options.checkpoint_tag.empty()) {
     DECIBEL_RETURN_NOT_OK(engine->LoadExisting());
   } else {
     DECIBEL_RETURN_NOT_OK(engine->InitFresh());
@@ -38,8 +38,7 @@ Result<std::unique_ptr<HybridEngine>> HybridEngine::Make(
 }
 
 std::string HybridEngine::MetaPath(const std::string& tag) const {
-  const std::string base = JoinPath(options_.directory, "engine.meta");
-  return tag.empty() ? base : base + "." + tag;
+  return JoinPath(options_.directory, "engine.meta." + tag);
 }
 
 std::string HybridEngine::SegmentPath(uint32_t seg) const {
@@ -132,16 +131,10 @@ Status HybridEngine::LoadExisting() {
     if (!GetLengthPrefixed(&input, &stats_blob)) {
       return Status::Corruption("hybrid: truncated segment stats blob");
     }
-    if (!tag.empty()) {
-      DECIBEL_ASSIGN_OR_RETURN(
-          segment->file,
-          HeapFile::OpenAtCheckpoint(SegmentPath(segment->id), hopts, &pool_,
-                                     cs));
-    } else {
-      DECIBEL_ASSIGN_OR_RETURN(
-          segment->file,
-          HeapFile::Open(SegmentPath(segment->id), hopts, &pool_));
-    }
+    DECIBEL_ASSIGN_OR_RETURN(
+        segment->file,
+        HeapFile::OpenAtCheckpoint(SegmentPath(segment->id), hopts, &pool_,
+                                   cs));
     DECIBEL_RETURN_NOT_OK(segment->file->LoadStats(stats_blob));
     DECIBEL_RETURN_NOT_OK(segment->file->EnsureStats());
     segments_.push_back(std::move(segment));
@@ -206,9 +199,7 @@ Status HybridEngine::LoadExisting() {
     history_segs_[branch].push_back(seg);
     // History files open lazily (HistoryFor); cut post-checkpoint records
     // away now so whoever opens one first parses the checkpointed state.
-    if (!tag.empty()) {
-      DECIBEL_RETURN_NOT_OK(TruncateFile(HistoryPath(branch, seg), bytes));
-    }
+    DECIBEL_RETURN_NOT_OK(TruncateFile(HistoryPath(branch, seg), bytes));
   }
   uint64_t num_inherits;
   if (!GetVarint64(&input, &num_inherits)) {
@@ -356,14 +347,6 @@ Status HybridEngine::ReleaseBranch(BranchId branch) {
     DECIBEL_RETURN_NOT_OK(history->ReleaseFileHandles());
   }
   return Status::OK();
-}
-
-Status HybridEngine::Flush() {
-  std::unique_lock<std::shared_mutex> registry_lock(registry_mu_);
-  for (auto& segment : segments_) {
-    DECIBEL_RETURN_NOT_OK(segment->file->Flush());
-  }
-  return WriteStringToFile(MetaPath(), EncodeMeta());
 }
 
 Status HybridEngine::Checkpoint(const std::string& tag, bool sync) {

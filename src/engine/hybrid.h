@@ -32,7 +32,7 @@
 /// shared with siblings), so writers on disjoint branches proceed in
 /// parallel. The lock hierarchy is registry_mu_ (the segments_ vector,
 /// head_seg_/branch_segments_/pk_index_/dirty_ map shapes, and the local
-/// indexes' column sets; writers take it shared, CreateBranch/Flush
+/// indexes' column sets; writers take it shared, CreateBranch/Checkpoint
 /// take it unique) -> stripe locks (branch % write_stripes) ->
 /// commit_mu_ (the commit registries, a leaf). Scans materialize bitmap
 /// copies under the stripe lock, capture per-segment file pointers, and
@@ -77,7 +77,6 @@ class HybridEngine : public StorageEngine {
                    const MergeWalkCallback& cb, MergeWalkStats* stats) override;
   Status ReleaseBranch(BranchId branch) override;
 
-  Status Flush() override;
   Status Checkpoint(const std::string& tag, bool sync) override;
   Status RemoveCheckpoint(const std::string& tag) override;
   void DropCaches() override { pool_.EvictAll(); }
@@ -109,7 +108,7 @@ class HybridEngine : public StorageEngine {
 
   Status InitFresh();
   Status LoadExisting();
-  std::string MetaPath(const std::string& tag = "") const;
+  std::string MetaPath(const std::string& tag) const;
   std::string SegmentPath(uint32_t seg) const;
   std::string HistoryPath(BranchId branch, uint32_t seg) const;
   /// Serializes the engine meta (schema, segments with local indexes and
@@ -164,8 +163,8 @@ class HybridEngine : public StorageEngine {
   mutable ScanCounters scan_counters_;
 
   /// Shape of segments_, the branch maps, and the local indexes' column
-  /// sets: writers take it shared, CreateBranch/Flush take it
-  /// unique. Ordered before the stripe locks.
+  /// sets: writers take it shared, CreateBranch/Checkpoint take
+  /// it unique. Ordered before the stripe locks.
   mutable std::shared_mutex registry_mu_;
   /// Per-branch write serialization; see file comment for the hierarchy.
   mutable StripeLocks stripes_;

@@ -91,7 +91,7 @@ Result<std::unique_ptr<TupleFirstEngine>> TupleFirstEngine::Make(
   DECIBEL_RETURN_NOT_OK(CreateDir(options.directory));
   DECIBEL_RETURN_NOT_OK(
       CreateDir(JoinPath(options.directory, "commits")));
-  if (!options.checkpoint_tag.empty() || FileExists(engine->MetaPath())) {
+  if (!options.checkpoint_tag.empty()) {
     DECIBEL_RETURN_NOT_OK(engine->LoadExisting());
   } else {
     DECIBEL_RETURN_NOT_OK(engine->InitFresh());
@@ -100,8 +100,7 @@ Result<std::unique_ptr<TupleFirstEngine>> TupleFirstEngine::Make(
 }
 
 std::string TupleFirstEngine::MetaPath(const std::string& tag) const {
-  const std::string base = JoinPath(options_.directory, "engine.meta");
-  return tag.empty() ? base : base + "." + tag;
+  return JoinPath(options_.directory, "engine.meta." + tag);
 }
 
 std::string TupleFirstEngine::HistoryPath(BranchId branch) const {
@@ -180,13 +179,10 @@ Status TupleFirstEngine::LoadExisting() {
     if (!GetVarint32(&input, &branch) || !GetVarint64(&input, &bytes)) {
       return Status::Corruption("tuple-first: truncated history entry");
     }
-    // When recovering to a checkpoint, records appended to the history
-    // after the checkpoint (and any torn tail record) are cut away first
-    // so Open parses exactly the checkpointed state and WAL replay can
-    // re-append from there.
-    if (!tag.empty()) {
-      DECIBEL_RETURN_NOT_OK(TruncateFile(HistoryPath(branch), bytes));
-    }
+    // Records appended to the history after the checkpoint (and any torn
+    // tail record) are cut away first so Open parses exactly the
+    // checkpointed state and WAL replay can re-append from there.
+    DECIBEL_RETURN_NOT_OK(TruncateFile(HistoryPath(branch), bytes));
     DECIBEL_ASSIGN_OR_RETURN(
         histories_[branch],
         CommitHistory::Open(HistoryPath(branch),
@@ -235,14 +231,6 @@ Status TupleFirstEngine::ReleaseBranch(BranchId branch) {
   auto it = histories_.find(branch);
   if (it == histories_.end()) return Status::OK();
   return it->second->ReleaseFileHandles();
-}
-
-Status TupleFirstEngine::Flush() {
-  // Unique registry: no writer holds its shared mode, so every stripe is
-  // quiesced and the index/commit registries are stable.
-  std::unique_lock<std::shared_mutex> registry(registry_mu_);
-  DECIBEL_RETURN_NOT_OK(heap_->Flush());
-  return WriteStringToFile(MetaPath(), EncodeMeta());
 }
 
 Status TupleFirstEngine::Checkpoint(const std::string& tag, bool sync) {

@@ -60,7 +60,6 @@ class TupleFirstEngine : public StorageEngine {
                    const MergeWalkCallback& cb, MergeWalkStats* stats) override;
   Status ReleaseBranch(BranchId branch) override;
 
-  Status Flush() override;
   Status Checkpoint(const std::string& tag, bool sync) override;
   Status RemoveCheckpoint(const std::string& tag) override;
   void DropCaches() override { pool_.EvictAll(); }
@@ -118,7 +117,7 @@ class TupleFirstEngine : public StorageEngine {
   /// Rebuilds branch \p b's pk index by scanning its bitmap column.
   /// Caller holds the registry unique (load/branch-create paths).
   Status RebuildPkIndex(BranchId b);
-  std::string MetaPath(const std::string& tag = "") const;
+  std::string MetaPath(const std::string& tag) const;
   std::string HistoryPath(BranchId branch) const;
   /// Serializes the engine meta (schema, bitmap index, commit registry,
   /// branch list, per-branch history byte sizes). Caller holds the
@@ -134,8 +133,8 @@ class TupleFirstEngine : public StorageEngine {
   ScanCounters scan_counters_;
 
   /// Shape of the branch registries (pk_index_ keys, bitmap branch set).
-  /// Writers/readers take it shared; CreateBranch and Flush take it
-  /// unique. Ordered before the stripe locks.
+  /// Writers/readers take it shared; CreateBranch and Checkpoint take
+  /// it unique. Ordered before the stripe locks.
   mutable std::shared_mutex registry_mu_;
   /// Per-branch write serialization; see file comment for the hierarchy.
   mutable StripeLocks stripes_;

@@ -111,7 +111,7 @@ Result<std::unique_ptr<VersionFirstEngine>> VersionFirstEngine::Make(
   std::unique_ptr<VersionFirstEngine> engine(
       new VersionFirstEngine(schema, options));
   DECIBEL_RETURN_NOT_OK(CreateDir(options.directory));
-  if (!options.checkpoint_tag.empty() || FileExists(engine->MetaPath())) {
+  if (!options.checkpoint_tag.empty()) {
     DECIBEL_RETURN_NOT_OK(engine->LoadExisting());
   } else {
     DECIBEL_RETURN_NOT_OK(engine->InitFresh());
@@ -120,8 +120,7 @@ Result<std::unique_ptr<VersionFirstEngine>> VersionFirstEngine::Make(
 }
 
 std::string VersionFirstEngine::MetaPath(const std::string& tag) const {
-  const std::string base = JoinPath(options_.directory, "engine.meta");
-  return tag.empty() ? base : base + "." + tag;
+  return JoinPath(options_.directory, "engine.meta." + tag);
 }
 
 std::string VersionFirstEngine::SegmentPath(uint32_t seg) const {
@@ -210,19 +209,13 @@ Status VersionFirstEngine::LoadExisting() {
     if (!GetLengthPrefixed(&input, &stats_blob)) {
       return Status::Corruption("version-first: truncated segment stats blob");
     }
-    if (!tag.empty()) {
-      // Branch heads resolve to file->num_records(), so post-checkpoint
-      // appends must be physically discarded — roll the segment back to
-      // its checkpointed record count before anything reads it.
-      DECIBEL_ASSIGN_OR_RETURN(
-          segment->file,
-          HeapFile::OpenAtCheckpoint(SegmentPath(segment->id), hopts, &pool_,
-                                     cs));
-    } else {
-      DECIBEL_ASSIGN_OR_RETURN(
-          segment->file, HeapFile::Open(SegmentPath(segment->id), hopts,
-                                        &pool_));
-    }
+    // Branch heads resolve to file->num_records(), so post-checkpoint
+    // appends must be physically discarded — roll the segment back to its
+    // checkpointed record count before anything reads it.
+    DECIBEL_ASSIGN_OR_RETURN(
+        segment->file,
+        HeapFile::OpenAtCheckpoint(SegmentPath(segment->id), hopts, &pool_,
+                                   cs));
     DECIBEL_RETURN_NOT_OK(segment->file->LoadStats(stats_blob));
     DECIBEL_RETURN_NOT_OK(segment->file->EnsureStats());
     segments_.push_back(std::move(segment));
@@ -330,14 +323,6 @@ Status VersionFirstEngine::ReleaseBranch(BranchId branch) {
     DECIBEL_RETURN_NOT_OK(segment->file->ReleaseFileHandles());
   }
   return Status::OK();
-}
-
-Status VersionFirstEngine::Flush() {
-  std::unique_lock<std::shared_mutex> registry_lock(registry_mu_);
-  for (auto& segment : segments_) {
-    DECIBEL_RETURN_NOT_OK(segment->file->Flush());
-  }
-  return WriteStringToFile(MetaPath(), EncodeMeta());
 }
 
 Status VersionFirstEngine::Checkpoint(const std::string& tag, bool sync) {

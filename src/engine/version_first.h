@@ -24,7 +24,7 @@
 /// Concurrency: appends go to per-branch head segments, so writers on
 /// disjoint branches share no segment file and proceed in parallel. The
 /// lock hierarchy is registry_mu_ (the segments_ vector and head_seg_ map
-/// shape; writers take it shared, CreateBranch/Flush — which grow
+/// shape; writers take it shared, CreateBranch/Checkpoint — which grow
 /// the registry — take it unique) -> stripe locks (branch %
 /// write_stripes; the branch's head-segment tail) -> commit_mu_ (the
 /// commits_ map, a leaf). Cursors capture HeapFile pointers at open
@@ -71,7 +71,6 @@ class VersionFirstEngine : public StorageEngine {
                    const MergeWalkCallback& cb, MergeWalkStats* stats) override;
   Status ReleaseBranch(BranchId branch) override;
 
-  Status Flush() override;
   Status Checkpoint(const std::string& tag, bool sync) override;
   Status RemoveCheckpoint(const std::string& tag) override;
   void DropCaches() override { pool_.EvictAll(); }
@@ -129,7 +128,7 @@ class VersionFirstEngine : public StorageEngine {
 
   Status InitFresh();
   Status LoadExisting();
-  std::string MetaPath(const std::string& tag = "") const;
+  std::string MetaPath(const std::string& tag) const;
   std::string SegmentPath(uint32_t seg) const;
   /// Serializes the engine meta (schema, segment graph with per-segment
   /// checkpoint state, heads, commits). Caller holds the registry unique.
@@ -170,7 +169,7 @@ class VersionFirstEngine : public StorageEngine {
   mutable ScanCounters scan_counters_;
 
   /// Shape of segments_ and head_seg_: ApplyBatch/Commit/scan-open take
-  /// it shared, CreateBranch/Merge/Flush take it unique. Ordered before
+  /// it shared, CreateBranch/Merge/Checkpoint take it unique. Ordered before
   /// the stripe locks.
   mutable std::shared_mutex registry_mu_;
   /// Per-branch write serialization (a branch's head-segment tail has a

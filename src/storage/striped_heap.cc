@@ -28,8 +28,7 @@ std::string StripedHeap::StripePath(uint32_t stripe) const {
 }
 
 std::string StripedHeap::ManifestPath(const std::string& tag) const {
-  const std::string base = JoinPath(dir_, "heap.manifest");
-  return tag.empty() ? base : base + "." + tag;
+  return JoinPath(dir_, "heap.manifest." + tag);
 }
 
 Result<std::unique_ptr<StripedHeap>> StripedHeap::Create(
@@ -53,7 +52,6 @@ Result<std::unique_ptr<StripedHeap>> StripedHeap::Create(
       options.extent_records != 0
           ? options.extent_records
           : std::max<uint64_t>(1, heap->stripes_[0].file->records_per_page());
-  DECIBEL_RETURN_NOT_OK(heap->WriteManifest());
   return heap;
 }
 
@@ -64,8 +62,7 @@ Result<std::unique_ptr<StripedHeap>> StripedHeap::Open(
   DECIBEL_ASSIGN_OR_RETURN(
       std::string manifest,
       ReadFileToString(heap->ManifestPath(checkpoint_tag)));
-  DECIBEL_RETURN_NOT_OK(
-      heap->LoadManifest(Slice(manifest), !checkpoint_tag.empty()));
+  DECIBEL_RETURN_NOT_OK(heap->LoadManifest(Slice(manifest)));
   DECIBEL_RETURN_NOT_OK(heap->EnsureStats());
   return heap;
 }
@@ -77,7 +74,7 @@ Status StripedHeap::EnsureStats() {
   return Status::OK();
 }
 
-Status StripedHeap::LoadManifest(Slice input, bool recover) {
+Status StripedHeap::LoadManifest(Slice input) {
   uint32_t magic, version, stripes;
   uint64_t record_size, extent_records, extent_count;
   if (!GetVarint32(&input, &magic) || magic != kManifestMagic ||
@@ -148,22 +145,15 @@ Status StripedHeap::LoadManifest(Slice input, bool recover) {
   hopts.schema = options_.schema;
   hopts.compress_pages = options_.compress_pages;
   for (uint32_t s = 0; s < stripes_.size(); ++s) {
-    if (recover) {
-      DECIBEL_ASSIGN_OR_RETURN(
-          stripes_[s].file,
-          HeapFile::OpenAtCheckpoint(StripePath(s), hopts, pool_, states[s]));
-    } else {
-      DECIBEL_ASSIGN_OR_RETURN(stripes_[s].file,
-                               HeapFile::Open(StripePath(s), hopts, pool_));
-    }
+    DECIBEL_ASSIGN_OR_RETURN(
+        stripes_[s].file,
+        HeapFile::OpenAtCheckpoint(StripePath(s), hopts, pool_, states[s]));
     DECIBEL_RETURN_NOT_OK(stripes_[s].file->LoadStats(stats_blobs[s]));
   }
 
   // The last extent of each stripe may still be open: records appended
-  // since its allocation tell us how far it is filled. Records beyond the
-  // manifest's coverage (a crash between file flush and manifest rewrite)
-  // are orphans — unreferenced, skipped by starting the next extent at
-  // the file's current end.
+  // since its allocation (the files are now rolled back to the
+  // checkpoint's counts) tell us how far it is filled.
   std::vector<bool> seen(stripes_.size(), false);
   for (auto it = extents_.rbegin(); it != extents_.rend(); ++it) {
     const uint64_t appended =
@@ -211,10 +201,6 @@ std::string StripedHeap::EncodeManifest() {
     PutLengthPrefixed(&out, Slice(blob));
   }
   return out;
-}
-
-Status StripedHeap::WriteManifest() {
-  return WriteStringToFile(ManifestPath(), EncodeManifest());
 }
 
 Status StripedHeap::Checkpoint(const std::string& tag, bool sync) {
@@ -304,13 +290,6 @@ uint64_t StripedHeap::SizeBytes() const {
   uint64_t total = 0;
   for (const StripeState& st : stripes_) total += st.file->SizeBytes();
   return total;
-}
-
-Status StripedHeap::Flush() {
-  for (StripeState& st : stripes_) {
-    DECIBEL_RETURN_NOT_OK(st.file->Flush());
-  }
-  return WriteManifest();
 }
 
 StripedHeap::Mapping StripedHeap::SnapshotMapping() const {

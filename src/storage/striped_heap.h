@@ -25,9 +25,10 @@
 /// snapshot of the extent table taken at cursor-open time, and the
 /// underlying HeapFiles are append-only with snapshot-safe tail reads.
 ///
-/// Persistence: `manifest` (extent table + geometry) is rewritten on
-/// Flush, after the stripe files — the same recover-to-last-flush
-/// contract as the engine meta it sits next to.
+/// Persistence: Checkpoint(tag) writes `heap.manifest.<tag>` (extent
+/// table, geometry, each stripe's record count and tail CRC) after
+/// flushing the stripe files, next to the engine's `engine.meta.<tag>`.
+/// Open(tag) rolls every stripe back to that checkpoint.
 
 #include <atomic>
 #include <cstdint>
@@ -97,20 +98,18 @@ class StripedHeap {
   };
 
   /// Creates a fresh striped heap in \p dir (one `heap.<i>.dbhf` per
-  /// stripe plus a `manifest`).
+  /// stripe; the manifest is written by Checkpoint).
   static Result<std::unique_ptr<StripedHeap>> Create(const std::string& dir,
                                                      uint32_t record_size,
                                                      const Options& options,
                                                      BufferPool* pool);
 
-  /// Reopens a striped heap from its manifest; the stripe count persisted
-  /// there wins over options.stripes. A non-empty \p checkpoint_tag loads
-  /// the tagged manifest written by Checkpoint(tag) instead and rolls
-  /// every stripe file back to that checkpoint's record counts (crash
-  /// recovery).
+  /// Reopens a striped heap from the manifest Checkpoint(\p checkpoint_tag)
+  /// wrote, rolling every stripe file back to that checkpoint's record
+  /// counts. The stripe count persisted there wins over options.stripes.
   static Result<std::unique_ptr<StripedHeap>> Open(
       const std::string& dir, const Options& options, BufferPool* pool,
-      const std::string& checkpoint_tag = "");
+      const std::string& checkpoint_tag);
 
   /// Appends \p count records (packed, count * record_size bytes) to
   /// \p stripe and reports the assigned global indices as contiguous
@@ -140,9 +139,6 @@ class StripedHeap {
     return static_cast<uint32_t>(stripes_.size());
   }
   uint64_t SizeBytes() const;
-
-  /// Flushes every stripe file, then rewrites the manifest.
-  Status Flush();
 
   /// Checkpoints the heap under \p tag: flushes (and, if \p sync, fsyncs)
   /// every stripe file, then atomically writes `heap.manifest.<tag>`
@@ -200,12 +196,11 @@ class StripedHeap {
               BufferPool* pool);
 
   std::string StripePath(uint32_t stripe) const;
-  std::string ManifestPath(const std::string& tag = "") const;
-  Status WriteManifest();
+  std::string ManifestPath(const std::string& tag) const;
   std::string EncodeManifest();
-  /// Parses \p input and opens the stripe files. With \p recover, each
-  /// file is rolled back to the manifest's per-stripe checkpoint state.
-  Status LoadManifest(Slice input, bool recover);
+  /// Parses \p input and opens the stripe files, each rolled back to the
+  /// manifest's per-stripe checkpoint state.
+  Status LoadManifest(Slice input);
   /// Carves a fresh extent of max(extent_records_, needed) global indices
   /// for \p stripe.
   Status AllocateExtent(uint32_t stripe, uint64_t needed);

@@ -253,11 +253,11 @@ void VersionGraph::EncodeTo(std::string* dst) const {
   }
 }
 
-Result<VersionGraph> VersionGraph::DecodeFrom(Slice input) {
+Result<VersionGraph> VersionGraph::DecodeFrom(Slice* input) {
   VersionGraph g;
   uint64_t next_commit, num_branches;
-  if (!GetVarint64(&input, &next_commit) ||
-      !GetVarint64(&input, &num_branches)) {
+  if (!GetVarint64(input, &next_commit) ||
+      !GetVarint64(input, &num_branches)) {
     return Status::Corruption("version graph: truncated header");
   }
   g.next_commit_ = next_commit;
@@ -265,34 +265,34 @@ Result<VersionGraph> VersionGraph::DecodeFrom(Slice input) {
     BranchInfo b;
     Slice name;
     uint64_t base, head;
-    if (!GetLengthPrefixed(&input, &name) || !GetVarint64(&input, &base) ||
-        !GetVarint32(&input, &b.parent_branch) ||
-        !GetVarint64(&input, &head) || input.empty()) {
+    if (!GetLengthPrefixed(input, &name) || !GetVarint64(input, &base) ||
+        !GetVarint32(input, &b.parent_branch) ||
+        !GetVarint64(input, &head) || input->empty()) {
       return Status::Corruption("version graph: truncated branch");
     }
     b.id = static_cast<BranchId>(i);
     b.name = name.ToString();
     b.base_commit = base;
     b.head = head;
-    b.active = input[0] != 0;
-    input.RemovePrefix(1);
+    b.active = (*input)[0] != 0;
+    input->RemovePrefix(1);
     g.branches_.push_back(std::move(b));
   }
   uint64_t num_commits;
-  if (!GetVarint64(&input, &num_commits)) {
+  if (!GetVarint64(input, &num_commits)) {
     return Status::Corruption("version graph: truncated commit count");
   }
   for (uint64_t i = 0; i < num_commits; ++i) {
     CommitInfo c;
     uint64_t id, nparents;
-    if (!GetVarint64(&input, &id) || !GetVarint32(&input, &c.branch) ||
-        !GetVarint64(&input, &nparents)) {
+    if (!GetVarint64(input, &id) || !GetVarint32(input, &c.branch) ||
+        !GetVarint64(input, &nparents)) {
       return Status::Corruption("version graph: truncated commit");
     }
     c.id = id;
     for (uint64_t p = 0; p < nparents; ++p) {
       uint64_t parent;
-      if (!GetVarint64(&input, &parent)) {
+      if (!GetVarint64(input, &parent)) {
         return Status::Corruption("version graph: truncated parent list");
       }
       c.parents.push_back(parent);

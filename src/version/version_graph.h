@@ -100,7 +100,8 @@ class VersionGraph {
   /// Persistence: the graph is rewritten on every branch/commit operation
   /// in the paper; we expose explicit save/load.
   void EncodeTo(std::string* dst) const;
-  static Result<VersionGraph> DecodeFrom(Slice input);
+  /// Decodes a graph from the front of \p input and advances past it.
+  static Result<VersionGraph> DecodeFrom(Slice* input);
 
   /// WAL-replay entry points. Unlike AddCommit/CreateBranch these take the
   /// ids the original operation assigned and are idempotent: re-applying a

@@ -11,7 +11,7 @@
 ///    StorageEngine::Checkpoint) the data files roll back to,
 ///  - the WAL position of that checkpoint (checkpoint_lsn — replay
 ///    everything after it) and the first live WAL segment,
-///  - the schema and engine type, so Decibel::Open(data_dir, options)
+///  - the schema and engine type, so Decibel::Open(path, options)
 ///    can reopen a database it has never seen.
 ///
 /// Two generations are retained: if the manifest CURRENT points at is

@@ -1,9 +1,25 @@
 #include "wal/wal_writer.h"
 
 #include <cstdio>
+#include <utility>
 
 namespace decibel {
 namespace wal {
+
+bool ParseSyncMode(const std::string& name, SyncMode* mode) {
+  static const std::pair<const char*, SyncMode> kNames[] = {
+      {"off", SyncMode::kOff},
+      {"none", SyncMode::kNone},
+      {"flush", SyncMode::kFlush},
+      {"fsync", SyncMode::kFsync}};
+  for (const auto& [n, m] : kNames) {
+    if (name == n) {
+      *mode = m;
+      return true;
+    }
+  }
+  return false;
+}
 
 std::string Writer::SegmentPath(const std::string& dir, uint64_t seq) {
   char name[32];
@@ -74,6 +90,7 @@ Result<uint64_t> Writer::Append(RecordType type, Slice body) {
 
 Status Writer::Sync(uint64_t lsn) {
   switch (options_.sync_mode) {
+    case SyncMode::kOff:
     case SyncMode::kNone:
       return Status::OK();
     case SyncMode::kFlush: {

@@ -7,6 +7,9 @@
 /// durability level and leader/follower group commit.
 ///
 /// Sync modes:
+///  - kOff:   the owner appends nothing (Decibel skips encoding records
+///            altogether); durability comes only from checkpoints, so a
+///            crash rolls back to the last one. Sync() is a no-op.
 ///  - kNone:  records sit in the writer's userspace buffer; fastest, a
 ///            crash (even a plain process kill) can lose recent records.
 ///  - kFlush: every Sync() pushes the buffer into the OS page cache; a
@@ -34,7 +37,10 @@
 namespace decibel {
 namespace wal {
 
-enum class SyncMode : uint8_t { kNone = 0, kFlush = 1, kFsync = 2 };
+enum class SyncMode : uint8_t { kNone = 0, kFlush = 1, kFsync = 2, kOff = 3 };
+
+/// Parses "off" / "none" / "flush" / "fsync"; false on anything else.
+bool ParseSyncMode(const std::string& name, SyncMode* mode);
 
 class Writer {
  public:

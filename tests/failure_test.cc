@@ -8,6 +8,7 @@
 #include "common/io.h"
 #include "core/decibel.h"
 #include "test_util.h"
+#include "wal/manifest.h"
 
 namespace decibel {
 namespace {
@@ -48,6 +49,14 @@ class FailureTest : public ::testing::TestWithParam<EngineType> {
     ASSERT_OK(WriteStringToFile(path, mutated));
   }
 
+  /// "." + the tag of the database's current checkpoint: the suffix of
+  /// the graph and engine-meta files a reopen reads.
+  std::string CheckpointSuffix(const std::string& db_path) {
+    auto manifest = wal::ReadCurrentManifest(db_path);
+    EXPECT_TRUE(manifest.ok()) << manifest.status().ToString();
+    return manifest.ok() ? "." + manifest->checkpoint_tag : "";
+  }
+
   /// Finds a file under \p root whose name contains \p needle.
   std::string FindFile(const std::string& root, const std::string& needle) {
     auto names = ListDir(root);
@@ -67,7 +76,7 @@ class FailureTest : public ::testing::TestWithParam<EngineType> {
 TEST_P(FailureTest, CorruptVersionGraphIsDetected) {
   ScratchDir dir("fail");
   const std::string path = BuildDb(&dir);
-  CorruptFile(JoinPath(path, "graph.bin"));
+  CorruptFile(JoinPath(path, "graph.bin" + CheckpointSuffix(path)));
   auto reopened = Decibel::Open(path, schema_, Options());
   EXPECT_FALSE(reopened.ok());
 }
@@ -75,8 +84,10 @@ TEST_P(FailureTest, CorruptVersionGraphIsDetected) {
 TEST_P(FailureTest, CorruptEngineMetaIsDetected) {
   ScratchDir dir("fail");
   const std::string path = BuildDb(&dir);
-  const std::string meta = FindFile(path, "engine.meta");
-  ASSERT_FALSE(meta.empty());
+  const std::string meta =
+      JoinPath(JoinPath(path, EngineTypeName(GetParam())),
+               "engine.meta" + CheckpointSuffix(path));
+  ASSERT_TRUE(FileExists(meta)) << meta;
   CorruptFile(meta);
   auto reopened = Decibel::Open(path, schema_, Options());
   // Either the open fails outright, or (if the flipped byte happened to

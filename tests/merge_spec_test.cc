@@ -362,7 +362,6 @@ TEST_P(MergeSpecTest, FailedMergeLeavesNoCommitNoWalRecordAndRecovers) {
   ScratchDir dir("merge_fail");
   DecibelOptions options;
   options.engine = GetParam();
-  options.data_dir = dir.path();
   options.sync_mode = wal::SyncMode::kFlush;
   options.page_size = 4096;
 

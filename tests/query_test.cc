@@ -713,7 +713,7 @@ TEST_F(VquelTest, InfoReportsEngineAndGraphCounters) {
   const std::string info = Exec("INFO");
   EXPECT_NE(info.find("branches: 2"), std::string::npos) << info;
   EXPECT_NE(info.find("active_branches: 2"), std::string::npos) << info;
-  EXPECT_NE(info.find("durable: false"), std::string::npos) << info;
+  EXPECT_NE(info.find("durable: true"), std::string::npos) << info;
   EXPECT_NE(info.find("engine.num_records:"), std::string::npos) << info;
   // The buffer pool's counters are listed, and rows counts every line.
   for (const char* key : {"pool.hits: ", "pool.misses: ",

@@ -101,11 +101,10 @@ void FlipByte(const std::string& path, uint64_t offset) {
   ASSERT_OK(WriteStringToFile(path, *data));
 }
 
-DecibelOptions DurableOptions(const std::string& dir, EngineType engine,
+DecibelOptions DurableOptions(EngineType engine,
                               wal::SyncMode mode = wal::SyncMode::kFlush) {
   DecibelOptions options;
   options.engine = engine;
-  options.data_dir = dir;
   options.sync_mode = mode;
   options.page_size = 1 << 16;
   return options;
@@ -195,14 +194,12 @@ TEST(DecibelOptionsTest, RejectsInvalidOptions) {
                   .IsInvalidArgument());
 
   DecibelOptions zero_segment;
-  zero_segment.data_dir = dir.path();
   zero_segment.wal_segment_bytes = 0;
   EXPECT_TRUE(Decibel::Open(dir.path(), schema, zero_segment)
                   .status()
                   .IsInvalidArgument());
 
   DecibelOptions zero_interval;
-  zero_interval.data_dir = dir.path();
   zero_interval.checkpoint_interval_bytes = 0;
   EXPECT_TRUE(Decibel::Open(dir.path(), schema, zero_interval)
                   .status()
@@ -217,7 +214,7 @@ TEST(DecibelOptionsTest, RejectsInvalidOptions) {
 
 TEST(DecibelOptionsTest, DurableReopenValidatesSchemaAndEngine) {
   ScratchDir dir("opts_reopen");
-  auto options = DurableOptions(dir.path(), EngineType::kHybrid);
+  auto options = DurableOptions(EngineType::kHybrid);
   {
     ASSERT_OK_AND_ASSIGN(auto db,
                          Decibel::Open(dir.path(), TestSchema(3), options));
@@ -228,7 +225,7 @@ TEST(DecibelOptionsTest, DurableReopenValidatesSchemaAndEngine) {
                   .status()
                   .IsInvalidArgument());
   // Wrong engine.
-  auto wrong_engine = DurableOptions(dir.path(), EngineType::kTupleFirst);
+  auto wrong_engine = DurableOptions(EngineType::kTupleFirst);
   EXPECT_TRUE(Decibel::Open(dir.path(), TestSchema(3), wrong_engine)
                   .status()
                   .IsInvalidArgument());
@@ -453,11 +450,11 @@ class RecoveryTest : public ::testing::TestWithParam<EngineType> {
  protected:
   Result<std::unique_ptr<Decibel>> OpenDb(
       const std::string& dir, wal::SyncMode mode = wal::SyncMode::kFlush) {
-    return Decibel::Open(dir, TestSchema(), DurableOptions(dir, GetParam(), mode));
+    return Decibel::Open(dir, TestSchema(), DurableOptions(GetParam(), mode));
   }
   Result<std::unique_ptr<Decibel>> ReopenDb(
       const std::string& dir, wal::SyncMode mode = wal::SyncMode::kFlush) {
-    return Decibel::Open(dir, DurableOptions(dir, GetParam(), mode));
+    return Decibel::Open(dir, DurableOptions(GetParam(), mode));
   }
 };
 
@@ -680,7 +677,7 @@ TEST_P(RecoveryTest, MissingFirstLiveWalSegmentIsCorruption) {
   ScratchDir dir("recov_first");
   ScratchDir crash("recov_first_copy");
   {
-    DecibelOptions options = DurableOptions(dir.path(), GetParam());
+    DecibelOptions options = DurableOptions(GetParam());
     options.wal_segment_bytes = 128;  // roll constantly
     ASSERT_OK_AND_ASSIGN(auto db,
                          Decibel::Open(dir.path(), TestSchema(), options));
@@ -726,7 +723,7 @@ TEST_P(RecoveryTest, MissingWalSegmentIsCorruption) {
   ScratchDir dir("recov_gap");
   ScratchDir crash("recov_gap_copy");
   {
-    DecibelOptions options = DurableOptions(dir.path(), GetParam());
+    DecibelOptions options = DurableOptions(GetParam());
     options.wal_segment_bytes = 128;  // roll constantly
     ASSERT_OK_AND_ASSIGN(auto db,
                          Decibel::Open(dir.path(), TestSchema(), options));
@@ -773,7 +770,7 @@ TEST_P(RecoveryTest, CorruptManifestFallsBackToPreviousGeneration) {
 TEST_P(RecoveryTest, BackgroundCheckpointsTruncateTheWal) {
   ScratchDir dir("recov_trunc");
   DecibelOptions options =
-      DurableOptions(dir.path(), GetParam(), wal::SyncMode::kNone);
+      DurableOptions(GetParam(), wal::SyncMode::kNone);
   options.checkpoint_interval_bytes = 512;  // checkpoint eagerly
   uint64_t generation = 0;
   int rows = 0;
@@ -826,7 +823,7 @@ TEST_P(RecoveryTest, KilledChildLosesNoAcknowledgedCommit) {
   if (pid == 0) {
     // Child: no gtest machinery, no return — only _exit.
     DecibelOptions options =
-        DurableOptions(dir.path(), GetParam(), wal::SyncMode::kFsync);
+        DurableOptions(GetParam(), wal::SyncMode::kFsync);
     auto db = Decibel::Open(dir.path(), TestSchema(), options);
     if (!db.ok()) _exit(3);
     auto side = (*db)->BranchAt("side", (*db)->graph().Head(kMasterBranch));
@@ -897,7 +894,7 @@ TEST_P(RecoveryTest, StatsAndPkIndexSurviveCrashRecovery) {
   ASSERT_GE(pid, 0);
   if (pid == 0) {
     DecibelOptions options =
-        DurableOptions(dir.path(), GetParam(), wal::SyncMode::kFsync);
+        DurableOptions(GetParam(), wal::SyncMode::kFsync);
     options.compress_pages = true;
     auto db = Decibel::Open(dir.path(), TestSchema(), options);
     if (!db.ok()) _exit(3);
@@ -927,7 +924,7 @@ TEST_P(RecoveryTest, StatsAndPkIndexSurviveCrashRecovery) {
   ASSERT_EQ(WEXITSTATUS(wstatus), 42) << "child failed before the crash";
 
   DecibelOptions options =
-      DurableOptions(dir.path(), GetParam(), wal::SyncMode::kFsync);
+      DurableOptions(GetParam(), wal::SyncMode::kFsync);
   options.compress_pages = true;
   ASSERT_OK_AND_ASSIGN(auto db, Decibel::Open(dir.path(), options));
 
@@ -971,7 +968,7 @@ TEST_P(RecoveryTest, ZoneMapsSurviveCleanReopen) {
   ScratchDir dir("recov_stats_clean");
   constexpr int64_t kRows = 8000;
   {
-    DecibelOptions options = DurableOptions(dir.path(), GetParam());
+    DecibelOptions options = DurableOptions(GetParam());
     options.compress_pages = true;
     ASSERT_OK_AND_ASSIGN(auto db,
                          Decibel::Open(dir.path(), TestSchema(), options));
@@ -986,7 +983,7 @@ TEST_P(RecoveryTest, ZoneMapsSurviveCleanReopen) {
     ASSERT_OK(db->CommitBranch(kMasterBranch).status());
   }  // destructor checkpoints: stats travel via the engine meta
 
-  DecibelOptions options = DurableOptions(dir.path(), GetParam());
+  DecibelOptions options = DurableOptions(GetParam());
   options.compress_pages = true;
   ASSERT_OK_AND_ASSIGN(auto db, Decibel::Open(dir.path(), options));
   auto pred = Predicate::Compare(db->schema(), "c1", CompareOp::kLt, 30);
@@ -1006,7 +1003,7 @@ TEST_P(RecoveryTest, ZoneMapsSurviveCleanReopen) {
 
 TEST_P(RecoveryTest, ConcurrentWritersSurviveBackgroundCheckpoints) {
   ScratchDir dir("recov_conc");
-  DecibelOptions options = DurableOptions(dir.path(), GetParam());
+  DecibelOptions options = DurableOptions(GetParam());
   options.checkpoint_interval_bytes = 2048;
   constexpr int kThreads = 4;
   constexpr int kTxns = 15;
@@ -1257,6 +1254,127 @@ TEST_P(RecoveryTest, UncommittedWritesAtCheckpointReachTheNextCommits) {
   EXPECT_EQ(commit_rows(child_commit), live_master);
   EXPECT_EQ(commit_rows(child_second), live_child);
   EXPECT_EQ(commit_rows(master_commit), live_master);
+}
+
+TEST_P(RecoveryTest, UncommittedWritesStayDirtyAcrossReopen) {
+  // A branch with writes no commit recorded must still be dirty after a
+  // reopen, so Branch() commits it first and the child's base commit
+  // holds every row the child starts with.
+  ScratchDir dir("recov_dirty");
+  {
+    ASSERT_OK_AND_ASSIGN(auto db, OpenDb(dir.path()));
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_OK(db->InsertInto(kMasterBranch, MakeRecord(db->schema(), i, i)));
+    }
+    ASSERT_OK(db->CommitBranch(kMasterBranch).status());
+    for (int i = 5; i < 8; ++i) {
+      ASSERT_OK(db->InsertInto(kMasterBranch, MakeRecord(db->schema(), i, i)));
+    }
+  }  // close: the final checkpoint holds the 3 uncommitted writes
+
+  ASSERT_OK_AND_ASSIGN(auto db, ReopenDb(dir.path()));
+  EXPECT_TRUE(db->IsDirty(kMasterBranch));
+  Session session = db->NewSession();
+  ASSERT_OK_AND_ASSIGN(BranchId child, db->Branch("child", &session));
+  EXPECT_FALSE(db->IsDirty(kMasterBranch));
+  ASSERT_OK_AND_ASSIGN(BranchInfo info, db->graph().GetBranch(child));
+  ASSERT_OK_AND_ASSIGN(auto base,
+                       db->NewScan(ScanSpec::Commit(info.base_commit)));
+  EXPECT_EQ(CollectAll(base.get()).size(), 8u);
+  EXPECT_EQ(CollectBranch(db.get(), child).size(), 8u);
+}
+
+TEST_P(RecoveryTest, SyncOffCrashCopyReopensAtTheLastFlush) {
+  // kOff logs nothing: a crash copy taken after a Flush and more work
+  // must reopen exactly at the Flush. Every branch and commit the graph
+  // lists scans to its contents then, and nothing later appears.
+  ScratchDir dir("recov_off");
+  ScratchDir crash("recov_off_copy");
+  using Rows = std::map<int64_t, std::vector<int32_t>>;
+  std::map<BranchId, Rows> branch_rows;
+  std::map<CommitId, Rows> commit_rows;
+  size_t branches_at_flush = 0;
+  {
+    ASSERT_OK_AND_ASSIGN(auto db, OpenDb(dir.path(), wal::SyncMode::kOff));
+    const Schema& schema = db->schema();
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_OK(db->InsertInto(kMasterBranch, MakeRecord(schema, i, i)));
+    }
+    ASSERT_OK_AND_ASSIGN(CommitId c1, db->CommitBranch(kMasterBranch));
+    ASSERT_OK_AND_ASSIGN(BranchId dev, db->BranchAt("dev", c1));
+    ASSERT_OK(db->InsertInto(dev, MakeRecord(schema, 100, 100)));
+    ASSERT_OK(db->UpdateIn(dev, MakeRecord(schema, 3, 333)));
+    ASSERT_OK(db->CommitBranch(dev).status());
+    ASSERT_OK(db->Flush());
+    for (const BranchInfo& b : db->ListBranches()) {
+      branch_rows[b.id] = CollectBranchAll(db.get(), b.id);
+    }
+    for (CommitId c = 0; c < 64; ++c) {
+      if (!db->graph().HasCommit(c)) continue;
+      ASSERT_OK_AND_ASSIGN(auto cursor, db->NewScan(ScanSpec::Commit(c)));
+      commit_rows[c] = CollectAll(cursor.get());
+    }
+    branches_at_flush = db->ListBranches().size();
+
+    // After the Flush: more rows and commits on both branches, a fork at
+    // master's new head, and a retire.
+    for (int i = 20; i < 30; ++i) {
+      ASSERT_OK(db->InsertInto(kMasterBranch, MakeRecord(schema, i, i)));
+    }
+    ASSERT_OK(db->DeleteFrom(kMasterBranch, 4));
+    ASSERT_OK_AND_ASSIGN(CommitId c3, db->CommitBranch(kMasterBranch));
+    ASSERT_OK(db->BranchAt("late", c3).status());
+    ASSERT_OK(db->InsertInto(dev, MakeRecord(schema, 101, 101)));
+    ASSERT_OK(db->CommitBranch(dev).status());
+    ASSERT_OK(db->RetireBranch(dev));
+    EXPECT_EQ(db->Stats().wal_bytes_appended, 0u);  // nothing was logged
+    ASSERT_OK(CopyDirRecursive(dir.path(), crash.path()));
+  }
+
+  ASSERT_OK_AND_ASSIGN(auto db, ReopenDb(crash.path(), wal::SyncMode::kOff));
+  const std::vector<BranchInfo> branches = db->ListBranches();
+  ASSERT_EQ(branches.size(), branches_at_flush);
+  for (const BranchInfo& b : branches) {
+    EXPECT_TRUE(b.active) << b.name;
+    EXPECT_EQ(CollectBranchAll(db.get(), b.id), branch_rows[b.id]) << b.name;
+  }
+  EXPECT_TRUE(db->FindBranchByName("late").status().IsNotFound());
+  for (CommitId c = 0; c < 64; ++c) {
+    EXPECT_EQ(db->graph().HasCommit(c), commit_rows.count(c) != 0) << c;
+    if (!db->graph().HasCommit(c)) continue;
+    ASSERT_OK_AND_ASSIGN(auto cursor, db->NewScan(ScanSpec::Commit(c)));
+    EXPECT_EQ(CollectAll(cursor.get()), commit_rows[c]) << "commit " << c;
+    // A fork at the commit (at-head for each branch's head) starts from
+    // exactly the commit's rows.
+    ASSERT_OK_AND_ASSIGN(BranchId probe,
+                         db->BranchAt("probe" + std::to_string(c), c));
+    EXPECT_EQ(CollectBranchAll(db.get(), probe), commit_rows[c])
+        << "fork at " << c;
+  }
+}
+
+TEST_P(RecoveryTest, OpenRefusesADirectoryWithoutAManifest) {
+  // A graph.bin with no MANIFEST-* is a database from the release that
+  // persisted without checkpoints. Open must refuse it rather than
+  // initialize fresh over its data files.
+  ScratchDir dir("recov_oldformat");
+  const std::string graph = JoinPath(dir.path(), "graph.bin");
+  const std::string engine_dir =
+      JoinPath(dir.path(), EngineTypeName(GetParam()));
+  const std::string data = JoinPath(
+      engine_dir, GetParam() == EngineType::kTupleFirst ? "heap.0.dbhf"
+                                                        : "seg_0.dbhf");
+  ASSERT_OK(WriteStringToFile(graph, "old graph"));
+  ASSERT_OK(CreateDir(engine_dir));
+  ASSERT_OK(WriteStringToFile(data, "old rows"));
+
+  const Status s = OpenDb(dir.path()).status();
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_NE(s.ToString().find(dir.path()), std::string::npos) << s.ToString();
+  ASSERT_OK_AND_ASSIGN(std::string kept, ReadFileToString(data));
+  EXPECT_EQ(kept, "old rows");
+  EXPECT_TRUE(FileExists(graph));
+  EXPECT_FALSE(FileExists(wal::CurrentFilePath(dir.path())));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, RecoveryTest,

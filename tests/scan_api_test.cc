@@ -362,7 +362,7 @@ TEST_P(ScanApiTest, CompressedScansAreByteIdenticalToUncompressed) {
     for (int64_t pk = 2990; pk < 2995; ++pk) {
       ASSERT_OK(db->DeleteFrom(kMasterBranch, pk));
     }
-    ASSERT_OK(db->engine()->Flush());  // seal + reload through the codec
+    ASSERT_OK(db->Flush());  // seal + reload through the codec
   };
   load(db1.get());
   load(db2.get());

@@ -135,8 +135,10 @@ TEST(VersionGraphTest, SerializationRoundTrip) {
 
   std::string blob;
   g.EncodeTo(&blob);
-  auto restored = VersionGraph::DecodeFrom(blob);
+  Slice input(blob);
+  auto restored = VersionGraph::DecodeFrom(&input);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_TRUE(input.empty());  // the decoder consumed exactly the graph
   EXPECT_EQ(restored->num_branches(), g.num_branches());
   EXPECT_EQ(restored->num_commits(), g.num_commits());
   EXPECT_EQ(restored->Head(kMasterBranch), g.Head(kMasterBranch));
@@ -149,8 +151,10 @@ TEST(VersionGraphTest, SerializationRoundTrip) {
 }
 
 TEST(VersionGraphTest, DecodeRejectsGarbage) {
-  EXPECT_FALSE(VersionGraph::DecodeFrom("nonsense").ok());
-  EXPECT_FALSE(VersionGraph::DecodeFrom("").ok());
+  Slice nonsense("nonsense");
+  Slice empty("");
+  EXPECT_FALSE(VersionGraph::DecodeFrom(&nonsense).ok());
+  EXPECT_FALSE(VersionGraph::DecodeFrom(&empty).ok());
 }
 
 }  // namespace
