@@ -68,11 +68,12 @@ struct ScopedDb {
 };
 
 /// Opens a fresh database for \p engine under /tmp. \p compress_pages
-/// routes sealed pages through the columnar page codec. No WAL (kOff):
-/// the paper benches measure raw engine cost.
+/// routes sealed pages through the columnar page codec. No WAL by default
+/// (kOff): the paper benches measure raw engine cost.
 inline Result<ScopedDb> FreshDb(EngineType engine, const std::string& tag,
                                 int scan_threads = 0,
-                                bool compress_pages = false) {
+                                bool compress_pages = false,
+                                wal::SyncMode sync_mode = wal::SyncMode::kOff) {
   static int counter = 0;
   ScopedDb scoped;
   scoped.path = "/tmp/decibel_bench_" + std::to_string(::getpid()) + "_" +
@@ -84,7 +85,7 @@ inline Result<ScopedDb> FreshDb(EngineType engine, const std::string& tag,
   options.buffer_pool_bytes = 64 << 20;
   options.scan_threads = scan_threads;
   options.compress_pages = compress_pages;
-  options.sync_mode = wal::SyncMode::kOff;
+  options.sync_mode = sync_mode;
   DECIBEL_ASSIGN_OR_RETURN(scoped.db,
                            Decibel::Open(scoped.path, BenchSchema(), options));
   return scoped;

@@ -146,14 +146,16 @@ int main(int argc, char** argv) {
     printf("aborted a staged delete; pk 4 survives on restock\n");
   }
 
-  // 4. Positive diff: what does restock have that master lacks?
+  // 4. Diff: what does restock have that master lacks? (The other side
+  // is ScanSpec::Diff(kMasterBranch, restock).)
   printf("--- keys in restock missing from master ---\n");
-  db->Diff(restock, kMasterBranch, DiffMode::kByKey,
-           [](const RecordRef& rec) {
-             printf("  pk=%lld\n", static_cast<long long>(rec.pk()));
-           },
-           nullptr)
-      .ok();
+  if (auto diff = db->NewScan(ScanSpec::Diff(restock, kMasterBranch));
+      diff.ok()) {
+    ScanRow row;
+    while ((*diff)->Next(&row)) {
+      printf("  pk=%lld\n", static_cast<long long>(row.record.pk()));
+    }
+  }
 
   // 5. Merge: qty changed on the branch, price on master — disjoint
   // fields, so the three-way merge reconciles without conflicts.

@@ -139,9 +139,11 @@ int main(int argc, char** argv) {
 
   // Each analyst can ask "what changed under me?" cheaply (Q2).
   uint64_t behind = 0;
-  db->Diff(kMasterBranch, labeling, DiffMode::kByKey,
-           [&](const RecordRef&) { ++behind; }, nullptr)
-      .ok();
+  if (auto diff = db->NewScan(ScanSpec::Diff(kMasterBranch, labeling));
+      diff.ok()) {
+    ScanRow row;
+    while ((*diff)->Next(&row)) ++behind;
+  }
   printf("bob's frozen branch is %llu records behind mainline\n",
          static_cast<unsigned long long>(behind));
 

@@ -78,10 +78,6 @@ Status Transaction::Abort() {
 namespace {
 
 Status ValidateOptions(const std::string& path, const DecibelOptions& o) {
-  if (o.write_stripes == 0) {
-    return Status::InvalidArgument(
-        "DecibelOptions::write_stripes must be > 0");
-  }
   if (o.page_size < 512 || o.page_size > (1ull << 31)) {
     return Status::InvalidArgument(
         "DecibelOptions::page_size out of range [512 B, 2 GiB]");
@@ -146,9 +142,7 @@ Result<std::unique_ptr<Decibel>> Decibel::Open(const std::string& path,
   engine_options.buffer_pool_bytes = options.buffer_pool_bytes;
   engine_options.orientation = options.orientation;
   engine_options.composite_every = options.composite_every;
-  engine_options.verify_checksums = options.verify_checksums;
   engine_options.scan_threads = options.scan_threads;
-  engine_options.write_stripes = options.write_stripes;
   engine_options.compress_pages = options.compress_pages;
   if (have_manifest) engine_options.checkpoint_tag = manifest.checkpoint_tag;
   DECIBEL_ASSIGN_OR_RETURN(db->engine_,
@@ -1008,11 +1002,6 @@ Result<Record> Decibel::GetAt(CommitId commit, int64_t pk) {
   DECIBEL_RETURN_NOT_OK(cursor->status());
   return Status::NotFound("no record with pk " + std::to_string(pk) +
                           " in commit " + std::to_string(commit));
-}
-
-Status Decibel::Diff(BranchId a, BranchId b, DiffMode mode,
-                     const DiffCallback& pos, const DiffCallback& neg) {
-  return engine_->Diff(a, b, mode, pos, neg);
 }
 
 Status Decibel::Flush() { return CheckpointNow(); }

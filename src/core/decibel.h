@@ -71,14 +71,10 @@ struct DecibelOptions {
   uint64_t buffer_pool_bytes = 64 << 20;
   BitmapOrientation orientation = BitmapOrientation::kBranchOriented;
   uint32_t composite_every = 16;
-  bool verify_checksums = true;
   int scan_threads = 0;
   /// Branch-lock deadlock timeout: a lock not granted within this window
   /// fails with the retryable Status::Aborted (§2.2.3's 2PL discipline).
   uint32_t lock_timeout_ms = 1000;
-  /// Engine write-lock stripes: transactions on branches that hash to
-  /// different stripes commit concurrently (see EngineOptions).
-  uint32_t write_stripes = 32;
   /// Seal full heap pages through the adaptive columnar page codec
   /// (RLE / dictionary / LZ behind a per-page format tag). Scans stay
   /// byte-identical either way; predicates are evaluated against the
@@ -362,9 +358,6 @@ class Decibel {
   /// Point lookup in a historical commit (a pushed-down pk-equality scan
   /// of the commit view; commits have no pk index).
   Result<Record> GetAt(CommitId commit, int64_t pk);
-
-  Status Diff(BranchId a, BranchId b, DiffMode mode, const DiffCallback& pos,
-              const DiffCallback& neg);
 
   // ------------------------------------------------------------- metadata
 

@@ -2,21 +2,20 @@
 #define DECIBEL_ENGINE_DIFF_UTIL_H_
 
 /// \file diff_util.h
-/// Diff semantics shared by the bitmap engines (tuple-first and hybrid).
-/// "We simply XOR bitmaps together and emit records on the appropriate
-/// iterator" (§3.2): an engine walks only_a | only_b once, in its own
-/// physical order, and hands each changed row to a DiffEmitter, which
-/// applies the DiffMode. By-content rows go straight to the callbacks.
-/// By-key rows wait for the end of the walk: a row live in a but not b
-/// is in the key diff unless b changed the same key too (an update on
-/// either side leaves the key present on both), and that is only known
-/// once every changed row has been seen.
+/// The kDiff view of the bitmap engines (tuple-first and hybrid). "We
+/// simply XOR bitmaps together and emit records on the appropriate
+/// iterator" (§3.2): an engine walks a XOR b once, in its own physical
+/// order, and hands each changed row to a DiffEmitter. A row live in a but
+/// not b is in the by-key diff unless b changed the same key too (an
+/// update on either side leaves the key present on both), and that is
+/// only known once every changed row has been seen. So the emitter holds
+/// a's changed rows and b's changed keys until Finish.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "engine/engine.h"
+#include "engine/scan_util.h"
 #include "storage/record.h"
 #include "storage/schema.h"
 
@@ -24,47 +23,27 @@ namespace decibel {
 
 class DiffEmitter {
  public:
-  /// Either callback may be null. \p schema and both callbacks must
-  /// outlive the emitter.
-  DiffEmitter(const Schema* schema, DiffMode mode, const DiffCallback& pos,
-              const DiffCallback& neg)
-      : schema_(schema),
-        by_key_(mode == DiffMode::kByKey),
-        a_{&pos, {}, {}},
-        b_{&neg, {}, {}} {}
+  /// \p schema must outlive the emitter.
+  explicit DiffEmitter(const Schema* schema) : schema_(schema) {}
 
   /// Takes one changed row: live in a but not b when \p in_a, else live
-  /// in b but not a. A by-key row is copied only when its side's
-  /// callback is set, and its key is kept only when the other side's is.
+  /// in b but not a.
   void Add(const RecordRef& rec, bool in_a) {
-    Side& side = in_a ? a_ : b_;
-    if (!by_key_) {
-      if (*side.emit) (*side.emit)(rec);
-      return;
+    if (in_a) {
+      rows_.append(rec.data().data(), rec.data().size());
+    } else {
+      keys_.push_back(rec.pk());
     }
-    if (*side.emit) side.rows.append(rec.data().data(), rec.data().size());
-    if (*(in_a ? b_ : a_).emit) side.keys.push_back(rec.pk());
   }
 
-  /// Emits the by-key rows held back by Add, each side in walk order: a
-  /// row goes out unless the other side changed the same key. A no-op in
-  /// by-content mode.
-  void Finish();
+  /// Hands \p emit a's changed rows, in walk order, except those whose
+  /// key b changed too.
+  void Finish(const DiffRowSink& emit);
 
  private:
-  struct Side {
-    const DiffCallback* emit;
-    std::string rows;           // changed rows, when emit is set
-    std::vector<int64_t> keys;  // their keys, when the other side emits
-  };
-
-  /// Emits \p side's rows whose keys \p other (sorted) lacks.
-  void EmitUnmatched(const Side& side, const std::vector<int64_t>& other);
-
   const Schema* schema_;
-  const bool by_key_;
-  Side a_;
-  Side b_;
+  std::string rows_;           // a's changed rows
+  std::vector<int64_t> keys_;  // b's changed keys
 };
 
 }  // namespace decibel

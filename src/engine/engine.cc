@@ -9,22 +9,19 @@
 namespace decibel {
 
 Result<std::unique_ptr<ScanCursor>> MakeDiffScanCursor(
-    StorageEngine* engine, const ScanSpec& spec, ScanCounters* counters) {
-  const Schema& schema = engine->schema();
+    const Schema& schema, const ScanSpec& spec, ScanCounters* counters,
+    const std::function<Status(const DiffRowSink&)>& walk) {
   const PreparedPredicate prepared(spec.predicate, schema);
   const uint32_t row_bytes = ProjectedRowBytes(schema, spec.projection);
   auto cursor = std::make_unique<BufferedCursor>(&schema, counters);
   ScanStats* stats = cursor->mutable_stats();
-  DECIBEL_RETURN_NOT_OK(engine->Diff(
-      spec.branch, spec.diff_base, spec.diff_mode,
-      [&](const RecordRef& rec) {
-        if (spec.limit != 0 && cursor->buffered() >= spec.limit) return;
-        ++stats->rows_scanned;
-        stats->bytes_scanned += row_bytes;
-        if (!prepared.Matches(rec.data().data())) return;
-        cursor->AddRow(rec.data(), spec.projection);
-      },
-      /*neg=*/nullptr));
+  DECIBEL_RETURN_NOT_OK(walk([&](const RecordRef& rec) {
+    if (spec.limit != 0 && cursor->buffered() >= spec.limit) return;
+    ++stats->rows_scanned;
+    stats->bytes_scanned += row_bytes;
+    if (!prepared.Matches(rec.data().data())) return;
+    cursor->AddRow(rec.data(), spec.projection);
+  }));
   return std::unique_ptr<ScanCursor>(std::move(cursor));
 }
 

@@ -6,7 +6,7 @@
 /// engines (§3): tuple-first, version-first, and hybrid. The Decibel
 /// facade (core/decibel.h) owns the version graph and drives engines with
 /// already-allocated branch and commit identifiers; engines own the
-/// physical layout, the scans, the diffs and the merges.
+/// physical layout, the scans and the merge walks.
 ///
 /// Data semantics (§2.2): a dataset is an unordered collection of records
 /// identified by primary key. Update is an upsert (a new physical copy of
@@ -16,13 +16,15 @@
 ///
 /// Reads go through one composable surface: NewScan(ScanSpec) returns a
 /// ScanCursor over a branch head, a commit, several heads at once, or a
-/// positive diff, with predicate/projection/limit pushed into the engine
+/// by-key diff, with predicate/projection/limit pushed into the engine
 /// scan loops (scan_spec.h); Get(branch, pk) is the point lookup the pk
-/// index makes O(1) in the bitmap engines.
+/// index makes O(1) in the bitmap engines. The kDiff view is the only
+/// head-to-head diff: rows of a whose key b lacks (Table 1 query 2); the
+/// other side is a second scan with the branches swapped. Changes between
+/// commits, and the merges built on them, come from MergeWalk.
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_set>
@@ -66,6 +68,14 @@ void PutEngineMetaHeader(std::string* meta);
 /// unsupported version.
 Status CheckEngineMetaHeader(Slice* input, const char* engine_name);
 
+/// Write-lock stripes per engine: branches on different stripes
+/// (stripe = branch % kWriteStripes) commit concurrently. Also the number
+/// of heap-file shards a fresh tuple-first engine splits its shared heap
+/// into (a reopened heap keeps the count it was created with). On 4
+/// cores, 4 writers on disjoint branches commit 3.0-3.6x the txns/s of
+/// one without a log and 2.1-2.4x with it (bench/concurrent_txn.cc).
+inline constexpr uint32_t kWriteStripes = 32;
+
 struct EngineOptions {
   /// Directory this engine stores its files under (created if absent).
   std::string directory;
@@ -75,14 +85,8 @@ struct EngineOptions {
   BitmapOrientation orientation = BitmapOrientation::kBranchOriented;
   /// Commit-history composite-delta interval (§3.2's second layer).
   uint32_t composite_every = 16;
-  bool verify_checksums = true;
   /// >0 enables the hybrid engine's parallel segment scanning (§3.4).
   int scan_threads = 0;
-  /// Write-lock stripes per engine: branches on different stripes
-  /// (stripe = branch % write_stripes) commit concurrently. Also the
-  /// number of heap-file shards the tuple-first engine splits its shared
-  /// heap into.
-  uint32_t write_stripes = 32;
   /// Non-empty: open the engine at the named checkpoint — data files are
   /// rolled back to exactly the state the checkpoint captured, so a WAL
   /// tail can be replayed on top. Empty: initialize a fresh engine,
@@ -93,15 +97,6 @@ struct EngineOptions {
   /// either way; predicates evaluate on the compressed strips first.
   bool compress_pages = false;
 };
-
-/// Multi-branch scans push each live record once, annotated with the
-/// subset of requested branches that contain it (§3.2 Multi-branch Scan).
-/// \p branches holds positions into the requested branch vector.
-using MultiScanCallback =
-    std::function<void(const RecordRef&, const std::vector<uint32_t>&)>;
-
-/// Record-at-a-time sink for diffs.
-using DiffCallback = std::function<void(const RecordRef&)>;
 
 // MergePolicy, MergeResult and the merge-walk types live in
 // engine/merge_spec.h (included above): the merge surface is shared
@@ -186,9 +181,10 @@ class StorageEngine {
   // -------------------------------------------------------------- queries
 
   /// The one read entry point: serves the spec's view (branch head,
-  /// commit, multi-branch, positive diff) with the predicate, projection
+  /// commit, multi-branch, by-key diff) with the predicate, projection
   /// and limit evaluated inside the engine's scan machinery. Rejects
-  /// ScanView::kHeads (the facade resolves it to kMulti first).
+  /// ScanView::kHeads (the facade resolves it to kMulti first). A view
+  /// naming a branch the engine does not know is NotFound.
   virtual Result<std::unique_ptr<ScanCursor>> NewScan(
       const ScanSpec& spec) = 0;
 
@@ -197,15 +193,6 @@ class StorageEngine {
   /// ancestry newest-to-oldest and stops at the first version of the key.
   /// NotFound when the key is not live in the branch.
   virtual Result<Record> Get(BranchId branch, int64_t pk) = 0;
-
-  /// Streams the positive diff (in \p a, not in \p b) to \p pos and the
-  /// negative diff to \p neg. Either callback may be null. (NewScan's
-  /// kDiff view serves the positive side with pushdown; merges and the
-  /// facade's Diff need both sides.) Row order is unspecified: by-key
-  /// rows of tuple-first and hybrid arrive after their one walk, through
-  /// DiffEmitter (engine/diff_util.h).
-  virtual Status Diff(BranchId a, BranchId b, DiffMode mode,
-                      const DiffCallback& pos, const DiffCallback& neg) = 0;
 
   /// The merge/diff substrate (§2.2.3): streams every primary key whose
   /// record state differs between commits \p left and \p right, with the

@@ -58,7 +58,6 @@ Result<uint32_t> HybridEngine::NewHeadSegment(BranchId owner) {
   segment->is_head = true;
   HeapFile::Options hopts;
   hopts.page_size = options_.page_size;
-  hopts.verify_checksums = options_.verify_checksums;
   hopts.schema = &schema_;
   hopts.compress_pages = options_.compress_pages;
   DECIBEL_ASSIGN_OR_RETURN(
@@ -98,7 +97,6 @@ Status HybridEngine::LoadExisting() {
     return Status::Corruption("hybrid: truncated meta");
   }
   HeapFile::Options hopts;
-  hopts.verify_checksums = options_.verify_checksums;
   hopts.schema = &schema_;
   hopts.compress_pages = options_.compress_pages;
   for (uint64_t i = 0; i < num_segments; ++i) {
@@ -830,7 +828,10 @@ Result<std::unique_ptr<ScanCursor>> HybridEngine::NewScan(
     const ScanSpec& spec) {
   DECIBEL_RETURN_NOT_OK(ValidateScanSpec(spec, schema_));
   if (spec.view == ScanView::kDiff) {
-    return MakeDiffScanCursor(this, spec, &scan_counters_);
+    return MakeDiffScanCursor(
+        schema_, spec, &scan_counters_, [&](const DiffRowSink& emit) {
+          return DiffRows(spec.branch, spec.diff_base, emit);
+        });
   }
   uint64_t segments_skipped = 0;
   DECIBEL_ASSIGN_OR_RETURN(std::vector<ScanPart> parts,
@@ -870,12 +871,17 @@ Result<Record> HybridEngine::Get(BranchId branch, int64_t pk) {
   return Record(&schema_, Slice(buf));
 }
 
-Status HybridEngine::Diff(BranchId a, BranchId b, DiffMode mode,
-                          const DiffCallback& pos, const DiffCallback& neg) {
+Status HybridEngine::DiffRows(BranchId a, BranchId b,
+                              const DiffRowSink& emit) {
   // Materialize both sides' per-segment deltas under the two branches'
   // stripes (ascending order via MultiGuard), then scan the snapshot
   // with the stripes released.
   std::shared_lock<std::shared_mutex> registry_lock(registry_mu_);
+  for (BranchId x : {a, b}) {
+    if (head_seg_.count(x) == 0) {
+      return Status::NotFound("hybrid: unknown branch " + std::to_string(x));
+    }
+  }
   struct SegDiff {
     HeapFile* file = nullptr;
     Bitmap only_a;
@@ -900,9 +906,9 @@ Status HybridEngine::Diff(BranchId a, BranchId b, DiffMode mode,
     });
   }
 
-  // One walk over every segment's changed rows; DiffEmitter applies the
-  // mode, holding by-key rows back until the walk ends.
-  DiffEmitter emitter(&schema_, mode, pos, neg);
+  // One walk over every segment's changed rows; DiffEmitter holds a's
+  // rows back until the walk has seen every key b changed.
+  DiffEmitter emitter(&schema_);
   for (const SegDiff& d : seg_diffs) {
     BitmapScanner scanner(d.file, &schema_, &d.both);
     RecordRef rec;
@@ -910,7 +916,7 @@ Status HybridEngine::Diff(BranchId a, BranchId b, DiffMode mode,
     while (scanner.Next(&rec, &idx)) emitter.Add(rec, d.only_a.Test(idx));
     DECIBEL_RETURN_NOT_OK(scanner.status());
   }
-  emitter.Finish();
+  emitter.Finish(emit);
   return Status::OK();
 }
 

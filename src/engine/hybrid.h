@@ -33,7 +33,7 @@
 /// parallel. The lock hierarchy is registry_mu_ (the segments_ vector,
 /// head_seg_/branch_segments_/pk_index_/dirty_ map shapes, and the local
 /// indexes' column sets; writers take it shared, CreateBranch/Checkpoint
-/// take it unique) -> stripe locks (branch % write_stripes) ->
+/// take it unique) -> stripe locks (branch % kWriteStripes) ->
 /// commit_mu_ (the commit registries, a leaf). Scans materialize bitmap
 /// copies under the stripe lock, capture per-segment file pointers, and
 /// stream without any lock.
@@ -49,6 +49,7 @@
 #include "common/stripe_lock.h"
 #include "engine/bitmap_scan.h"
 #include "engine/engine.h"
+#include "engine/scan_util.h"
 #include "storage/buffer_pool.h"
 #include "storage/heap_file.h"
 
@@ -71,8 +72,6 @@ class HybridEngine : public StorageEngine {
 
   Result<std::unique_ptr<ScanCursor>> NewScan(const ScanSpec& spec) override;
   Result<Record> Get(BranchId branch, int64_t pk) override;
-  Status Diff(BranchId a, BranchId b, DiffMode mode, const DiffCallback& pos,
-              const DiffCallback& neg) override;
   Status MergeWalk(CommitId left, CommitId right, CommitId base,
                    const MergeWalkCallback& cb, MergeWalkStats* stats) override;
   Status ReleaseBranch(BranchId branch) override;
@@ -104,7 +103,7 @@ class HybridEngine : public StorageEngine {
       : schema_(schema),
         options_(options),
         pool_(options.buffer_pool_bytes),
-        stripes_(options.write_stripes == 0 ? 1 : options.write_stripes) {}
+        stripes_(kWriteStripes) {}
 
   Status InitFresh();
   Status LoadExisting();
@@ -128,6 +127,9 @@ class HybridEngine : public StorageEngine {
   /// Commit body; caller holds registry_mu_ (shared or unique) and the
   /// branch's stripe. Takes commit_mu_ internally.
   Status CommitImpl(BranchId branch, CommitId commit_id);
+  /// The kDiff walk: hands \p emit every row of \p a whose key \p b
+  /// lacks. NotFound when either branch is unknown.
+  Status DiffRows(BranchId a, BranchId b, const DiffRowSink& emit);
   /// dirty_ entries are pre-created when the branch is created, so this
   /// only mutates the per-branch set — safe under the branch's stripe.
   void MarkDirty(BranchId branch, uint32_t seg) {

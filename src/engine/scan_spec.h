@@ -36,16 +36,6 @@
 
 namespace decibel {
 
-/// What "in A but not in B" means (§2.2.3 Difference; Table 1 query 2).
-enum class DiffMode {
-  /// Key presence, the SQL "id NOT IN" semantics of benchmark Q2.
-  kByKey,
-  /// Record-version identity: an updated record shows up on both sides
-  /// (its new version in one, its old version in the other). This is the
-  /// mode merges build on.
-  kByContent,
-};
-
 /// The view a scan reads.
 enum class ScanView : uint8_t {
   kBranch,  ///< one branch head
@@ -69,7 +59,6 @@ struct ScanSpec {
   CommitId commit = kInvalidCommit;     ///< kCommit
   std::vector<BranchId> branches;       ///< kMulti (facade fills for kHeads)
   BranchId diff_base = kInvalidBranch;  ///< kDiff: the "NOT IN" side
-  DiffMode diff_mode = DiffMode::kByKey;
 
   /// Conjunction of column comparisons evaluated inside the engine scan
   /// loop; empty matches everything.
@@ -113,15 +102,15 @@ struct ScanSpec {
     spec.view = ScanView::kHeads;
     return spec;
   }
-  /// Rows live in \p a whose key (kByKey) or version (kByContent) is
-  /// absent from \p b — Table 1 query 2's "id NOT IN" shape.
-  static ScanSpec Diff(BranchId a, BranchId b,
-                       DiffMode mode = DiffMode::kByKey) {
+  /// Rows live in \p a whose key is absent from \p b — Table 1 query 2's
+  /// "id NOT IN" (§2.2.3 Difference). The other side is Diff(b, a); an
+  /// update-aware, byte-comparing diff of two commits is
+  /// Decibel::DiffCommits.
+  static ScanSpec Diff(BranchId a, BranchId b) {
     ScanSpec spec;
     spec.view = ScanView::kDiff;
     spec.branch = a;
     spec.diff_base = b;
-    spec.diff_mode = mode;
     return spec;
   }
 

@@ -7,12 +7,12 @@
 /// scans), and the shared kDiff cursor factory.
 
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "engine/engine.h"
 #include "engine/scan_spec.h"
 
 namespace decibel {
@@ -93,12 +93,18 @@ class BufferedCursor : public ScanCursor {
   Status status_;
 };
 
-/// Serves a kDiff ScanSpec on top of an engine's Diff machinery: runs the
-/// positive diff eagerly, applying the pushed-down predicate before each
-/// row is copied into the buffer and stopping the copies at spec.limit.
-/// All three engines dispatch their kDiff views here.
+/// Takes the rows of a kDiff view, one at a time, from an engine's walk.
+using DiffRowSink = std::function<void(const RecordRef&)>;
+
+/// Serves a kDiff ScanSpec from an engine's private diff walk: calls
+/// \p walk once, eagerly, with a sink that applies the pushed-down
+/// predicate before each row is copied into the buffer and stops the
+/// copies at spec.limit. \p walk hands the sink every row of spec.branch
+/// whose key spec.diff_base lacks, in any order. All three engines serve
+/// their kDiff views here.
 Result<std::unique_ptr<ScanCursor>> MakeDiffScanCursor(
-    StorageEngine* engine, const ScanSpec& spec, ScanCounters* counters);
+    const Schema& schema, const ScanSpec& spec, ScanCounters* counters,
+    const std::function<Status(const DiffRowSink&)>& walk);
 
 }  // namespace decibel
 

@@ -111,7 +111,6 @@ std::string TupleFirstEngine::HistoryPath(BranchId branch) const {
 Status TupleFirstEngine::InitFresh() {
   StripedHeap::Options hopts;
   hopts.page_size = options_.page_size;
-  hopts.verify_checksums = options_.verify_checksums;
   hopts.stripes = static_cast<uint32_t>(stripes_.count());
   hopts.schema = &schema_;
   hopts.compress_pages = options_.compress_pages;
@@ -128,7 +127,6 @@ Status TupleFirstEngine::InitFresh() {
 Status TupleFirstEngine::LoadExisting() {
   const std::string& tag = options_.checkpoint_tag;
   StripedHeap::Options hopts;
-  hopts.verify_checksums = options_.verify_checksums;
   hopts.schema = &schema_;
   hopts.compress_pages = options_.compress_pages;
   DECIBEL_ASSIGN_OR_RETURN(heap_,
@@ -452,7 +450,10 @@ Result<std::unique_ptr<ScanCursor>> TupleFirstEngine::NewScan(
           std::move(cols), spec.branches, spec, &scan_counters_));
     }
     case ScanView::kDiff:
-      return MakeDiffScanCursor(this, spec, &scan_counters_);
+      return MakeDiffScanCursor(
+          schema_, spec, &scan_counters_, [&](const DiffRowSink& emit) {
+            return DiffRows(spec.branch, spec.diff_base, emit);
+          });
     case ScanView::kHeads:
       break;  // rejected by ValidateScanSpec
   }
@@ -482,9 +483,8 @@ Result<Record> TupleFirstEngine::Get(BranchId branch, int64_t pk) {
   return Record(&schema_, Slice(buf));
 }
 
-Status TupleFirstEngine::Diff(BranchId a, BranchId b, DiffMode mode,
-                              const DiffCallback& pos,
-                              const DiffCallback& neg) {
+Status TupleFirstEngine::DiffRows(BranchId a, BranchId b,
+                                  const DiffRowSink& emit) {
   // "Diff is straightforward to compute in tuple-first: we simply XOR
   // bitmaps together and emit records on the appropriate iterator" (§3.2).
   // Both stripes are taken together (ascending order) so the two columns
@@ -492,22 +492,28 @@ Status TupleFirstEngine::Diff(BranchId a, BranchId b, DiffMode mode,
   Bitmap bits_a, bits_b;
   {
     std::shared_lock<std::shared_mutex> registry(registry_mu_);
+    for (BranchId x : {a, b}) {
+      if (pk_index_.count(x) == 0) {
+        return Status::NotFound("tuple-first: unknown branch " +
+                                std::to_string(x));
+      }
+    }
     StripeGuard stripes(this, {a, b});
     bits_a = index_->MaterializeBranch(a);
     bits_b = index_->MaterializeBranch(b);
   }
   const StripedHeap::Mapping mapping = heap_->SnapshotMapping();
-  // One walk over the changed rows (a XOR b); DiffEmitter applies the
-  // mode, holding by-key rows back until the walk ends.
+  // One walk over the changed rows (a XOR b); DiffEmitter holds a's rows
+  // back until the walk has seen every key b changed.
   const Bitmap only_a = Bitmap::AndNot(bits_a, bits_b);
   const Bitmap both = Bitmap::Xor(bits_a, bits_b);
-  DiffEmitter emitter(&schema_, mode, pos, neg);
+  DiffEmitter emitter(&schema_);
   StripedBitmapScanner scanner(mapping, &schema_, &both);
   RecordRef rec;
   uint64_t idx;
   while (scanner.Next(&rec, &idx)) emitter.Add(rec, only_a.Test(idx));
   DECIBEL_RETURN_NOT_OK(scanner.status());
-  emitter.Finish();
+  emitter.Finish(emit);
   return Status::OK();
 }
 

@@ -13,7 +13,7 @@
 /// Concurrency: writers on disjoint branches proceed in parallel. The
 /// lock hierarchy is registry_mu_ (shape of the branch registries, taken
 /// shared by every operation and unique only by branch creation and
-/// flush) -> stripe locks (branch % write_stripes; all per-branch state —
+/// flush) -> stripe locks (branch % kWriteStripes; all per-branch state —
 /// the pk index, the branch's bitmap column, its heap-file shard's tail)
 /// -> commit_mu_ (the commit registry, a leaf). Cross-branch operations
 /// needing several stripes take them in ascending order; MergeWalk works
@@ -30,6 +30,7 @@
 #include "bitmap/commit_history.h"
 #include "common/stripe_lock.h"
 #include "engine/engine.h"
+#include "engine/scan_util.h"
 #include "storage/buffer_pool.h"
 #include "storage/striped_heap.h"
 
@@ -54,8 +55,6 @@ class TupleFirstEngine : public StorageEngine {
 
   Result<std::unique_ptr<ScanCursor>> NewScan(const ScanSpec& spec) override;
   Result<Record> Get(BranchId branch, int64_t pk) override;
-  Status Diff(BranchId a, BranchId b, DiffMode mode, const DiffCallback& pos,
-              const DiffCallback& neg) override;
   Status MergeWalk(CommitId left, CommitId right, CommitId base,
                    const MergeWalkCallback& cb, MergeWalkStats* stats) override;
   Status ReleaseBranch(BranchId branch) override;
@@ -101,7 +100,7 @@ class TupleFirstEngine : public StorageEngine {
       : schema_(schema),
         options_(options),
         pool_(options.buffer_pool_bytes),
-        stripes_(options.write_stripes == 0 ? 1 : options.write_stripes) {}
+        stripes_(kWriteStripes) {}
 
   Status LoadExisting();
   Status InitFresh();
@@ -114,6 +113,9 @@ class TupleFirstEngine : public StorageEngine {
   /// Commit body; caller holds registry (shared or unique) and the
   /// branch's stripe.
   Status CommitImpl(BranchId branch, CommitId commit_id);
+  /// The kDiff walk: hands \p emit every row of \p a whose key \p b
+  /// lacks. NotFound when either branch is unknown.
+  Status DiffRows(BranchId a, BranchId b, const DiffRowSink& emit);
   /// Rebuilds branch \p b's pk index by scanning its bitmap column.
   /// Caller holds the registry unique (load/branch-create paths).
   Status RebuildPkIndex(BranchId b);

@@ -135,7 +135,6 @@ Result<uint32_t> VersionFirstEngine::NewSegment(
   segment->parents = std::move(parents);
   HeapFile::Options hopts;
   hopts.page_size = options_.page_size;
-  hopts.verify_checksums = options_.verify_checksums;
   hopts.schema = &schema_;
   hopts.compress_pages = options_.compress_pages;
   DECIBEL_ASSIGN_OR_RETURN(
@@ -172,7 +171,6 @@ Status VersionFirstEngine::LoadExisting() {
     return Status::Corruption("version-first: truncated meta");
   }
   HeapFile::Options hopts;
-  hopts.verify_checksums = options_.verify_checksums;
   hopts.schema = &schema_;
   hopts.compress_pages = options_.compress_pages;
   for (uint64_t i = 0; i < num_segments; ++i) {
@@ -796,7 +794,10 @@ Result<std::unique_ptr<ScanCursor>> VersionFirstEngine::NewScan(
                           segments_skipped, spec.branches, spec));
     }
     case ScanView::kDiff:
-      return MakeDiffScanCursor(this, spec, &scan_counters_);
+      return MakeDiffScanCursor(
+          schema_, spec, &scan_counters_, [&](const DiffRowSink& emit) {
+            return DiffRows(spec.branch, spec.diff_base, emit);
+          });
     case ScanView::kHeads:
       break;  // rejected by ValidateScanSpec
   }
@@ -893,9 +894,8 @@ Status VersionFirstEngine::FetchRecord(uint32_t seg, uint64_t idx,
 
 // --------------------------------------------------------------------- diff
 
-Status VersionFirstEngine::Diff(BranchId a, BranchId b, DiffMode mode,
-                                const DiffCallback& pos,
-                                const DiffCallback& neg) {
+Status VersionFirstEngine::DiffRows(BranchId a, BranchId b,
+                                    const DiffRowSink& emit) {
   // Version-first diffs pay for full winner-table construction over both
   // ancestries ("the need to make multiple passes over the dataset to
   // identify the active records in both versions", §5.2).
@@ -908,60 +908,14 @@ Status VersionFirstEngine::Diff(BranchId a, BranchId b, DiffMode mode,
   }
   std::vector<WinnerTable> tables;
   DECIBEL_RETURN_NOT_OK(BuildWinnerTables({root_a, root_b}, &tables, nullptr));
-  const WinnerTable& wa = tables[0];
   const WinnerTable& wb = tables[1];
-
-  std::string buf, buf_other;
-  auto emit = [&](const Winner& w, const DiffCallback& cb) -> Status {
-    DECIBEL_RETURN_NOT_OK(FetchRecord(w.seg, w.idx, &buf));
-    cb(RecordRef(&schema_, buf));
-    return Status::OK();
-  };
-  // Merge-materialized copies mean two different locations can hold the
-  // same logical record; content comparisons must fall back to bytes.
-  auto same_content = [&](const Winner& x, const Winner& y,
-                          bool* equal) -> Status {
-    if (x.seg == y.seg && x.idx == y.idx) {
-      *equal = true;
-      return Status::OK();
-    }
-    DECIBEL_RETURN_NOT_OK(FetchRecord(x.seg, x.idx, &buf));
-    DECIBEL_RETURN_NOT_OK(FetchRecord(y.seg, y.idx, &buf_other));
-    *equal = buf == buf_other;
-    return Status::OK();
-  };
-
-  for (const auto& [pk, winner] : wa) {
+  std::string buf;
+  for (const auto& [pk, winner] : tables[0]) {
     if (winner.tombstone) continue;
     auto it = wb.find(pk);
-    const bool present_b = it != wb.end() && !it->second.tombstone;
-    bool differs;
-    if (mode == DiffMode::kByKey) {
-      differs = !present_b;
-    } else if (!present_b) {
-      differs = true;
-    } else {
-      bool equal;
-      DECIBEL_RETURN_NOT_OK(same_content(winner, it->second, &equal));
-      differs = !equal;
-    }
-    if (differs && pos) DECIBEL_RETURN_NOT_OK(emit(winner, pos));
-  }
-  for (const auto& [pk, winner] : wb) {
-    if (winner.tombstone) continue;
-    auto it = wa.find(pk);
-    const bool present_a = it != wa.end() && !it->second.tombstone;
-    bool differs;
-    if (mode == DiffMode::kByKey) {
-      differs = !present_a;
-    } else if (!present_a) {
-      differs = true;
-    } else {
-      bool equal;
-      DECIBEL_RETURN_NOT_OK(same_content(winner, it->second, &equal));
-      differs = !equal;
-    }
-    if (differs && neg) DECIBEL_RETURN_NOT_OK(emit(winner, neg));
+    if (it != wb.end() && !it->second.tombstone) continue;
+    DECIBEL_RETURN_NOT_OK(FetchRecord(winner.seg, winner.idx, &buf));
+    emit(RecordRef(&schema_, buf));
   }
   return Status::OK();
 }

@@ -26,7 +26,7 @@
 /// lock hierarchy is registry_mu_ (the segments_ vector and head_seg_ map
 /// shape; writers take it shared, CreateBranch/Checkpoint — which grow
 /// the registry — take it unique) -> stripe locks (branch %
-/// write_stripes; the branch's head-segment tail) -> commit_mu_ (the
+/// kWriteStripes; the branch's head-segment tail) -> commit_mu_ (the
 /// commits_ map, a leaf). Cursors capture HeapFile pointers at open
 /// (Segment objects are stable; only the vector itself reallocates) plus
 /// per-segment bounds, so established scans stream without any lock and
@@ -43,6 +43,7 @@
 
 #include "common/stripe_lock.h"
 #include "engine/engine.h"
+#include "engine/scan_util.h"
 #include "storage/buffer_pool.h"
 #include "storage/heap_file.h"
 
@@ -65,8 +66,6 @@ class VersionFirstEngine : public StorageEngine {
 
   Result<std::unique_ptr<ScanCursor>> NewScan(const ScanSpec& spec) override;
   Result<Record> Get(BranchId branch, int64_t pk) override;
-  Status Diff(BranchId a, BranchId b, DiffMode mode, const DiffCallback& pos,
-              const DiffCallback& neg) override;
   Status MergeWalk(CommitId left, CommitId right, CommitId base,
                    const MergeWalkCallback& cb, MergeWalkStats* stats) override;
   Status ReleaseBranch(BranchId branch) override;
@@ -124,7 +123,7 @@ class VersionFirstEngine : public StorageEngine {
       : schema_(schema),
         options_(options),
         pool_(options.buffer_pool_bytes),
-        stripes_(options.write_stripes == 0 ? 1 : options.write_stripes) {}
+        stripes_(kWriteStripes) {}
 
   Status InitFresh();
   Status LoadExisting();
@@ -156,6 +155,10 @@ class VersionFirstEngine : public StorageEngine {
 
   /// Reads record \p idx of segment \p seg into \p buf.
   Status FetchRecord(uint32_t seg, uint64_t idx, std::string* buf) const;
+
+  /// The kDiff walk: hands \p emit every row of \p a whose key \p b
+  /// lacks. NotFound when either branch is unknown.
+  Status DiffRows(BranchId a, BranchId b, const DiffRowSink& emit);
 
   /// Rebuilds \p branch's pk index from its ancestry (one winner-table
   /// pass). Caller holds registry_mu_ unique.

@@ -50,7 +50,7 @@ Result<QueryStats> PositiveDiff(Decibel* db, BranchId a, BranchId b,
                                 const RowCallback& callback) {
   // Table 1's "id NOT IN" shape is the diff view of the scan API; the
   // engine's bitmap algebra / winner tables run under the cursor.
-  return RunScan(db, ScanSpec::Diff(a, b, DiffMode::kByKey), callback);
+  return RunScan(db, ScanSpec::Diff(a, b), callback);
 }
 
 Result<QueryStats> JoinVersions(Decibel* db, BranchId a, BranchId b,

@@ -565,12 +565,10 @@ Status HeapFile::ReadStoredPage(uint64_t page_no, std::string* page,
     return Status::Corruption("heapfile: page " + std::to_string(page_no) +
                               " header disagrees with its stats in " + path_);
   }
-  if (options_.verify_checksums) {
-    const uint32_t crc = UnmaskCrc(DecodeFixed32(head + 4));
-    if (crc != Crc32(Slice(head + kPageHeaderSize, header->stored_len))) {
-      return Status::Corruption("heapfile: page " + std::to_string(page_no) +
-                                " checksum mismatch in " + path_);
-    }
+  const uint32_t crc = UnmaskCrc(DecodeFixed32(head + 4));
+  if (crc != Crc32(Slice(head + kPageHeaderSize, header->stored_len))) {
+    return Status::Corruption("heapfile: page " + std::to_string(page_no) +
+                              " checksum mismatch in " + path_);
   }
   return Status::OK();
 }

@@ -67,7 +67,6 @@ class HeapFile : public PageSource {
  public:
   struct Options {
     uint64_t page_size = 1 << 20;  ///< paper uses 4 MB; tests use smaller
-    bool verify_checksums = true;
     /// Record layout, enabling zone-map maintenance and (with
     /// compress_pages) adaptive page encoding. Must outlive the file;
     /// null disables statistics (degraded mode for raw-file tests).

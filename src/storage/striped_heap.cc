@@ -39,7 +39,6 @@ Result<std::unique_ptr<StripedHeap>> StripedHeap::Create(
   const uint32_t stripes = options.stripes == 0 ? 1 : options.stripes;
   HeapFile::Options hopts;
   hopts.page_size = options.page_size;
-  hopts.verify_checksums = options.verify_checksums;
   hopts.schema = options.schema;
   hopts.compress_pages = options.compress_pages;
   heap->stripes_.resize(stripes);
@@ -141,7 +140,6 @@ Status StripedHeap::LoadManifest(Slice input) {
   }
 
   HeapFile::Options hopts;
-  hopts.verify_checksums = options_.verify_checksums;
   hopts.schema = options_.schema;
   hopts.compress_pages = options_.compress_pages;
   for (uint32_t s = 0; s < stripes_.size(); ++s) {

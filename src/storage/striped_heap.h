@@ -49,7 +49,6 @@ class StripedHeap {
  public:
   struct Options {
     uint64_t page_size = 1 << 20;
-    bool verify_checksums = true;
     uint32_t stripes = 8;
     /// Minimum global indices carved per extent; 0 derives one page's
     /// worth of records (keeps the extent table small without letting

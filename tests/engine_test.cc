@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <iterator>
 #include <memory>
 #include <set>
 #include <string>
@@ -28,6 +27,7 @@ namespace {
 using testing_util::Collect;
 using testing_util::CollectBranch;
 using testing_util::CollectBranchAll;
+using testing_util::DiffKeys;
 using testing_util::MakeRecord;
 using testing_util::MakeRecordVals;
 using testing_util::ScratchDir;
@@ -273,33 +273,11 @@ TEST_P(EngineTest, DiffByKey) {
   ASSERT_OK(db_->DeleteFrom(dev, 2));                              // deleted
   ASSERT_OK(db_->InsertInto(kMasterBranch, MakeRecord(schema_, 4, 4)));
 
-  std::set<int64_t> pos, neg;
-  ASSERT_OK(db_->Diff(
-      kMasterBranch, dev, DiffMode::kByKey,
-      [&](const RecordRef& r) { pos.insert(r.pk()); },
-      [&](const RecordRef& r) { neg.insert(r.pk()); }));
   // In master, not in dev: pk 2 (deleted in dev) and pk 4 (new in master).
-  EXPECT_EQ(pos, (std::set<int64_t>{2, 4}));
+  EXPECT_EQ(DiffKeys(db_.get(), kMasterBranch, dev),
+            (std::set<int64_t>{2, 4}));
   // In dev, not in master: pk 3.
-  EXPECT_EQ(neg, (std::set<int64_t>{3}));
-}
-
-TEST_P(EngineTest, DiffByContent) {
-  ASSERT_OK(db_->InsertInto(kMasterBranch, MakeRecord(schema_, 1, 1)));
-  Session s = db_->NewSession();
-  ASSERT_OK_AND_ASSIGN(BranchId dev, db_->Branch("dev", &s));
-  ASSERT_OK(db_->UpdateIn(dev, MakeRecord(schema_, 1, 2)));
-
-  std::map<int64_t, int32_t> pos, neg;
-  ASSERT_OK(db_->Diff(
-      kMasterBranch, dev, DiffMode::kByContent,
-      [&](const RecordRef& r) { pos[r.pk()] = r.GetInt32(1); },
-      [&](const RecordRef& r) { neg[r.pk()] = r.GetInt32(1); }));
-  // Master's version of pk 1 is not in dev (which carries the update).
-  ASSERT_EQ(pos.size(), 1u);
-  EXPECT_EQ(pos[1], 1);
-  ASSERT_EQ(neg.size(), 1u);
-  EXPECT_EQ(neg[1], 2);
+  EXPECT_EQ(DiffKeys(db_.get(), dev, kMasterBranch), (std::set<int64_t>{3}));
 }
 
 TEST_P(EngineTest, DiffIdenticalBranchesIsEmpty) {
@@ -308,20 +286,14 @@ TEST_P(EngineTest, DiffIdenticalBranchesIsEmpty) {
   }
   Session s = db_->NewSession();
   ASSERT_OK_AND_ASSIGN(BranchId dev, db_->Branch("dev", &s));
-  int count = 0;
-  auto counter = [&](const RecordRef&) { ++count; };
-  ASSERT_OK(db_->Diff(kMasterBranch, dev, DiffMode::kByContent, counter,
-                      counter));
-  EXPECT_EQ(count, 0);
-  ASSERT_OK(db_->Diff(kMasterBranch, dev, DiffMode::kByKey, counter,
-                      counter));
-  EXPECT_EQ(count, 0);
+  EXPECT_TRUE(DiffKeys(db_.get(), kMasterBranch, dev).empty());
+  EXPECT_TRUE(DiffKeys(db_.get(), dev, kMasterBranch).empty());
 }
 
-// The branch's rows as record bytes, sorted (a multiset).
-std::vector<std::string> BranchRows(Decibel* db, BranchId branch) {
+// The rows \p spec selects as record bytes, sorted (a multiset).
+std::vector<std::string> ScanRows(Decibel* db, const ScanSpec& spec) {
   std::vector<std::string> rows;
-  auto it = db->NewScan(ScanSpec::Branch(branch));
+  auto it = db->NewScan(spec);
   EXPECT_TRUE(it.ok()) << it.status().ToString();
   if (!it.ok()) return rows;
   ScanRow row;
@@ -334,7 +306,7 @@ std::vector<std::string> BranchRows(Decibel* db, BranchId branch) {
 TEST_P(EngineTest, DiffMatchesReferenceFromBranchScans) {
   // 512-byte pages hold 23 rows, so the changed rows span many pages and,
   // on hybrid, several segments. Every write stores a fresh value, so a
-  // version's bytes identify it and by-content diffs compare as bytes.
+  // version's bytes identify it.
   db_.reset();
   dir_ = std::make_unique<ScratchDir>("engine_diff");
   Reopen(512);
@@ -375,109 +347,51 @@ TEST_P(EngineTest, DiffMatchesReferenceFromBranchScans) {
   auto row_pk = [&](const std::string& row) {
     return RecordRef(&schema_, Slice(row)).pk();
   };
-  // Rows of a absent from b, by bytes or by key.
-  auto reference = [&](BranchId a, BranchId b, DiffMode mode) {
-    const std::vector<std::string> rows_a = BranchRows(db_.get(), a);
-    const std::vector<std::string> rows_b = BranchRows(db_.get(), b);
+  // Rows of a whose key b lacks, sorted.
+  auto reference = [&](BranchId a, BranchId b) {
     std::set<int64_t> keys_b;
-    for (const std::string& r : rows_b) keys_b.insert(row_pk(r));
-    std::vector<std::string> out;
-    for (const std::string& r : rows_a) {
-      const bool absent =
-          mode == DiffMode::kByKey
-              ? keys_b.count(row_pk(r)) == 0
-              : !std::binary_search(rows_b.begin(), rows_b.end(), r);
-      if (absent) out.push_back(r);
+    for (const std::string& r : ScanRows(db_.get(), ScanSpec::Branch(b))) {
+      keys_b.insert(row_pk(r));
     }
-    return out;
-  };
-  auto sorted = [](std::vector<std::string> rows) {
-    std::sort(rows.begin(), rows.end());
-    return rows;
-  };
-  auto minus = [](const std::vector<std::string>& x,
-                  const std::vector<std::string>& y) {  // sorted multisets
     std::vector<std::string> out;
-    std::set_difference(x.begin(), x.end(), y.begin(), y.end(),
-                        std::back_inserter(out));
+    for (const std::string& r : ScanRows(db_.get(), ScanSpec::Branch(a))) {
+      if (keys_b.count(row_pk(r)) == 0) out.push_back(r);
+    }
     return out;
   };
 
   const std::pair<BranchId, BranchId> pairs[] = {
       {kMasterBranch, dev}, {dev, kMasterBranch}, {kMasterBranch, feat},
-      {dev, copy},          {copy, copy}};
+      {feat, kMasterBranch}, {dev, copy},         {copy, copy}};
   for (const auto& [a, b] : pairs) {
-    for (DiffMode mode : {DiffMode::kByKey, DiffMode::kByContent}) {
-      SCOPED_TRACE("diff(" + std::to_string(a) + ", " + std::to_string(b) +
-                   (mode == DiffMode::kByKey ? ") by key" : ") by content"));
-      const std::vector<std::string> want_pos = reference(a, b, mode);
-      const std::vector<std::string> want_neg = reference(b, a, mode);
-      if (a == dev && b == copy) {
-        EXPECT_TRUE(want_pos.empty() && want_neg.empty());
-      } else if (a != b) {
-        EXPECT_GE(want_pos.size() + want_neg.size(), 10u);
-      }
-      // Both sides at once, then each side alone (the by-key walk keeps
-      // less of the silent side).
-      std::vector<std::string> pos, neg, pos_only, neg_only;
-      auto sink = [](std::vector<std::string>* out) {
-        return [out](const RecordRef& r) {
-          out->push_back(r.data().ToString());
-        };
-      };
-      ASSERT_OK(db_->Diff(a, b, mode, sink(&pos), sink(&neg)));
-      ASSERT_OK(db_->Diff(a, b, mode, sink(&pos_only), nullptr));
-      ASSERT_OK(db_->Diff(a, b, mode, nullptr, sink(&neg_only)));
-      const std::vector<std::string> got_pos = sorted(pos);
-      const std::vector<std::string> got_neg = sorted(neg);
-      EXPECT_EQ(sorted(pos_only), got_pos);
-      EXPECT_EQ(sorted(neg_only), got_neg);
-      EXPECT_TRUE(minus(got_pos, BranchRows(db_.get(), a)).empty());
-      EXPECT_TRUE(minus(got_neg, BranchRows(db_.get(), b)).empty());
-      EXPECT_EQ(minus(want_pos, got_pos), std::vector<std::string>{});
-      EXPECT_EQ(minus(want_neg, got_neg), std::vector<std::string>{});
-      // Past the reference, only byte-equal rows live on both sides: the
-      // merge rewrote feat's versions into master on tuple-first and
-      // hybrid, and a by-content diff reports those distinct versions on
-      // both sides, once each.
-      const std::vector<std::string> copies = minus(got_pos, want_pos);
-      EXPECT_EQ(minus(got_neg, want_neg), copies);
-      if (mode == DiffMode::kByKey || (a != feat && b != feat)) {
-        EXPECT_TRUE(copies.empty());
-      }
+    SCOPED_TRACE("diff(" + std::to_string(a) + ", " + std::to_string(b) +
+                 ")");
+    const std::vector<std::string> want = reference(a, b);
+    if (a == dev && b == copy) {
+      EXPECT_TRUE(want.empty() && reference(b, a).empty());
+    } else if (a != b) {
+      EXPECT_GE(want.size() + reference(b, a).size(), 10u);
+    }
+    EXPECT_EQ(ScanRows(db_.get(), ScanSpec::Diff(a, b)), want);
 
-      // The kDiff view serves the positive side filtered, up to the limit.
-      auto pred = Predicate::Compare(schema_, "c1", CompareOp::kGe, 150);
-      ASSERT_TRUE(pred.ok());
-      std::vector<std::string> want_filtered;
-      for (const std::string& r : got_pos) {
-        if (pred->Matches(RecordRef(&schema_, Slice(r)))) {
-          want_filtered.push_back(r);
-        }
+    // The predicate filters inside the view, and the limit stops it.
+    auto pred = Predicate::Compare(schema_, "c1", CompareOp::kGe, 150);
+    ASSERT_TRUE(pred.ok());
+    std::vector<std::string> want_filtered;
+    for (const std::string& r : want) {
+      if (pred->Matches(RecordRef(&schema_, Slice(r)))) {
+        want_filtered.push_back(r);
       }
-      ASSERT_OK_AND_ASSIGN(
-          auto cursor, db_->NewScan(ScanSpec::Diff(a, b, mode).Where(*pred)));
-      std::vector<std::string> filtered;
-      ScanRow row;
-      while (cursor->Next(&row)) {
-        filtered.push_back(row.record.data().ToString());
-      }
-      ASSERT_OK(cursor->status());
-      EXPECT_EQ(sorted(filtered), want_filtered);
-      const uint64_t limit = 3;
-      ASSERT_OK_AND_ASSIGN(cursor, db_->NewScan(ScanSpec::Diff(a, b, mode)
-                                                    .Where(*pred)
-                                                    .WithLimit(limit)));
-      std::vector<std::string> limited;
-      while (cursor->Next(&row)) {
-        limited.push_back(row.record.data().ToString());
-      }
-      ASSERT_OK(cursor->status());
-      EXPECT_EQ(limited.size(), std::min<size_t>(limit, want_filtered.size()));
-      for (const std::string& r : limited) {
-        EXPECT_TRUE(std::binary_search(want_filtered.begin(),
-                                       want_filtered.end(), r));
-      }
+    }
+    EXPECT_EQ(ScanRows(db_.get(), ScanSpec::Diff(a, b).Where(*pred)),
+              want_filtered);
+    const uint64_t limit = 3;
+    const std::vector<std::string> limited = ScanRows(
+        db_.get(), ScanSpec::Diff(a, b).Where(*pred).WithLimit(limit));
+    EXPECT_EQ(limited.size(), std::min<size_t>(limit, want_filtered.size()));
+    for (const std::string& r : limited) {
+      EXPECT_TRUE(std::binary_search(want_filtered.begin(),
+                                     want_filtered.end(), r));
     }
   }
   // Those walks read sealed pages through the engine's buffer pool, and

@@ -175,11 +175,8 @@ TEST_P(ModelTest, RandomOperationStreamMatchesOracle) {
   for (size_t i = 0; i + 1 < branches.size(); ++i) {
     const BranchId a = branches[i];
     const BranchId b = branches[i + 1];
-    std::set<int64_t> pos, neg;
-    ASSERT_OK(db->Diff(
-        a, b, DiffMode::kByKey,
-        [&](const RecordRef& r) { pos.insert(r.pk()); },
-        [&](const RecordRef& r) { neg.insert(r.pk()); }));
+    const std::set<int64_t> pos = testing_util::DiffKeys(db.get(), a, b);
+    const std::set<int64_t> neg = testing_util::DiffKeys(db.get(), b, a);
     std::set<int64_t> expected_pos, expected_neg;
     for (const auto& [k, v] : oracle.branches[a]) {
       if (oracle.branches[b].count(k) == 0) expected_pos.insert(k);

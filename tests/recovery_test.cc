@@ -175,12 +175,6 @@ TEST(DecibelOptionsTest, RejectsInvalidOptions) {
   ScratchDir dir("opts");
   const Schema schema = TestSchema();
 
-  DecibelOptions zero_stripes;
-  zero_stripes.write_stripes = 0;
-  EXPECT_TRUE(Decibel::Open(dir.path(), schema, zero_stripes)
-                  .status()
-                  .IsInvalidArgument());
-
   DecibelOptions tiny_page;
   tiny_page.page_size = 128;
   EXPECT_TRUE(Decibel::Open(dir.path(), schema, tiny_page)

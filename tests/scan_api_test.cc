@@ -151,8 +151,14 @@ TEST_P(ScanApiTest, MultiViewRejectsUnknownBranches) {
     auto cursor = db_->NewScan(ScanSpec::Multi(branches));
     EXPECT_TRUE(cursor.status().IsNotFound()) << cursor.status().ToString();
   }
-  // As the single-branch view does.
+  // As the single-branch and diff views do, on either side.
   EXPECT_TRUE(db_->NewScan(ScanSpec::Branch(unknown)).status().IsNotFound());
+  EXPECT_TRUE(db_->NewScan(ScanSpec::Diff(kMasterBranch, unknown))
+                  .status()
+                  .IsNotFound());
+  EXPECT_TRUE(db_->NewScan(ScanSpec::Diff(unknown, kMasterBranch))
+                  .status()
+                  .IsNotFound());
 }
 
 TEST_P(ScanApiTest, HeadsViewResolvesActiveBranches) {

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -90,6 +91,18 @@ inline std::map<int64_t, int32_t> CollectBranch(Decibel* db, BranchId b) {
   auto cursor = db->NewScan(ScanSpec::Branch(b));
   EXPECT_TRUE(cursor.ok()) << cursor.status().ToString();
   return Collect(cursor.value().get());
+}
+
+/// The keys of the kDiff view: rows of \p a whose key \p b lacks.
+inline std::set<int64_t> DiffKeys(Decibel* db, BranchId a, BranchId b) {
+  std::set<int64_t> out;
+  auto cursor = db->NewScan(ScanSpec::Diff(a, b));
+  EXPECT_TRUE(cursor.ok()) << cursor.status().ToString();
+  if (!cursor.ok()) return out;
+  ScanRow row;
+  while ((*cursor)->Next(&row)) out.insert(row.record.pk());
+  EXPECT_TRUE((*cursor)->status().ok()) << (*cursor)->status().ToString();
+  return out;
 }
 
 inline std::map<int64_t, std::vector<int32_t>> CollectBranchAll(Decibel* db,
