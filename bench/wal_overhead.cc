@@ -2,11 +2,13 @@
 ///
 /// Part 1 loads the same batched workload under each durability level —
 /// SyncMode kOff (no log records: the engine-only baseline), then kNone /
-/// kFlush / kFsync — and reports throughput, the WAL bytes written, and the
-/// slowdown against the baseline. This prices the write-ahead log: kNone
-/// is the pure framing/copy cost, kFlush adds a page-cache push per
-/// commit, kFsync adds the group-committed fdatasync that makes
-/// acknowledged commits survive power loss.
+/// kFlush / kFsync — and reports throughput, the WAL frame bytes appended
+/// (DecibelStats::wal_bytes_appended, so a kFsync segment's zero-filled
+/// tail does not count), and the slowdown against the baseline. This
+/// prices the write-ahead log: kNone is the pure framing/copy cost,
+/// kFlush adds a page-cache push per commit, kFsync adds the
+/// group-committed fdatasync that makes acknowledged commits survive
+/// power loss.
 ///
 /// Part 2 measures cold-start recovery: a crash-consistent snapshot of a
 /// live database (taken without closing it, so the WAL tail is intact) is
@@ -99,7 +101,7 @@ void RunSyncModeSweep(uint64_t records) {
     BENCH_ASSIGN_OR_DIE(ScopedDb scoped, FreshDurableDb(mode, "wal_sweep"));
     BENCH_ASSIGN_OR_DIE(double seconds,
                         Load(scoped.db.get(), records, /*batch=*/500));
-    const double wal_mb = Mb(DirSizeBytes(JoinPath(scoped.path, "wal")));
+    const double wal_mb = Mb(scoped.db->Stats().wal_bytes_appended);
     if (mode.sync == wal::SyncMode::kOff) baseline = seconds;
     printf("%-6s %10.3f %12.0f %9.2f %8.2fx\n", mode.name, seconds,
            records / seconds, wal_mb,

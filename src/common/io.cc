@@ -6,6 +6,7 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -17,6 +18,22 @@ constexpr size_t kWriteBufferSize = 1 << 20;  // 1 MiB
 
 Status ErrnoStatus(const std::string& context) {
   return Status::IOError(context + ": " + std::strerror(errno));
+}
+
+/// pwrites all of [p, p + n) at \p offset.
+Status PwriteAll(int fd, const std::string& path, uint64_t offset,
+                 const char* p, size_t n) {
+  while (n > 0) {
+    ssize_t w = ::pwrite(fd, p, n, static_cast<off_t>(offset));
+    if (w < 0) {
+      if (errno == EINTR) continue;
+      return ErrnoStatus("pwrite " + path);
+    }
+    p += w;
+    n -= static_cast<size_t>(w);
+    offset += static_cast<uint64_t>(w);
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -33,13 +50,14 @@ WritableFile::WritableFile(WritableFile&& other) noexcept
     : fd_(other.fd_),
       path_(std::move(other.path_)),
       size_(other.size_),
+      end_(other.end_),
       buffer_(std::move(other.buffer_)) {
   other.fd_ = -1;
 }
 
 Result<WritableFile> WritableFile::Open(const std::string& path,
                                         bool truncate) {
-  int flags = O_WRONLY | O_CREAT | (truncate ? O_TRUNC : O_APPEND);
+  int flags = O_WRONLY | O_CREAT | (truncate ? O_TRUNC : 0);
   int fd = ::open(path.c_str(), flags, 0644);
   if (fd < 0) return ErrnoStatus("open " + path);
   uint64_t size = 0;
@@ -57,44 +75,28 @@ Result<WritableFile> WritableFile::Open(const std::string& path,
 }
 
 Status WritableFile::Append(Slice data) {
-  size_ += data.size();
-  if (buffer_.size() + data.size() <= kWriteBufferSize) {
-    buffer_.append(data.data(), data.size());
-    return Status::OK();
-  }
-  DECIBEL_RETURN_NOT_OK(Flush());
-  if (data.size() >= kWriteBufferSize) {
-    // Large write: bypass the buffer.
-    const char* p = data.data();
-    size_t left = data.size();
-    while (left > 0) {
-      ssize_t n = ::write(fd_, p, left);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return ErrnoStatus("write " + path_);
-      }
-      p += n;
-      left -= static_cast<size_t>(n);
+  if (buffer_.size() + data.size() > kWriteBufferSize) {
+    DECIBEL_RETURN_NOT_OK(Flush());
+    if (data.size() >= kWriteBufferSize) {
+      // Large write: bypass the buffer.
+      DECIBEL_RETURN_NOT_OK(PwriteAll(fd_, path_, size_, data.data(),
+                                      data.size()));
+      size_ += data.size();
+      end_ = std::max(end_, size_);
+      return Status::OK();
     }
-    return Status::OK();
   }
   buffer_.append(data.data(), data.size());
+  size_ += data.size();
   return Status::OK();
 }
 
 Status WritableFile::Flush() {
-  const char* p = buffer_.data();
-  size_t left = buffer_.size();
-  while (left > 0) {
-    ssize_t n = ::write(fd_, p, left);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return ErrnoStatus("write " + path_);
-    }
-    p += n;
-    left -= static_cast<size_t>(n);
-  }
+  if (buffer_.empty()) return Status::OK();
+  DECIBEL_RETURN_NOT_OK(PwriteAll(fd_, path_, size_ - buffer_.size(),
+                                  buffer_.data(), buffer_.size()));
   buffer_.clear();
+  end_ = std::max(end_, size_);
   return Status::OK();
 }
 
@@ -105,6 +107,29 @@ Status WritableFile::Sync() {
 
 Status WritableFile::SyncData() {
   if (::fdatasync(fd_) != 0) return ErrnoStatus("fdatasync " + path_);
+  return Status::OK();
+}
+
+Status WritableFile::ExtendZeroed(uint64_t bytes) {
+  static const char kZeros[64 << 10] = {};
+  const uint64_t start = std::max(end_, size_);
+  for (uint64_t done = 0; done < bytes;) {
+    const size_t n =
+        static_cast<size_t>(std::min<uint64_t>(sizeof(kZeros), bytes - done));
+    DECIBEL_RETURN_NOT_OK(PwriteAll(fd_, path_, start + done, kZeros, n));
+    done += n;
+  }
+  end_ = start + bytes;
+  return Status::OK();
+}
+
+Status WritableFile::Trim() {
+  DECIBEL_RETURN_NOT_OK(Flush());
+  if (end_ == size_) return Status::OK();
+  if (::ftruncate(fd_, static_cast<off_t>(size_)) != 0) {
+    return ErrnoStatus("ftruncate " + path_);
+  }
+  end_ = size_;
   return Status::OK();
 }
 
@@ -183,20 +208,7 @@ Result<RandomWriteFile> RandomWriteFile::Open(const std::string& path) {
 }
 
 Status RandomWriteFile::WriteAt(uint64_t offset, Slice data) {
-  const char* p = data.data();
-  size_t left = data.size();
-  uint64_t off = offset;
-  while (left > 0) {
-    ssize_t n = ::pwrite(fd_, p, left, static_cast<off_t>(off));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return ErrnoStatus("pwrite " + path_);
-    }
-    p += n;
-    left -= static_cast<size_t>(n);
-    off += static_cast<uint64_t>(n);
-  }
-  return Status::OK();
+  return PwriteAll(fd_, path_, offset, data.data(), data.size());
 }
 
 Status RandomWriteFile::Truncate(uint64_t size) {

@@ -17,7 +17,10 @@
 
 namespace decibel {
 
-/// An append-only file handle with buffered writes.
+/// An append-only file handle with buffered writes. Every write lands at
+/// an explicit offset (pwrite at the logical end), so appends fill a
+/// zero-extended region in place and a retried Flush rewrites the same
+/// bytes instead of appending a second copy after a partial write.
 class WritableFile {
  public:
   ~WritableFile();
@@ -38,18 +41,30 @@ class WritableFile {
   /// (the WAL's group-commit leader); any bytes still buffered when this
   /// runs are NOT covered.
   Status SyncData();
+  /// Writes \p bytes zeros past the file's current end. Appends then
+  /// overwrite already-allocated blocks without growing the file, so an
+  /// fdatasync of them has no inode size to persist. Real writes, not
+  /// fallocate: an unwritten extent's first write is a metadata update.
+  Status ExtendZeroed(uint64_t bytes);
+  /// Flushes, then truncates any zero-extended region away so the file
+  /// ends at Size().
+  Status Trim();
   Status Close();
 
   /// Size including unflushed buffered bytes.
   uint64_t Size() const { return size_; }
+  /// The file's length on disk: the flushed bytes plus any zero-extended
+  /// region past them.
+  uint64_t zeroed_end() const { return end_; }
   const std::string& path() const { return path_; }
 
  private:
   WritableFile(int fd, std::string path, uint64_t size)
-      : fd_(fd), path_(std::move(path)), size_(size) {}
+      : fd_(fd), path_(std::move(path)), size_(size), end_(size) {}
   int fd_ = -1;
   std::string path_;
   uint64_t size_ = 0;
+  uint64_t end_ = 0;
   std::string buffer_;
 };
 

@@ -19,6 +19,13 @@
 /// truncated or fails its CRC (a torn tail — everything after it was
 /// never acknowledged under fsync durability).
 ///
+/// Under kFsync the active segment also ends in a zero-filled region past
+/// its last frame (see wal_writer.h). A zero length field is never a
+/// valid frame, so the reader sees those zeros as a torn tail too, and
+/// recovery truncates them with it. Sealed segments are trimmed to their
+/// last frame before the next segment exists, so zeros can only ever
+/// trail the last segment.
+///
 /// One record type exists per facade mutation that must survive a crash:
 /// kBatch (ApplyBatch), kCommit (Commit/EnsureCommitted), kBranch
 /// (Branch/BranchAt) and kMerge. Bodies carry exactly the identifiers the

@@ -3,9 +3,10 @@
 
 /// \file wal_reader.h
 /// Sequential reader over one WAL segment. Stops cleanly at the first
-/// frame that is incomplete, oversized, or fails its CRC — the torn tail
-/// a crash mid-append leaves behind — and reports the byte offset where
-/// the valid prefix ends so recovery can truncate the garbage away.
+/// frame that is incomplete, oversized, zero-length, or fails its CRC —
+/// the torn tail a crash mid-append leaves behind, or the zero-filled
+/// tail of a kFsync segment — and reports the byte offset where the valid
+/// prefix ends so recovery can truncate the rest away.
 
 #include <cstdint>
 #include <memory>

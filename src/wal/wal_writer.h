@@ -19,10 +19,25 @@
 ///            becomes the leader and fdatasyncs once for every record
 ///            written so far, while followers (and fresh appenders —
 ///            the append lock is not held across the fdatasync) proceed.
+///            The active segment carries a zero-filled tail: an Append
+///            that would cross it first extends the file by another
+///            kZeroExtendBytes of real zeros, so a group-commit fdatasync
+///            writes data blocks only, never a new inode size. Sealing a
+///            segment (Roll, Close) trims the tail and fdatasyncs the
+///            trimmed length before the next segment's directory entry
+///            exists, so only the last segment can ever end in zeros —
+///            which recovery reads as a torn tail and truncates.
 ///
 /// Segments roll at segment_bytes; rolling fsyncs the directory entry so
 /// the new file survives a crash (sync mode permitting). Checkpoints call
 /// Roll() explicitly so WAL truncation is whole-segment deletion.
+///
+/// Failures are sticky: the first failed write, flush, zero-extension or
+/// fdatasync poisons the writer, and every later Append, Sync and Roll
+/// returns that status. Linux reports a writeback error to only one
+/// fdatasync, so a retry that "succeeds" proves nothing about the records
+/// the failed one covered; and a failed write may leave part of a frame
+/// on disk.
 
 #include <condition_variable>
 #include <cstdint>
@@ -58,6 +73,10 @@ class Writer {
                                               uint64_t next_lsn,
                                               uint64_t segment_seq);
 
+  /// Under kFsync the active segment is zero-extended this many bytes at
+  /// a time (more if one frame needs it).
+  static constexpr uint64_t kZeroExtendBytes = 1ull << 20;
+
   /// Appends one framed record and returns its lsn. Thread-safe; the
   /// record is buffered (durability comes from Sync).
   Result<uint64_t> Append(RecordType type, Slice body);
@@ -65,9 +84,9 @@ class Writer {
   /// Makes every record up to \p lsn as durable as the sync mode asks.
   Status Sync(uint64_t lsn);
 
-  /// Seals the current segment (flush + fdatasync in kFsync) and starts
-  /// the next one. Callers must have quiesced Append/Sync (the
-  /// checkpointer's barrier does). Returns the new segment's seq.
+  /// Seals the current segment (SealLocked) and starts the next one.
+  /// Callers must have quiesced Append/Sync (the checkpointer's barrier
+  /// does). Returns the new segment's seq.
   Result<uint64_t> Roll();
 
   /// Last assigned lsn (0 if none); the checkpoint boundary.
@@ -96,11 +115,17 @@ class Writer {
   Status OpenSegment();
   /// Caller holds mu_. Rolls if the active segment is over budget.
   Status MaybeRollLocked();
-  /// Caller holds mu_. Seals the active segment (flush, + fdatasync in
-  /// kFsync) WITHOUT Close() — a group-commit leader may still be
-  /// fdatasyncing it off-lock — and opens the next one. The old fd is
-  /// closed by the last shared_ptr holder's destructor.
+  /// Caller holds mu_. Seals the active segment (SealLocked) WITHOUT
+  /// Close() — a group-commit leader may still be fdatasyncing it
+  /// off-lock — and opens the next one. The old fd is closed by the last
+  /// shared_ptr holder's destructor.
   Status RollLocked();
+  /// Caller holds mu_. Makes the active segment's contents final: a
+  /// flush, or under kFsync a trim of the zero tail plus an fdatasync.
+  Status SealLocked();
+  /// Caller holds mu_. Records \p s as the writer's sticky error if it is
+  /// the first failure; returns \p s.
+  Status Poison(Status s);
 
   const std::string dir_;
   const Options options_;
@@ -116,6 +141,7 @@ class Writer {
   uint64_t flushed_lsn_ = 0;  ///< highest lsn pushed to the OS
   uint64_t bytes_appended_ = 0;
   std::string frame_;  ///< reused encode scratch
+  Status error_;       ///< first I/O failure; poisons every later call
 
   /// Group-commit state. Lock order: sync_mu_ then mu_ (the leader takes
   /// mu_ briefly to flush; Append never takes sync_mu_).

@@ -487,6 +487,30 @@ TEST(IoTest, WriteReadRoundTrip) {
   EXPECT_EQ(*size, 11u);
 }
 
+TEST(IoTest, AppendsFillAZeroExtendedRegionInPlaceAndTrimDropsTheRest) {
+  ScratchDir dir("io");
+  const std::string path = JoinPath(dir.path(), "log");
+  ASSERT_OK_AND_ASSIGN(WritableFile f, WritableFile::Open(path, true));
+  ASSERT_OK(f.Append("abc"));
+  ASSERT_OK(f.ExtendZeroed(100));
+  EXPECT_EQ(f.Size(), 3u);
+  EXPECT_EQ(f.zeroed_end(), 103u);
+  ASSERT_OK(f.Append("defg"));
+  ASSERT_OK(f.Flush());
+  // The append overwrote zeros; the file did not grow.
+  ASSERT_OK_AND_ASSIGN(std::string data, ReadFileToString(path));
+  ASSERT_EQ(data.size(), 103u);
+  EXPECT_EQ(data.substr(0, 7), "abcdefg");
+  EXPECT_EQ(data.substr(7), std::string(96, '\0'));
+
+  ASSERT_OK(f.Append("h"));
+  ASSERT_OK(f.Trim());
+  EXPECT_EQ(f.zeroed_end(), 8u);
+  ASSERT_OK(f.Close());
+  ASSERT_OK_AND_ASSIGN(data, ReadFileToString(path));
+  EXPECT_EQ(data, "abcdefgh");
+}
+
 TEST(IoTest, AppendAcrossReopen) {
   ScratchDir dir("io");
   const std::string path = JoinPath(dir.path(), "log");

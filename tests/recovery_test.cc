@@ -6,6 +6,7 @@
 /// across all three storage engines.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -13,6 +14,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -393,6 +395,178 @@ TEST(WalReaderTest, CorruptCrcStopsAtValidPrefix) {
   EXPECT_FALSE(reader->Next(&frame));
   EXPECT_TRUE(reader->torn_tail());
   EXPECT_EQ(reader->valid_end(), offsets[1]);
+}
+
+TEST(WalReaderTest, ZeroTailReadsAsATornTailAfterTheLastFrame) {
+  ScratchDir dir("wal_zero_tail");
+  wal::Writer::Options wopts;
+  wopts.sync_mode = wal::SyncMode::kNone;
+  ASSERT_OK_AND_ASSIGN(auto writer,
+                       wal::Writer::Open(dir.path(), wopts, 1, 1));
+  ASSERT_OK(writer->Append(wal::RecordType::kBatch, "first").status());
+  ASSERT_OK(writer->Append(wal::RecordType::kCommit, "second").status());
+  ASSERT_OK(writer->Close());
+  ASSERT_OK_AND_ASSIGN(
+      std::string frames,
+      ReadFileToString(wal::Writer::SegmentPath(dir.path(), 1)));
+
+  // The zero-filled region a kFsync writer keeps past its last frame,
+  // including tails shorter than one frame header.
+  const std::string padded = JoinPath(dir.path(), "padded.wal");
+  for (size_t zeros : {1, 7, 8, 4096}) {
+    ASSERT_OK(WriteStringToFile(padded, frames + std::string(zeros, '\0')));
+    ASSERT_OK_AND_ASSIGN(auto reader, wal::Reader::Open(padded));
+    wal::FrameView frame;
+    std::vector<uint64_t> lsns;
+    while (reader->Next(&frame)) lsns.push_back(frame.lsn);
+    EXPECT_EQ(lsns, (std::vector<uint64_t>{1, 2})) << "zeros=" << zeros;
+    EXPECT_TRUE(reader->torn_tail()) << "zeros=" << zeros;
+    EXPECT_EQ(reader->valid_end(), frames.size()) << "zeros=" << zeros;
+  }
+}
+
+TEST(WalWriterTest, FsyncSegmentKeepsAZeroTailUntilSealed) {
+  ScratchDir dir("wal_fsync_tail");
+  wal::Writer::Options wopts;
+  wopts.sync_mode = wal::SyncMode::kFsync;
+  ASSERT_OK_AND_ASSIGN(auto writer,
+                       wal::Writer::Open(dir.path(), wopts, 1, 1));
+  auto size_of = [&](uint64_t seq) {
+    auto size = FileSize(wal::Writer::SegmentPath(dir.path(), seq));
+    EXPECT_OK(size.status());
+    return size.ok() ? *size : 0;
+  };
+  constexpr uint64_t kExtend = wal::Writer::kZeroExtendBytes;
+
+  // A segment that never receives a record is never extended.
+  ASSERT_OK_AND_ASSIGN(uint64_t seq, writer->Roll());
+  EXPECT_EQ(seq, 2u);
+  EXPECT_EQ(size_of(1), 0u);
+
+  ASSERT_OK_AND_ASSIGN(uint64_t lsn,
+                       writer->Append(wal::RecordType::kCommit, "abc"));
+  ASSERT_OK(writer->Sync(lsn));
+  EXPECT_EQ(size_of(2), kExtend);
+  // A frame larger than one extension extends by whole extensions.
+  const std::string big(kExtend + 10, 'x');
+  ASSERT_OK_AND_ASSIGN(lsn, writer->Append(wal::RecordType::kBatch, big));
+  ASSERT_OK(writer->Sync(lsn));
+  EXPECT_EQ(size_of(2), 2 * kExtend);
+
+  // Sealing trims: a sealed segment ends at its last frame.
+  ASSERT_OK(writer->Roll().status());
+  EXPECT_EQ(size_of(2), writer->bytes_appended());
+  ASSERT_OK(writer->Append(wal::RecordType::kCommit, "tail").status());
+  EXPECT_EQ(size_of(3), kExtend);
+  ASSERT_OK(writer->Close());
+  EXPECT_EQ(size_of(3) + size_of(2), writer->bytes_appended());
+}
+
+/// The fsyncgate rule: once a write fails, the writer never reports
+/// success again. A forked child caps its file size just past the first
+/// zero-extension, so the append that needs the second one fails.
+TEST(WalWriterTest, FailedZeroExtensionPoisonsEveryLaterCall) {
+  ScratchDir dir("wal_poison");
+  constexpr size_t kBody = 4000;
+  constexpr uint64_t kExtend = wal::Writer::kZeroExtendBytes;
+  pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // Child: no gtest machinery, no return — only _exit.
+    std::signal(SIGXFSZ, SIG_IGN);  // EFBIG instead of a fatal signal
+    struct rlimit limit;
+    limit.rlim_cur = limit.rlim_max = kExtend + 4096;
+    if (::setrlimit(RLIMIT_FSIZE, &limit) != 0) _exit(2);
+    wal::Writer::Options wopts;
+    wopts.sync_mode = wal::SyncMode::kFsync;
+    auto writer = wal::Writer::Open(dir.path(), wopts, 1, 1);
+    if (!writer.ok()) _exit(3);
+    const std::string body(kBody, 'w');
+    uint64_t acked = 0;
+    for (;;) {
+      auto lsn = (*writer)->Append(wal::RecordType::kBatch, body);
+      if (!lsn.ok()) break;
+      if (!(*writer)->Sync(*lsn).ok()) _exit(4);
+      acked = *lsn;
+      if (acked > 2 * kExtend / kBody) _exit(5);  // the limit never bit
+    }
+    if (acked == 0) _exit(6);
+    // Every later call fails, even a Sync of an already-synced lsn.
+    if ((*writer)->Append(wal::RecordType::kCommit, "x").ok()) _exit(7);
+    if ((*writer)->Sync(acked).ok()) _exit(8);
+    if ((*writer)->Roll().ok()) _exit(9);
+    if ((*writer)->Close().ok()) _exit(10);
+    _exit(0);
+  }
+  int wstatus = 0;
+  ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
+  ASSERT_TRUE(WIFEXITED(wstatus));
+  ASSERT_EQ(WEXITSTATUS(wstatus), 0);
+
+  // The segment holds every frame that fit in the first extension, in
+  // lsn order, followed by zeros.
+  ASSERT_OK_AND_ASSIGN(auto reader, wal::Reader::Open(wal::Writer::SegmentPath(
+                                        dir.path(), 1)));
+  wal::FrameView frame;
+  uint64_t n = 0;
+  while (reader->Next(&frame)) EXPECT_EQ(frame.lsn, ++n);
+  EXPECT_GT(n, 0u);
+  EXPECT_TRUE(reader->torn_tail());
+  EXPECT_LE(reader->valid_end(), kExtend);
+  EXPECT_GT(reader->valid_end() + wal::kFrameHeaderSize + kBody, kExtend);
+}
+
+/// Group commit across zero-extensions and rolls: appenders extend and
+/// roll the active segment under the append lock while a leader
+/// fdatasyncs the previous handle off it.
+TEST(WalWriterTest, ConcurrentFsyncAppendersAcrossExtensionsAndRolls) {
+  ScratchDir dir("wal_fsync_concurrent");
+  wal::Writer::Options wopts;
+  wopts.sync_mode = wal::SyncMode::kFsync;
+  wopts.segment_bytes = wal::Writer::kZeroExtendBytes * 3 / 2;
+  ASSERT_OK_AND_ASSIGN(auto writer,
+                       wal::Writer::Open(dir.path(), wopts, 1, 1));
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 300;
+  std::atomic<int> failures{0};
+  std::vector<std::vector<uint64_t>> lsns(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const std::string body(4000, static_cast<char>('a' + t));
+      for (int i = 0; i < kPerThread; ++i) {
+        auto lsn = writer->Append(wal::RecordType::kBatch, body);
+        if (!lsn.ok() || !writer->Sync(*lsn).ok()) {
+          ++failures;
+          return;
+        }
+        lsns[t].push_back(*lsn);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  ASSERT_EQ(failures.load(), 0);
+  ASSERT_OK(writer->Close());
+
+  std::vector<uint64_t> all;
+  for (const auto& v : lsns) all.insert(all.end(), v.begin(), v.end());
+  std::sort(all.begin(), all.end());
+  ASSERT_EQ(all.size(), static_cast<size_t>(kThreads * kPerThread));
+  for (size_t i = 0; i < all.size(); ++i) ASSERT_EQ(all[i], i + 1);
+
+  // On disk: lsns dense across every segment, and each segment (sealed
+  // by a roll or by Close) ends exactly at its last frame.
+  ASSERT_GE(writer->segment_seq(), 3u);
+  uint64_t expected = 1;
+  for (uint64_t seq = 1; seq <= writer->segment_seq(); ++seq) {
+    ASSERT_OK_AND_ASSIGN(auto reader, wal::Reader::Open(wal::Writer::SegmentPath(
+                                          dir.path(), seq)));
+    wal::FrameView frame;
+    while (reader->Next(&frame)) ASSERT_EQ(frame.lsn, expected++);
+    EXPECT_FALSE(reader->torn_tail()) << "segment " << seq;
+    EXPECT_EQ(reader->valid_end(), reader->file_size()) << "segment " << seq;
+  }
+  EXPECT_EQ(expected - 1, all.size());
 }
 
 // ------------------------------------------------------------- manifest
@@ -872,6 +1046,133 @@ TEST_P(RecoveryTest, KilledChildLosesNoAcknowledgedCommit) {
   EXPECT_TRUE(db->graph().IsAncestor(master_commit,
                                      db->graph().Head(kMasterBranch)) ||
               db->graph().Head(kMasterBranch) == master_commit);
+  RemoveFile(progress).ok();
+}
+
+/// A kFsync crash copy taken while the database is open carries the
+/// active segment's zero tail. Recovery reads the zeros as a torn tail,
+/// keeps every acknowledged row and cuts the segment back to its frames.
+TEST_P(RecoveryTest, FsyncCrashCopyWithAZeroTailKeepsEveryAckedRow) {
+  ScratchDir dir("recov_zero_tail");
+  ScratchDir crash("recov_zero_tail_copy");
+  std::string segment;
+  {
+    ASSERT_OK_AND_ASSIGN(auto db, OpenDb(dir.path(), wal::SyncMode::kFsync));
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_OK(db->InsertInto(kMasterBranch, MakeRecord(db->schema(), i, i)));
+    }
+    ASSERT_OK(db->CommitBranch(kMasterBranch).status());
+    ASSERT_OK(db->InsertInto(kMasterBranch, MakeRecord(db->schema(), 100, 7)));
+    const std::string active = WalSegments(dir.path()).back();
+    ASSERT_OK_AND_ASSIGN(uint64_t size, FileSize(active));
+    EXPECT_EQ(size, wal::Writer::kZeroExtendBytes);
+    ASSERT_OK(CopyDirRecursive(dir.path(), crash.path()));
+    segment = JoinPath(JoinPath(crash.path(), "wal"),
+                       active.substr(active.find_last_of('/') + 1));
+  }
+
+  ASSERT_OK_AND_ASSIGN(auto db, ReopenDb(crash.path(), wal::SyncMode::kFsync));
+  auto master = CollectBranch(db.get(), kMasterBranch);
+  EXPECT_EQ(master.size(), 21u);
+  EXPECT_EQ(master[100], 7);
+  ASSERT_OK_AND_ASSIGN(std::string data, ReadFileToString(segment));
+  uint64_t frames_end = 0;
+  EXPECT_FALSE(FrameOffsets(data, &frames_end).empty());
+  EXPECT_EQ(data.size(), frames_end);
+}
+
+/// With a small wal_segment_bytes, appends roll mid-run under kFsync.
+/// Every sealed segment is trimmed to its frames before the next one
+/// exists, so a crash copy never shows a zero tail mid-sequence.
+TEST_P(RecoveryTest, FsyncRollsSealEverySegmentAtItsLastFrame) {
+  ScratchDir dir("recov_fsync_rolls");
+  ScratchDir crash("recov_fsync_rolls_copy");
+  DecibelOptions options = DurableOptions(GetParam(), wal::SyncMode::kFsync);
+  options.wal_segment_bytes = 4096;
+  constexpr int kRows = 400;
+  {
+    ASSERT_OK_AND_ASSIGN(auto db,
+                         Decibel::Open(dir.path(), TestSchema(), options));
+    for (int i = 0; i < kRows; ++i) {
+      ASSERT_OK(db->InsertInto(kMasterBranch, MakeRecord(db->schema(), i, i)));
+      if (i % 50 == 49) ASSERT_OK(db->CommitBranch(kMasterBranch).status());
+    }
+    std::vector<std::string> segments = WalSegments(dir.path());
+    ASSERT_GE(segments.size(), 3u);
+    for (size_t i = 0; i + 1 < segments.size(); ++i) {
+      ASSERT_OK_AND_ASSIGN(std::string data, ReadFileToString(segments[i]));
+      uint64_t frames_end = 0;
+      FrameOffsets(data, &frames_end);
+      EXPECT_EQ(data.size(), frames_end) << segments[i];
+    }
+    ASSERT_OK(CopyDirRecursive(dir.path(), crash.path()));
+  }
+
+  ASSERT_OK_AND_ASSIGN(auto db, Decibel::Open(crash.path(), options));
+  auto master = CollectBranch(db.get(), kMasterBranch);
+  ASSERT_EQ(master.size(), static_cast<size_t>(kRows));
+  for (int i = 0; i < kRows; ++i) EXPECT_EQ(master[i], i);
+}
+
+/// The fsyncgate rule end to end: a forked child caps its file size just
+/// past the first WAL zero-extension, loads until a batch fails, and
+/// checks that the database stays failed. The parent reopens exactly
+/// the acknowledged rows.
+TEST_P(RecoveryTest, FailedWalWriteKeepsExactlyTheAcknowledgedRows) {
+  ScratchDir dir("recov_poison");
+  // Lives outside the db directory so recovery never sees it.
+  const std::string progress = dir.path() + "_progress";
+  RemoveFile(progress).ok();
+  constexpr int kBatchRows = 50;
+
+  pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // Child: no gtest machinery, no return — only _exit. The default
+    // checkpoint interval is far above 1 MiB, so no checkpoint rolls the
+    // segment before the limit bites.
+    auto db = OpenDb(dir.path(), wal::SyncMode::kFsync);
+    if (!db.ok()) _exit(3);
+    const Schema& schema = (*db)->schema();
+    std::signal(SIGXFSZ, SIG_IGN);  // EFBIG instead of a fatal signal
+    struct rlimit limit;
+    limit.rlim_cur = limit.rlim_max = wal::Writer::kZeroExtendBytes + 4096;
+    if (::setrlimit(RLIMIT_FSIZE, &limit) != 0) _exit(4);
+    int acked = 0;
+    for (;; ++acked) {
+      WriteBatch batch(&schema);
+      for (int i = 0; i < kBatchRows; ++i) {
+        const int pk = acked * kBatchRows + i;
+        batch.Insert(MakeRecord(schema, pk, pk));
+      }
+      if (!(*db)->ApplyBatch(kMasterBranch, batch).ok()) break;
+      if (acked > 100000) _exit(5);  // the limit never bit
+    }
+    if (acked == 0) _exit(6);
+    // The database stays failed: no later write, commit or checkpoint.
+    if ((*db)->InsertInto(kMasterBranch, MakeRecord(schema, -1, 0)).ok()) {
+      _exit(7);
+    }
+    if ((*db)->CommitBranch(kMasterBranch).ok()) _exit(8);
+    if ((*db)->CheckpointNow().ok()) _exit(9);
+    if (!WriteStringToFile(progress, std::to_string(acked)).ok()) _exit(10);
+    _exit(0);
+  }
+
+  int wstatus = 0;
+  ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
+  ASSERT_TRUE(WIFEXITED(wstatus));
+  ASSERT_EQ(WEXITSTATUS(wstatus), 0);
+  ASSERT_OK_AND_ASSIGN(std::string note, ReadFileToString(progress));
+  const int acked_rows = std::stoi(note) * kBatchRows;
+
+  ASSERT_OK_AND_ASSIGN(auto db, ReopenDb(dir.path(), wal::SyncMode::kFsync));
+  auto master = CollectBranch(db.get(), kMasterBranch);
+  EXPECT_EQ(master.size(), static_cast<size_t>(acked_rows));
+  for (int pk = 0; pk < acked_rows; ++pk) {
+    ASSERT_EQ(master.count(pk), 1u) << "pk " << pk;
+    EXPECT_EQ(master[pk], pk);
+  }
   RemoveFile(progress).ok();
 }
 
