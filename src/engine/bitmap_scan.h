@@ -5,7 +5,8 @@
 /// Iterating heap-file records selected by a bitmap — the inner loop of
 /// the tuple-first and hybrid engines. Pins one page at a time and skips
 /// directly between set bits, so sparse branches touch only the pages
-/// they occupy (the clustering benefit hybrid gets from small segments).
+/// they occupy (the clustering benefit hybrid gets from small segments),
+/// and a page pruned by its zone map is stepped over in one move.
 /// PartsCursor chains such scans across segment files; it serves
 /// hybrid's views and version-first's multi-branch view.
 
@@ -29,10 +30,12 @@ class BitmapScanner {
 
   /// Turns on zone-map page skipping: pages whose zone maps rule out
   /// \p predicate (or whose compressed strips prove zero matches) are
-  /// stepped over without decoding. Sound because the bitmap already
-  /// resolved version visibility — skipped records were only ever going
-  /// to be filtered out. \p stats (optional) receives pages_skipped and
-  /// bytes_read. Both pointers must outlive the scanner.
+  /// stepped over without decoding, in one move past the page's last
+  /// record, so a skipped page costs one zone-map probe however many of
+  /// its bits are set. Sound because the bitmap already resolved version
+  /// visibility — skipped records were only ever going to be filtered
+  /// out. \p stats (optional) receives pages_skipped (once per skipped
+  /// page) and bytes_read. Both pointers must outlive the scanner.
   void EnablePruning(const PreparedPredicate* predicate, ScanStats* stats) {
     predicate_ = predicate;
     stats_ = stats;
@@ -46,31 +49,29 @@ class BitmapScanner {
     for (;;) {
       const uint64_t next = bits_->NextSet(pos_);
       if (next == UINT64_MAX || next >= limit) return false;
-      pos_ = next + 1;
       const uint64_t page_no = next / rpp;
       if (page_no != pinned_page_no_) {
-        if (page_no == skip_page_no_) continue;
-        if (predicate_ != nullptr &&
-            !heap_->PageMayMatch(page_no, *predicate_)) {
-          skip_page_no_ = page_no;
+        bool skip = predicate_ != nullptr &&
+                    !heap_->PageMayMatch(page_no, *predicate_);
+        if (!skip) {
+          auto page = heap_->PinPageCounted(page_no, predicate_, &skip);
+          if (!page.ok()) {
+            status_ = page.status();
+            return false;
+          }
+          if (stats_ != nullptr) stats_->bytes_read += page.value().io_bytes;
+          if (!skip) {
+            page_ = std::move(page).MoveValueUnsafe();
+            pinned_page_no_ = page_no;
+          }
+        }
+        if (skip) {
           if (stats_ != nullptr) ++stats_->pages_skipped;
+          pos_ = (page_no + 1) * rpp;
           continue;
         }
-        bool no_matches = false;
-        auto page = heap_->PinPageCounted(page_no, predicate_, &no_matches);
-        if (!page.ok()) {
-          status_ = page.status();
-          return false;
-        }
-        if (stats_ != nullptr) stats_->bytes_read += page.value().io_bytes;
-        if (no_matches) {
-          skip_page_no_ = page_no;
-          if (stats_ != nullptr) ++stats_->pages_skipped;
-          continue;
-        }
-        page_ = std::move(page).MoveValueUnsafe();
-        pinned_page_no_ = page_no;
       }
+      pos_ = next + 1;
       const uint64_t slot = next % rpp;
       *out = RecordRef(
           schema_,
@@ -92,7 +93,6 @@ class BitmapScanner {
   uint64_t pos_ = 0;
   HeapFile::PinnedPage page_;
   uint64_t pinned_page_no_ = UINT64_MAX;
-  uint64_t skip_page_no_ = UINT64_MAX;
   Status status_;
 };
 

@@ -17,13 +17,12 @@
 /// Reads go through one composable surface: NewScan(ScanSpec) returns a
 /// ScanCursor over a branch head, a commit, several heads at once, or a
 /// by-key diff, with predicate/projection/limit pushed into the engine
-/// scan loops (scan_spec.h); Get(branch, pk) is the point lookup the pk
-/// index makes O(1) in the bitmap engines. The kDiff view is the only
+/// scan loops (scan_spec.h); Get(branch, pk) is the point lookup the
+/// per-branch pk index (pk_index.h) makes O(1). The kDiff view is the only
 /// head-to-head diff: rows of a whose key b lacks (Table 1 query 2); the
 /// other side is a second scan with the branches swapped. Changes between
 /// commits, and the merges built on them, come from MergeWalk.
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -103,25 +102,11 @@ struct EngineOptions {
 // semantics over a per-engine walk primitive, exactly as scan_spec.h is
 // shared pushdown over per-engine cursors.
 
-/// Heap bytes of a node-based hash table (std::unordered_map/set, the
-/// engines' pk indexes): the bucket array plus one allocation per entry.
-/// An entry node is a next pointer and the value (libstdc++ caches no hash
-/// for integer keys), and glibc malloc rounds each request plus its 8-byte
-/// header up to 16 bytes, 32 at least. A std::unordered_map<int64_t, 16-byte
-/// value> entry thus takes a 48-byte chunk plus its share of the buckets,
-/// ~60 bytes in all — not the 24 that sizeof(value_type) suggests.
-template <typename HashTable>
-uint64_t HashTableMemoryBytes(const HashTable& table) {
-  constexpr uint64_t kNode =
-      sizeof(void*) + sizeof(typename HashTable::value_type);
-  constexpr uint64_t kChunk =
-      std::max<uint64_t>(32, (kNode + sizeof(size_t) + 15) / 16 * 16);
-  return table.bucket_count() * sizeof(void*) + table.size() * kChunk;
-}
-
 struct EngineStats {
   uint64_t data_bytes = 0;          ///< heap/segment file bytes on disk
-  uint64_t index_memory_bytes = 0;  ///< bitmap + pk index heap bytes
+  /// Heap bytes of the bitmaps plus the pk indexes' slot arrays
+  /// (PkIndex::MemoryBytes).
+  uint64_t index_memory_bytes = 0;
   uint64_t commit_store_bytes = 0;  ///< aggregate commit-history file size
   uint64_t num_segments = 0;
   uint64_t num_records = 0;         ///< physical record versions stored
@@ -172,10 +157,12 @@ class StorageEngine {
   /// of once per record. The facade calls this under the branch's
   /// exclusive lock; per-record mutations arrive as one-op batches.
   ///
-  /// Engines that maintain a pk index (tuple-first, hybrid) validate the
-  /// batch's deletes up front so a delete of an absent key fails with
-  /// NotFound before any operation is applied; version-first keeps its
-  /// blind-tombstone delete semantics (§3.3).
+  /// Tuple-first and hybrid validate the batch's deletes against the pk
+  /// index up front, so a delete of an absent key fails with NotFound
+  /// before any operation is applied; version-first keeps its
+  /// blind-tombstone delete semantics (§3.3). A batch whose new record
+  /// locations would not fit the pk index's packed form (PackedLoc) fails
+  /// with OutOfRange, also before any operation is applied.
   virtual Status ApplyBatch(BranchId branch, const WriteBatch& batch) = 0;
 
   // -------------------------------------------------------------- queries
@@ -188,10 +175,9 @@ class StorageEngine {
   virtual Result<std::unique_ptr<ScanCursor>> NewScan(
       const ScanSpec& spec) = 0;
 
-  /// Point lookup of \p pk at the head of \p branch. O(1) through the pk
-  /// index in tuple-first and hybrid; version-first walks its segment
-  /// ancestry newest-to-oldest and stops at the first version of the key.
-  /// NotFound when the key is not live in the branch.
+  /// Point lookup of \p pk at the head of \p branch, O(1) through the
+  /// branch's pk index on every engine. NotFound when the key is not live
+  /// in the branch.
   virtual Result<Record> Get(BranchId branch, int64_t pk) = 0;
 
   /// The merge/diff substrate (§2.2.3): streams every primary key whose

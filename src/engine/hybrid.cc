@@ -595,15 +595,17 @@ Status HybridEngine::Checkout(CommitId commit) {
 
 Status HybridEngine::RebuildPkIndex(BranchId b) {
   PkIndex& idx = pk_index_[b];
-  idx.clear();
+  idx.Clear();
   for (uint32_t seg : SegmentsOf(b)) {
     const Bitmap* view = segments_[seg]->local.BranchView(b);
     if (view == nullptr) continue;
-    BitmapScanner scanner(segments_[seg]->file.get(), &schema_, view);
+    HeapFile* file = segments_[seg]->file.get();
+    DECIBEL_RETURN_NOT_OK(PackedLoc::Check(seg, file->num_records()));
+    BitmapScanner scanner(file, &schema_, view);
     RecordRef rec;
     uint64_t pos;
     while (scanner.Next(&rec, &pos)) {
-      idx[rec.pk()] = Loc{seg, pos};
+      idx.Put(rec.pk(), PackedLoc::Pack(seg, pos));
     }
     DECIBEL_RETURN_NOT_OK(scanner.status());
   }
@@ -628,36 +630,37 @@ Status HybridEngine::ApplyBatch(BranchId branch, const WriteBatch& batch) {
   Segment& head = *segments_[head_it->second];
   PkIndex& pks = pk_index_[branch];
   DECIBEL_RETURN_NOT_OK(ValidateBatchDeletes(
-      batch, [&pks](int64_t pk) { return pks.count(pk) != 0; }));
+      batch, [&pks](int64_t pk) { return pks.Contains(pk); }));
 
   // One pass over the batch: the record payloads go to the head segment
-  // in page-sized chunks, its local bitmap universe grows once, the pk
-  // index is pre-sized, and the head segment is marked dirty once rather
-  // than per record.
+  // in page-sized chunks, its local bitmap universe grows once, and the
+  // head segment is marked dirty once rather than per record.
   uint64_t next_idx = 0;
   if (batch.num_appends() > 0) {
+    DECIBEL_RETURN_NOT_OK(PackedLoc::Check(
+        head.id, head.file->num_records() + batch.num_appends()));
     DECIBEL_ASSIGN_OR_RETURN(
         next_idx,
         head.file->AppendBatch(batch.arena(), batch.num_appends()));
   }
   head.local.AppendTuples(batch.num_appends());
-  pks.reserve(pks.size() + batch.num_appends());
   for (const WriteBatch::Op& op : batch.ops()) {
     if (op.kind == WriteBatch::OpKind::kDelete) {
-      auto old = pks.find(op.pk);
-      segments_[old->second.seg]->local.Set(old->second.idx, branch, false);
-      MarkDirty(branch, old->second.seg);
-      pks.erase(old);
+      const uint64_t old = *pks.Find(op.pk);
+      segments_[PackedLoc::Seg(old)]->local.Set(PackedLoc::Idx(old), branch,
+                                                false);
+      MarkDirty(branch, PackedLoc::Seg(old));
+      pks.Erase(op.pk);
       continue;
     }
     const uint64_t idx = next_idx++;
-    auto [it, inserted] =
-        pks.try_emplace(batch.RecordAt(op).pk(), Loc{head.id, idx});
+    const uint64_t loc = PackedLoc::Pack(head.id, idx);
+    auto [stored, inserted] = pks.TryEmplace(batch.RecordAt(op).pk(), loc);
     if (!inserted) {
-      const Loc old = it->second;
-      segments_[old.seg]->local.Set(old.idx, branch, false);
-      if (old.seg != head.id) MarkDirty(branch, old.seg);
-      it->second = Loc{head.id, idx};
+      const uint32_t old_seg = PackedLoc::Seg(*stored);
+      segments_[old_seg]->local.Set(PackedLoc::Idx(*stored), branch, false);
+      if (old_seg != head.id) MarkDirty(branch, old_seg);
+      *stored = loc;
     }
     head.local.Set(idx, branch, true);
   }
@@ -850,7 +853,7 @@ Result<std::unique_ptr<ScanCursor>> HybridEngine::NewScan(
 
 Result<Record> HybridEngine::Get(BranchId branch, int64_t pk) {
   std::shared_lock<std::shared_mutex> registry_lock(registry_mu_);
-  Loc loc;
+  uint64_t loc;
   {
     // The pk index is per-branch state guarded by the branch's stripe.
     std::lock_guard<std::mutex> stripe_lock(stripes_.ForBranch(branch));
@@ -859,15 +862,16 @@ Result<Record> HybridEngine::Get(BranchId branch, int64_t pk) {
       return Status::NotFound("hybrid: unknown branch " +
                               std::to_string(branch));
     }
-    auto rec_it = branch_it->second.find(pk);
-    if (rec_it == branch_it->second.end()) {
+    const uint64_t* found = branch_it->second.Find(pk);
+    if (found == nullptr) {
       return Status::NotFound("hybrid: no record with pk " +
                               std::to_string(pk));
     }
-    loc = rec_it->second;
+    loc = *found;
   }
   std::string buf;
-  DECIBEL_RETURN_NOT_OK(segments_[loc.seg]->file->Get(loc.idx, &buf));
+  DECIBEL_RETURN_NOT_OK(segments_[PackedLoc::Seg(loc)]->file->Get(
+      PackedLoc::Idx(loc), &buf));
   return Record(&schema_, Slice(buf));
 }
 
@@ -1065,7 +1069,7 @@ EngineStats HybridEngine::Stats() const {
       stats.index_memory_bytes += row.MemoryBytes();
     }
     for (const auto& [branch, pks] : pk_index_) {
-      stats.index_memory_bytes += HashTableMemoryBytes(pks);
+      stats.index_memory_bytes += pks.MemoryBytes();
     }
   }
   {

@@ -49,6 +49,7 @@
 #include "common/stripe_lock.h"
 #include "engine/bitmap_scan.h"
 #include "engine/engine.h"
+#include "engine/pk_index.h"
 #include "engine/scan_util.h"
 #include "storage/buffer_pool.h"
 #include "storage/heap_file.h"
@@ -178,7 +179,7 @@ class HybridEngine : public StorageEngine {
   std::unordered_map<BranchId, uint32_t> head_seg_;
   /// The global branch-segment bitmap: row per branch, bit per segment.
   std::unordered_map<BranchId, Bitmap> branch_segments_;
-  using PkIndex = std::unordered_map<int64_t, Loc>;
+  /// pk -> PackedLoc of the live record version, per branch.
   std::unordered_map<BranchId, PkIndex> pk_index_;
 
   /// Commit storage: one history file per (branch, segment) (§5.3).

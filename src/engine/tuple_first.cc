@@ -267,13 +267,13 @@ Result<CommitHistory*> TupleFirstEngine::HistoryFor(BranchId branch) {
 
 Status TupleFirstEngine::RebuildPkIndex(BranchId b) {
   PkIndex& idx = pk_index_[b];
-  idx.clear();
+  idx.Clear();
   const Bitmap view = index_->MaterializeBranch(b);
   StripedBitmapScanner scanner(heap_->SnapshotMapping(), &schema_, &view);
   RecordRef rec;
   uint64_t pos;
   while (scanner.Next(&rec, &pos)) {
-    idx[rec.pk()] = pos;
+    idx.Put(rec.pk(), pos);
   }
   return scanner.status();
 }
@@ -354,27 +354,25 @@ Status TupleFirstEngine::ApplyBatch(BranchId branch, const WriteBatch& batch) {
   }
   PkIndex& pks = pk_it->second;
   DECIBEL_RETURN_NOT_OK(ValidateBatchDeletes(
-      batch, [&pks](int64_t pk) { return pks.count(pk) != 0; }));
+      batch, [&pks](int64_t pk) { return pks.Contains(pk); }));
 
   // One pass: the record payloads go to this branch's heap stripe in
   // page-sized chunks (the stripe allocator hands back the assigned
   // global indices as at most two contiguous runs), the bitmap universe
-  // grows once to the heap's allocated bound, and the pk index is
-  // pre-sized — instead of paying each per record.
+  // grows once to the heap's allocated bound — instead of paying each
+  // per record.
   StripedHeap::RunList runs;
   if (batch.num_appends() > 0) {
     DECIBEL_RETURN_NOT_OK(heap_->AppendBatch(
         StripeOf(branch), batch.arena(), batch.num_appends(), &runs));
     index_->EnsureTuples(heap_->allocated_bound());
   }
-  pks.reserve(pks.size() + batch.num_appends());
   size_t run_pos = 0;
   uint64_t run_off = 0;
   for (const WriteBatch::Op& op : batch.ops()) {
     if (op.kind == WriteBatch::OpKind::kDelete) {
-      auto old = pks.find(op.pk);
-      index_->Set(old->second, branch, false);
-      pks.erase(old);
+      index_->Set(*pks.Find(op.pk), branch, false);
+      pks.Erase(op.pk);
       continue;
     }
     while (run_off == runs[run_pos].count) {
@@ -382,12 +380,12 @@ Status TupleFirstEngine::ApplyBatch(BranchId branch, const WriteBatch& batch) {
       run_off = 0;
     }
     const uint64_t idx = runs[run_pos].base + run_off++;
-    auto [it, inserted] = pks.try_emplace(batch.RecordAt(op).pk(), idx);
+    auto [stored, inserted] = pks.TryEmplace(batch.RecordAt(op).pk(), idx);
     if (!inserted) {
       // "the index bit of the previous version of the record is unset"
       // §3.2
-      index_->Set(it->second, branch, false);
-      it->second = idx;
+      index_->Set(*stored, branch, false);
+      *stored = idx;
     }
     index_->Set(idx, branch, true);
   }
@@ -470,12 +468,12 @@ Result<Record> TupleFirstEngine::Get(BranchId branch, int64_t pk) {
       return Status::NotFound("tuple-first: unknown branch " +
                               std::to_string(branch));
     }
-    auto rec_it = branch_it->second.find(pk);
-    if (rec_it == branch_it->second.end()) {
+    const uint64_t* found = branch_it->second.Find(pk);
+    if (found == nullptr) {
       return Status::NotFound("tuple-first: no record with pk " +
                               std::to_string(pk));
     }
-    idx = rec_it->second;
+    idx = *found;
   }
   // Appended records are immutable; the read needs no lock.
   std::string buf;
@@ -610,7 +608,7 @@ EngineStats TupleFirstEngine::Stats() const {
   stats.data_bytes = heap_->SizeBytes();
   stats.index_memory_bytes = index_->MemoryBytes();
   for (const auto& [branch, pks] : pk_index_) {
-    stats.index_memory_bytes += HashTableMemoryBytes(pks);
+    stats.index_memory_bytes += pks.MemoryBytes();
   }
   {
     std::lock_guard<std::mutex> commits(commit_mu_);

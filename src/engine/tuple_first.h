@@ -30,6 +30,7 @@
 #include "bitmap/commit_history.h"
 #include "common/stripe_lock.h"
 #include "engine/engine.h"
+#include "engine/pk_index.h"
 #include "engine/scan_util.h"
 #include "storage/buffer_pool.h"
 #include "storage/striped_heap.h"
@@ -126,8 +127,6 @@ class TupleFirstEngine : public StorageEngine {
   /// registry unique.
   std::string EncodeMeta();
 
-  using PkIndex = std::unordered_map<int64_t, uint64_t>;  // pk -> record idx
-
   Schema schema_;
   EngineOptions options_;
   BufferPool pool_;
@@ -146,6 +145,7 @@ class TupleFirstEngine : public StorageEngine {
 
   std::unique_ptr<StripedHeap> heap_;
   std::unique_ptr<BitmapIndex> index_;
+  /// pk -> global record index of the live version, per branch.
   std::unordered_map<BranchId, PkIndex> pk_index_;
   std::unordered_map<BranchId, std::unique_ptr<CommitHistory>> histories_;
   std::unordered_map<CommitId, BranchId> commit_branch_;

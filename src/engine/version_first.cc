@@ -262,12 +262,8 @@ Status VersionFirstEngine::LoadExisting() {
   std::vector<WinnerTable> tables;
   DECIBEL_RETURN_NOT_OK(BuildWinnerTables(roots, &tables, nullptr));
   for (size_t i = 0; i < branch_ids.size(); ++i) {
-    PkIndex& idx = pk_index_[branch_ids[i]];
-    idx.reserve(tables[i].size());
-    for (const auto& [pk, winner] : tables[i]) {
-      if (winner.tombstone) continue;
-      idx[pk] = Loc{winner.seg, winner.idx};
-    }
+    DECIBEL_RETURN_NOT_OK(
+        FillPkIndex(tables[i], &pk_index_[branch_ids[i]]));
   }
   return Status::OK();
 }
@@ -388,12 +384,17 @@ Status VersionFirstEngine::CreateBranch(BranchId child, BranchId parent,
 Status VersionFirstEngine::RebuildPkIndex(BranchId branch, const Root& root) {
   std::vector<WinnerTable> tables;
   DECIBEL_RETURN_NOT_OK(BuildWinnerTables({root}, &tables, nullptr));
-  PkIndex& idx = pk_index_[branch];
-  idx.clear();
-  idx.reserve(tables[0].size());
-  for (const auto& [pk, winner] : tables[0]) {
+  return FillPkIndex(tables[0], &pk_index_[branch]);
+}
+
+Status VersionFirstEngine::FillPkIndex(const WinnerTable& table,
+                                       PkIndex* idx) {
+  idx->Clear();
+  idx->Reserve(table.size());
+  for (const auto& [pk, winner] : table) {
     if (winner.tombstone) continue;
-    idx[pk] = Loc{winner.seg, winner.idx};
+    DECIBEL_RETURN_NOT_OK(PackedLoc::Check(winner.seg, winner.idx + 1));
+    idx->Put(pk, PackedLoc::Pack(winner.seg, winner.idx));
   }
   return Status::OK();
 }
@@ -445,13 +446,14 @@ Status VersionFirstEngine::ApplyBatch(BranchId branch,
   const uint32_t head = it->second;
   HeapFile* file = segments_[head]->file.get();
   PkIndex& pks = pk_index_[branch];
-  pks.reserve(pks.size() + batch.num_appends());
+  DECIBEL_RETURN_NOT_OK(
+      PackedLoc::Check(head, file->num_records() + batch.size()));
   if (batch.num_appends() == batch.size()) {
     DECIBEL_ASSIGN_OR_RETURN(
         uint64_t first, file->AppendBatch(batch.arena(), batch.num_appends()));
     uint64_t i = 0;
     for (const WriteBatch::Op& op : batch.ops()) {
-      pks[batch.RecordAt(op).pk()] = Loc{head, first + i};
+      pks.Put(batch.RecordAt(op).pk(), PackedLoc::Pack(head, first + i));
       ++i;
     }
     return Status::OK();
@@ -460,11 +462,11 @@ Status VersionFirstEngine::ApplyBatch(BranchId branch,
     if (op.kind == WriteBatch::OpKind::kDelete) {
       const Record tombstone = MakeTombstone(&schema_, op.pk);
       DECIBEL_RETURN_NOT_OK(file->Append(tombstone.data()).status());
-      pks.erase(op.pk);
+      pks.Erase(op.pk);
     } else {
       DECIBEL_ASSIGN_OR_RETURN(uint64_t idx,
                                file->Append(batch.RecordAt(op).data()));
-      pks[batch.RecordAt(op).pk()] = Loc{head, idx};
+      pks.Put(batch.RecordAt(op).pk(), PackedLoc::Pack(head, idx));
     }
   }
   return Status::OK();
@@ -809,7 +811,7 @@ Result<Record> VersionFirstEngine::Get(BranchId branch, int64_t pk) {
   // key is simply not in the map) — the old ancestry walk paid O(history)
   // page reads per Get, the cost §3.3 conceded to the bitmap engines.
   std::shared_lock<std::shared_mutex> registry_lock(registry_mu_);
-  Loc loc;
+  uint64_t loc;
   {
     std::lock_guard<std::mutex> stripe_lock(stripes_.ForBranch(branch));
     if (head_seg_.count(branch) == 0) {
@@ -817,17 +819,19 @@ Result<Record> VersionFirstEngine::Get(BranchId branch, int64_t pk) {
                               std::to_string(branch));
     }
     auto branch_it = pk_index_.find(branch);
-    auto rec_it = branch_it == pk_index_.end() ? PkIndex::iterator()
-                                               : branch_it->second.find(pk);
-    if (branch_it == pk_index_.end() || rec_it == branch_it->second.end()) {
+    const uint64_t* found = branch_it == pk_index_.end()
+                                ? nullptr
+                                : branch_it->second.Find(pk);
+    if (found == nullptr) {
       return Status::NotFound("version-first: no record with pk " +
                               std::to_string(pk));
     }
-    loc = rec_it->second;
+    loc = *found;
   }
   // Appended records are immutable; the read needs no lock.
   std::string buf;
-  DECIBEL_RETURN_NOT_OK(FetchRecord(loc.seg, loc.idx, &buf));
+  DECIBEL_RETURN_NOT_OK(
+      FetchRecord(PackedLoc::Seg(loc), PackedLoc::Idx(loc), &buf));
   return Record(&schema_, Slice(buf));
 }
 
@@ -1083,7 +1087,7 @@ EngineStats VersionFirstEngine::Stats() const {
     // The pk indexes are per-branch state guarded by the stripes.
     StripeLocks::AllGuard stripe_locks(stripes_);
     for (const auto& [branch, pks] : pk_index_) {
-      stats.index_memory_bytes += HashTableMemoryBytes(pks);
+      stats.index_memory_bytes += pks.MemoryBytes();
     }
   }
   {

@@ -43,6 +43,7 @@
 
 #include "common/stripe_lock.h"
 #include "engine/engine.h"
+#include "engine/pk_index.h"
 #include "engine/scan_util.h"
 #include "storage/buffer_pool.h"
 #include "storage/heap_file.h"
@@ -112,13 +113,6 @@ class VersionFirstEngine : public StorageEngine {
   };
   using WinnerTable = std::unordered_map<int64_t, Winner>;
 
-  /// Physical record location, for the per-branch pk index.
-  struct Loc {
-    uint32_t seg = 0;
-    uint64_t idx = 0;
-  };
-  using PkIndex = std::unordered_map<int64_t, Loc>;
-
   VersionFirstEngine(const Schema& schema, const EngineOptions& options)
       : schema_(schema),
         options_(options),
@@ -163,6 +157,9 @@ class VersionFirstEngine : public StorageEngine {
   /// Rebuilds \p branch's pk index from its ancestry (one winner-table
   /// pass). Caller holds registry_mu_ unique.
   Status RebuildPkIndex(BranchId branch, const Root& root);
+  /// Replaces \p idx's entries with \p table's live (non-tombstone)
+  /// winners.
+  static Status FillPkIndex(const WinnerTable& table, PkIndex* idx);
 
   Schema schema_;
   EngineOptions options_;
@@ -185,8 +182,9 @@ class VersionFirstEngine : public StorageEngine {
   std::vector<std::unique_ptr<Segment>> segments_;
   std::unordered_map<BranchId, uint32_t> head_seg_;
   std::unordered_map<CommitId, Root> commits_;
-  /// pk -> live location at each branch head, making Get a point lookup
-  /// instead of an ancestry walk (the fix for §3.3's O(history) reads).
+  /// pk -> PackedLoc (segment, record index) of the live version at each
+  /// branch head, making Get a point lookup instead of an ancestry walk
+  /// (the fix for §3.3's O(history) reads).
   /// Memory-only: rebuilt on open from one multi-root winner-table pass.
   /// A branch's entry is written under its stripe lock (ApplyBatch) or
   /// the unique registry lock (CreateBranch, LoadExisting).

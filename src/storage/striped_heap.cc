@@ -299,9 +299,7 @@ StripedHeap::Mapping StripedHeap::SnapshotMapping() const {
   return m;
 }
 
-bool StripedHeap::Mapping::Resolve(uint64_t global, HeapFile** file,
-                                   uint64_t* local) const {
-  if (extents_.empty()) return false;
+size_t StripedHeap::Mapping::ExtentOf(uint64_t global) const {
   // Monotonic scans resolve from the hinted extent forward; random probes
   // fall back to binary search.
   size_t i = hint_;
@@ -309,17 +307,40 @@ bool StripedHeap::Mapping::Resolve(uint64_t global, HeapFile** file,
     auto it = std::upper_bound(
         extents_.begin(), extents_.end(), global,
         [](uint64_t g, const Extent& e) { return g < e.base; });
-    if (it == extents_.begin()) return false;
+    if (it == extents_.begin()) return extents_.size();
     i = static_cast<size_t>(it - extents_.begin()) - 1;
   } else {
     while (i + 1 < extents_.size() && global >= extents_[i + 1].base) ++i;
   }
   const Extent& e = extents_[i];
-  if (global < e.base || global >= e.base + e.capacity) return false;
+  if (global >= e.base + e.capacity) return extents_.size();
   hint_ = i;
+  return i;
+}
+
+bool StripedHeap::Mapping::Resolve(uint64_t global, HeapFile** file,
+                                   uint64_t* local) const {
+  const size_t i = ExtentOf(global);
+  if (i == extents_.size()) return false;
+  const Extent& e = extents_[i];
   *file = files_[e.stripe];
   *local = e.local_base + (global - e.base);
   return true;
+}
+
+uint64_t StripedHeap::Mapping::PastPage(uint64_t global,
+                                        uint64_t records_per_page) const {
+  size_t i = ExtentOf(global);
+  const Extent* e = &extents_[i];
+  const uint64_t local = e->local_base + (global - e->base);
+  const uint64_t page_end = (local / records_per_page + 1) * records_per_page;
+  while (page_end > e->local_base + e->capacity && i + 1 < extents_.size() &&
+         extents_[i + 1].stripe == e->stripe &&
+         extents_[i + 1].local_base == e->local_base + e->capacity) {
+    e = &extents_[++i];
+  }
+  return e->base + (std::min(page_end, e->local_base + e->capacity) -
+                    e->local_base);
 }
 
 bool StripedBitmapScanner::Next(RecordRef* out, uint64_t* index) {
@@ -327,7 +348,6 @@ bool StripedBitmapScanner::Next(RecordRef* out, uint64_t* index) {
   for (;;) {
     const uint64_t next = bits_->NextSet(pos_);
     if (next == UINT64_MAX || next >= mapping_.bound()) return false;
-    pos_ = next + 1;
     HeapFile* file = nullptr;
     uint64_t local = 0;
     if (!mapping_.Resolve(next, &file, &local)) {
@@ -341,37 +361,34 @@ bool StripedBitmapScanner::Next(RecordRef* out, uint64_t* index) {
       status_ = Status::Corruption("striped heap: set bit beyond stripe end");
       return false;
     }
-    const uint64_t page_no = local / file->records_per_page();
+    const uint64_t rpp = file->records_per_page();
+    const uint64_t page_no = local / rpp;
     if (file != pinned_file_ || page_no != pinned_page_no_) {
       // The bitmap already resolved visibility, so a page the zone map
-      // (or its compressed strips) rules out can be stepped over — every
-      // bit landing on it is remembered as skipped until the scan moves
-      // to another page.
-      if (file == skip_file_ && page_no == skip_page_no_) continue;
-      if (predicate_ != nullptr && !file->PageMayMatch(page_no, *predicate_)) {
-        skip_file_ = file;
-        skip_page_no_ = page_no;
+      // (or its compressed strips) rules out is stepped over whole.
+      bool skip =
+          predicate_ != nullptr && !file->PageMayMatch(page_no, *predicate_);
+      if (!skip) {
+        auto page = file->PinPageCounted(page_no, predicate_, &skip);
+        if (!page.ok()) {
+          status_ = page.status();
+          return false;
+        }
+        if (stats_ != nullptr) stats_->bytes_read += page.value().io_bytes;
+        if (!skip) {
+          page_ = std::move(page).MoveValueUnsafe();
+          pinned_file_ = file;
+          pinned_page_no_ = page_no;
+        }
+      }
+      if (skip) {
         if (stats_ != nullptr) ++stats_->pages_skipped;
+        pos_ = mapping_.PastPage(next, rpp);
         continue;
       }
-      bool no_matches = false;
-      auto page = file->PinPageCounted(page_no, predicate_, &no_matches);
-      if (!page.ok()) {
-        status_ = page.status();
-        return false;
-      }
-      if (stats_ != nullptr) stats_->bytes_read += page.value().io_bytes;
-      if (no_matches) {
-        skip_file_ = file;
-        skip_page_no_ = page_no;
-        if (stats_ != nullptr) ++stats_->pages_skipped;
-        continue;
-      }
-      page_ = std::move(page).MoveValueUnsafe();
-      pinned_file_ = file;
-      pinned_page_no_ = page_no;
     }
-    const uint64_t slot = local % file->records_per_page();
+    pos_ = next + 1;
+    const uint64_t slot = local % rpp;
     *out = RecordRef(schema_, Slice(page_.payload + slot * file->record_size(),
                                     file->record_size()));
     if (index != nullptr) *index = next;

@@ -169,6 +169,16 @@ class StripedHeap {
     /// the snapshot.
     bool Resolve(uint64_t global, HeapFile** file, uint64_t* local) const;
 
+    /// Where a scan resumes after ruling out the page holding \p global
+    /// (\p records_per_page records per page of its stripe file): past
+    /// the page's last record in \p global's extent, continuing through
+    /// following extents only while they extend the same stripe file
+    /// back to back. Another stripe's extent can start inside the page's
+    /// local range, and its bits are never jumped over; a page resuming
+    /// in a later, non-adjacent extent is met there again. Requires
+    /// Resolve(global) to succeed.
+    uint64_t PastPage(uint64_t global, uint64_t records_per_page) const;
+
     /// One past the last global index this snapshot covers.
     uint64_t bound() const {
       return extents_.empty() ? 0
@@ -177,6 +187,9 @@ class StripedHeap {
 
    private:
     friend class StripedHeap;
+    /// Index of the extent covering \p global, or extents_.size().
+    size_t ExtentOf(uint64_t global) const;
+
     std::vector<Extent> extents_;         // sorted by base, gap-free
     std::vector<HeapFile*> files_;        // per stripe, stable pointers
     mutable size_t hint_ = 0;             // last resolved extent
@@ -237,10 +250,12 @@ class StripedBitmapScanner {
 
   /// Turns on zone-map page skipping: pages whose zone maps rule out
   /// \p predicate (or whose compressed strips prove zero matches) are
-  /// stepped over without pinning. Sound here because the bitmap already
-  /// resolved version visibility — a skipped page's records were only
-  /// ever going to be filtered out. \p stats (optional) receives
-  /// pages_skipped and bytes_read; both pointers must outlive the scanner.
+  /// stepped over without pinning, in one move to Mapping::PastPage.
+  /// Sound here because the bitmap already resolved version visibility —
+  /// a skipped page's records were only ever going to be filtered out.
+  /// \p stats (optional) receives pages_skipped (once per skipped page,
+  /// or per piece of a page split across non-adjacent extents) and
+  /// bytes_read; both pointers must outlive the scanner.
   void EnablePruning(const PreparedPredicate* predicate, ScanStats* stats) {
     predicate_ = predicate;
     stats_ = stats;
@@ -259,8 +274,6 @@ class StripedBitmapScanner {
   HeapFile* pinned_file_ = nullptr;
   uint64_t pinned_page_no_ = UINT64_MAX;
   HeapFile::PinnedPage page_;
-  HeapFile* skip_file_ = nullptr;
-  uint64_t skip_page_no_ = UINT64_MAX;
   Status status_;
 };
 

@@ -113,8 +113,12 @@ Result<ManifestData> ReadCurrentManifest(const std::string& dir) {
   if (!listing.ok()) return listing.status();
   std::string best_path;
   uint64_t best_version = 0;
+  bool any_manifest = false;
   for (const std::string& name : *listing) {
     if (name.rfind("MANIFEST-", 0) != 0) continue;
+    // MANIFEST-<v>.tmp is a replacement cut short before its rename; only
+    // a published manifest proves a database lives here.
+    any_manifest = any_manifest || name.find('.') == std::string::npos;
     const uint64_t v = std::strtoull(name.c_str() + 9, nullptr, 10);
     if (v < best_version) continue;
     auto m = ReadManifestFile(JoinPath(dir, name));
@@ -123,7 +127,12 @@ Result<ManifestData> ReadCurrentManifest(const std::string& dir) {
     best_path = JoinPath(dir, name);
   }
   if (best_path.empty()) {
-    return Status::NotFound("no readable manifest in " + dir);
+    // A database whose manifests all fail to read is damaged, not absent:
+    // NotFound would let Open initialize fresh over its data files.
+    if (any_manifest || FileExists(CurrentFilePath(dir))) {
+      return Status::Corruption("no readable manifest in " + dir);
+    }
+    return Status::NotFound("no manifest in " + dir);
   }
   return ReadManifestFile(best_path);
 }

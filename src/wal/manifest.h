@@ -61,7 +61,9 @@ Status WriteManifest(const std::string& dir, const ManifestData& data,
 
 /// Loads the manifest CURRENT names; when CURRENT is missing or that
 /// manifest is unreadable/corrupt, falls back to the highest readable
-/// MANIFEST-* in \p dir. NotFound when no readable manifest exists.
+/// MANIFEST-* in \p dir. NotFound when \p dir holds neither CURRENT nor
+/// any MANIFEST-* (no database yet); Corruption when it holds some but
+/// none reads.
 Result<ManifestData> ReadCurrentManifest(const std::string& dir);
 
 /// Decodes one manifest file (exposed for tests).

@@ -5,16 +5,12 @@
 /// differ, the versioning semantics must not.
 
 #include <dirent.h>
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -680,53 +676,6 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, EngineTest,
                                       ? "VersionFirst"
                                       : "Hybrid";
                          });
-
-struct IndexLoc {
-  uint32_t seg = 0;
-  uint64_t idx = 0;
-};
-using TestPkIndex = std::unordered_map<int64_t, IndexLoc>;
-constexpr int64_t kIndexKeys = 100000;
-
-std::unique_ptr<TestPkIndex> FilledPkIndex() {
-  auto index = std::make_unique<TestPkIndex>();
-  for (int64_t k = 0; k < kIndexKeys; ++k) (*index)[k * 7] = IndexLoc{1, 2};
-  return index;
-}
-
-TEST(EngineStatsTest, HashTableMemoryBytesCountsBucketsAndNodes) {
-  // EngineStats::index_memory_bytes charges pk indexes through this
-  // helper. Whatever the allocator, a node-based table holds a bucket
-  // pointer per bucket and, per entry, a node of a next pointer and the
-  // value.
-  const auto index = FilledPkIndex();
-  const uint64_t floor =
-      index->bucket_count() * sizeof(void*) +
-      index->size() * (sizeof(void*) + sizeof(TestPkIndex::value_type));
-  EXPECT_GE(HashTableMemoryBytes(*index), floor);
-  EXPECT_GT(HashTableMemoryBytes(*index) / kIndexKeys,
-            sizeof(TestPkIndex::value_type));  // not sizeof alone
-}
-
-#if defined(__GLIBC__) && \
-    (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 33)) && \
-    !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
-TEST(EngineStatsTest, HashTableMemoryBytesMatchesTheAllocator) {
-  // The helper's per-node chunk size models glibc malloc (mallinfo2 needs
-  // glibc 2.33+; sanitizer allocators bypass it). Against that allocator
-  // the estimate must agree with what malloc really hands out.
-  auto heap_bytes = [] {
-    const struct mallinfo2 mi = ::mallinfo2();
-    return static_cast<double>(mi.uordblks + mi.hblkhd);
-  };
-  const double before = heap_bytes();
-  const auto index = FilledPkIndex();
-  const double allocated = heap_bytes() - before;
-  const double estimate = static_cast<double>(HashTableMemoryBytes(*index));
-  EXPECT_NEAR(estimate, allocated, allocated * 0.1);
-  EXPECT_GT(estimate / kIndexKeys, 50.0);  // not the 24 B/entry of sizeof
-}
-#endif
 
 }  // namespace
 }  // namespace decibel

@@ -16,6 +16,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <thread>
@@ -625,6 +626,53 @@ class RecoveryTest : public ::testing::TestWithParam<EngineType> {
     return Decibel::Open(dir, DurableOptions(GetParam(), mode));
   }
 };
+
+/// Every regular file under \p dir (recursively), path -> bytes.
+std::map<std::string, std::string> SnapshotFiles(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    auto bytes = ReadFileToString(entry.path().string());
+    EXPECT_OK(bytes.status());
+    files[entry.path().string()] = bytes.ok() ? *bytes : "";
+  }
+  return files;
+}
+
+TEST_P(RecoveryTest, UnreadableManifestsFailOpenAndLeaveTheDataAlone) {
+  // A closed database whose every MANIFEST-* is corrupt is damaged, not
+  // absent: neither Open overload may initialize a fresh database over
+  // its data files.
+  ScratchDir dir("recov_bad_manifests");
+  {
+    ASSERT_OK_AND_ASSIGN(auto db, OpenDb(dir.path()));
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_OK(db->InsertInto(kMasterBranch, MakeRecord(db->schema(), i, i)));
+    }
+    ASSERT_OK(db->CommitBranch(kMasterBranch).status());
+    ASSERT_OK(db->CheckpointNow());
+  }
+  ASSERT_OK_AND_ASSIGN(std::vector<std::string> names, ListDir(dir.path()));
+  int corrupted = 0;
+  for (const std::string& name : names) {
+    if (name.rfind("MANIFEST-", 0) != 0) continue;
+    FlipByte(JoinPath(dir.path(), name), 10);
+    ++corrupted;
+  }
+  ASSERT_GE(corrupted, 1);
+  const auto before = SnapshotFiles(dir.path());
+
+  auto with_schema = OpenDb(dir.path());
+  EXPECT_TRUE(with_schema.status().IsCorruption())
+      << with_schema.status().ToString();
+  EXPECT_EQ(SnapshotFiles(dir.path()), before);
+
+  auto from_manifest = ReopenDb(dir.path());
+  EXPECT_TRUE(from_manifest.status().IsCorruption())
+      << from_manifest.status().ToString();
+  EXPECT_EQ(SnapshotFiles(dir.path()), before);
+}
 
 TEST_P(RecoveryTest, CleanReopenPreservesBranchesCommitsAndData) {
   ScratchDir dir("recov_clean");

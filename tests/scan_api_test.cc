@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -14,6 +15,8 @@
 #include <vector>
 
 #include "engine/scan_spec.h"
+#include "storage/buffer_pool.h"
+#include "storage/heap_file.h"
 #include "query/predicate.h"
 #include "test_util.h"
 
@@ -544,6 +547,183 @@ TEST(ScanApiCrossEngineTest, MultiViewsAgreeAcrossEngines) {
   }
   // Winner bitmaps keep version-first's zone-map page skipping.
   EXPECT_GT(vf.pages_skipped, 0u);
+}
+
+/// Records per page of a 4 KiB-page heap file of \p schema's records.
+uint64_t RecordsPerPage(const Schema& schema, const std::string& dir) {
+  BufferPool pool(1 << 20);
+  HeapFile::Options options;
+  options.page_size = 4096;
+  auto heap = HeapFile::Create(JoinPath(dir, "geometry.dbhf"),
+                               schema.record_size(), options, &pool);
+  EXPECT_TRUE(heap.ok()) << heap.status().ToString();
+  return heap.ok() ? (*heap)->records_per_page() : 1;
+}
+
+/// Drains \p spec into pk -> record bytes, adding the cursor's stats to
+/// \p stats.
+std::map<int64_t, std::string> DrainRows(Decibel* db, const ScanSpec& spec,
+                                         ScanStats* stats) {
+  std::map<int64_t, std::string> rows;
+  auto cursor = db->NewScan(spec);
+  EXPECT_TRUE(cursor.ok()) << cursor.status().ToString();
+  if (!cursor.ok()) return rows;
+  ScanRow row;
+  while ((*cursor)->Next(&row)) {
+    rows[row.record.pk()] = row.record.data().ToString();
+  }
+  EXPECT_OK((*cursor)->status());
+  stats->rows_scanned += (*cursor)->stats().rows_scanned;
+  stats->pages_skipped += (*cursor)->stats().pages_skipped;
+  return rows;
+}
+
+/// The rows of an unfiltered \p view scan that \p pred accepts.
+std::map<int64_t, std::string> FilterOnTop(Decibel* db, ScanSpec view,
+                                           const Predicate& pred) {
+  ScanStats ignored;
+  std::map<int64_t, std::string> rows = DrainRows(db, view, &ignored);
+  std::erase_if(rows, [&](const auto& row) {
+    return !pred.Matches(RecordRef(&db->schema(), Slice(row.second)));
+  });
+  return rows;
+}
+
+TEST(ScanApiCrossEngineTest, PrunedPagesAreSkippedWholeOnEveryEngine) {
+  // Master holds ~23 pages of a 194-records-per-page layout (not a
+  // multiple of the bitmap's 64-bit words) loaded in 300-row batches, so
+  // tuple-first extents end inside pages. Even pages hold c1 = 0, which
+  // the predicate accepts; odd pages hold c1 = 1, which their zone maps
+  // rule out. Deletes punch holes into the branch: every fifth row, all
+  // of pages 3 and 4, all but one row of page 5. Each ruled-out page
+  // that still holds a live row must count as one skipped page, however
+  // many of its bits are set and however many extents it spans, and
+  // only the rows of the pages read count as scanned.
+  const Schema schema = TestSchema(2);
+  std::map<int64_t, std::string> reference;
+  for (EngineType engine : {EngineType::kTupleFirst,
+                            EngineType::kVersionFirst, EngineType::kHybrid}) {
+    SCOPED_TRACE(EngineTypeName(engine));
+    ScratchDir dir("scan_api_skip");
+    const int64_t rpp =
+        static_cast<int64_t>(RecordsPerPage(schema, dir.path()));
+    ASSERT_NE(rpp % 64, 0);
+    DecibelOptions options;
+    options.engine = engine;
+    options.page_size = 4096;
+    ASSERT_OK_AND_ASSIGN(
+        auto db, Decibel::Open(JoinPath(dir.path(), "db"), schema, options));
+    const int64_t n = 22 * rpp + rpp / 2;  // the partial last page is even
+    for (int64_t start = 0; start < n; start += 300) {
+      ASSERT_OK_AND_ASSIGN(Transaction txn, db->Begin(kMasterBranch));
+      for (int64_t pk = start; pk < std::min(n, start + 300); ++pk) {
+        const int32_t c1 = static_cast<int32_t>((pk / rpp) % 2);
+        ASSERT_OK(txn.Insert(MakeRecordVals(schema, pk, {c1, 7})));
+      }
+      ASSERT_OK(txn.Commit());
+    }
+    auto doomed = [&](int64_t pk) {
+      const int64_t page = pk / rpp;
+      return pk % 5 == 0 || page == 3 || page == 4 ||
+             (page == 5 && pk != 5 * rpp + 1);
+    };
+    {
+      ASSERT_OK_AND_ASSIGN(Transaction txn, db->Begin(kMasterBranch));
+      for (int64_t pk = 0; pk < n; ++pk) {
+        if (doomed(pk)) ASSERT_OK(txn.Delete(pk));
+      }
+      ASSERT_OK(txn.Commit());
+    }
+    uint64_t ruled_out = 0, examined = 0;
+    for (int64_t page = 0; page * rpp < n; ++page) {
+      uint64_t live = 0;
+      for (int64_t pk = page * rpp; pk < std::min(n, (page + 1) * rpp); ++pk) {
+        if (!doomed(pk)) ++live;
+      }
+      if (page % 2 == 1 && live > 0) ++ruled_out;
+      if (page % 2 == 0) examined += live;
+    }
+    ASSERT_OK_AND_ASSIGN(Predicate pred,
+                         Predicate::Compare(schema, "c1", CompareOp::kEq, 0));
+
+    // The bitmap-scanner views: every engine's multi view, and the branch
+    // view of tuple-first and hybrid.
+    std::vector<ScanSpec> views = {ScanSpec::Multi({kMasterBranch})};
+    if (engine != EngineType::kVersionFirst) {
+      views.push_back(ScanSpec::Branch(kMasterBranch));
+    }
+    for (const ScanSpec& view : views) {
+      ScanStats stats;
+      const auto rows =
+          DrainRows(db.get(), ScanSpec(view).Where(pred), &stats);
+      EXPECT_EQ(rows, FilterOnTop(db.get(), view, pred));
+      EXPECT_EQ(stats.pages_skipped, ruled_out);
+      EXPECT_EQ(stats.rows_scanned, examined);
+      if (reference.empty()) reference = rows;
+      EXPECT_EQ(rows, reference);
+    }
+    // Version-first's branch view plans its own skips (pk-disjoint pages
+    // only); its answer must agree all the same.
+    ScanStats branch_stats;
+    EXPECT_EQ(DrainRows(db.get(), ScanSpec::Branch(kMasterBranch).Where(pred),
+                        &branch_stats),
+              reference);
+  }
+  EXPECT_FALSE(reference.empty());
+}
+
+TEST(ScanApiTupleFirstTest, SkipStopsAtTheEndOfAnExtentInsideAPrunedPage) {
+  // Master's first batch is 1.5 pages, one extent whose end falls inside
+  // master's stripe-file page 1. dev (another stripe) then takes the next
+  // extent of the global index space, and master's next batch continues
+  // page 1 in a third extent. Page 1 holds only rows the predicate rules
+  // out; dev's rows all match. Stepping over page 1 must stop at the
+  // first extent's end: the page's end in stripe-file terms lies inside
+  // dev's extent.
+  const Schema schema = TestSchema(2);
+  ScratchDir dir("scan_api_extent");
+  const int64_t rpp = static_cast<int64_t>(RecordsPerPage(schema, dir.path()));
+  DecibelOptions options;
+  options.engine = EngineType::kTupleFirst;
+  options.page_size = 4096;
+  ASSERT_OK_AND_ASSIGN(
+      auto db, Decibel::Open(JoinPath(dir.path(), "db"), schema, options));
+  auto insert = [&](BranchId branch, int64_t from, int64_t to,
+                    const std::function<int32_t(int64_t)>& c1) {
+    ASSERT_OK_AND_ASSIGN(Transaction txn, db->Begin(branch));
+    for (int64_t pk = from; pk < to; ++pk) {
+      ASSERT_OK(txn.Insert(MakeRecordVals(schema, pk, {c1(pk), 0})));
+    }
+    ASSERT_OK(txn.Commit());
+  };
+  // c1 = 0 matches; master's stripe-file page 1 ([rpp, 2 rpp)) holds 1s.
+  auto by_page = [&](int64_t pk) { return pk / rpp == 1 ? 1 : 0; };
+  insert(kMasterBranch, 0, rpp + rpp / 2, by_page);
+  ASSERT_OK(db->CommitBranch(kMasterBranch).status());
+  Session session = db->NewSession();
+  ASSERT_OK_AND_ASSIGN(BranchId dev, db->Branch("dev", &session));
+  insert(dev, 100000, 100000 + rpp / 2, [](int64_t) { return 0; });
+  insert(kMasterBranch, rpp + rpp / 2, 3 * rpp, by_page);
+  ASSERT_OK_AND_ASSIGN(
+      Predicate pred, Predicate::Compare(schema, "c1", CompareOp::kEq, 0));
+
+  ScanStats dev_stats;
+  const auto dev_rows = DrainRows(
+      db.get(), ScanSpec::Branch(dev).Where(pred), &dev_stats);
+  EXPECT_EQ(dev_rows, FilterOnTop(db.get(), ScanSpec::Branch(dev), pred));
+  EXPECT_EQ(dev_rows.size(), static_cast<size_t>(rpp + rpp / 2));
+  EXPECT_EQ(dev_rows.count(100000), 1u);
+  EXPECT_EQ(dev_stats.pages_skipped, 1u);
+
+  // Both branches: page 1 is ruled out once in each of its two extents,
+  // with dev's extent between them.
+  const ScanSpec both = ScanSpec::Multi({kMasterBranch, dev});
+  ScanStats both_stats;
+  const auto both_rows = DrainRows(db.get(), ScanSpec(both).Where(pred),
+                                   &both_stats);
+  EXPECT_EQ(both_rows, FilterOnTop(db.get(), both, pred));
+  EXPECT_EQ(both_rows.size(), static_cast<size_t>(2 * rpp + rpp / 2));
+  EXPECT_EQ(both_stats.pages_skipped, 2u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, ScanApiTest,
