@@ -71,7 +71,6 @@ struct ScopedDb {
 /// routes sealed pages through the columnar page codec. No WAL by default
 /// (kOff): the paper benches measure raw engine cost.
 inline Result<ScopedDb> FreshDb(EngineType engine, const std::string& tag,
-                                int scan_threads = 0,
                                 bool compress_pages = false,
                                 wal::SyncMode sync_mode = wal::SyncMode::kOff) {
   static int counter = 0;
@@ -83,7 +82,6 @@ inline Result<ScopedDb> FreshDb(EngineType engine, const std::string& tag,
   options.engine = engine;
   options.page_size = 64 << 10;  // 64 KiB pages at this record scale
   options.buffer_pool_bytes = 64 << 20;
-  options.scan_threads = scan_threads;
   options.compress_pages = compress_pages;
   options.sync_mode = sync_mode;
   DECIBEL_ASSIGN_OR_RETURN(scoped.db,

@@ -60,7 +60,7 @@ struct SweepPoint {
 Result<SweepPoint> RunPoint(EngineType engine, wal::SyncMode sync_mode,
                             int threads, double budget_s) {
   DECIBEL_ASSIGN_OR_RETURN(
-      ScopedDb scoped, FreshDb(engine, "conc_txn", 0, false, sync_mode));
+      ScopedDb scoped, FreshDb(engine, "conc_txn", /*compress_pages=*/false, sync_mode));
   Decibel* db = scoped.db.get();
 
   // A little shared ancestry so the branches are real branches, not

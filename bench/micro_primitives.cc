@@ -124,8 +124,7 @@ void BM_CommitHistoryCheckout(benchmark::State& state) {
   const std::string dir = "/tmp/decibel_micro_ch_" + std::to_string(getpid());
   RemoveDirRecursive(dir).ok();
   CreateDir(dir).ok();
-  auto history = CommitHistory::Create(dir + "/h.hist",
-                                       {.composite_every = 16});
+  auto history = CommitHistory::Create(dir + "/h.hist");
   Random rng(9);
   Bitmap bits(1 << 18);
   const int num_commits = static_cast<int>(state.range(0));

@@ -145,8 +145,7 @@ Result<bool> CompressedScansMatch(EngineType engine, uint64_t records) {
   DECIBEL_ASSIGN_OR_RETURN(ScopedDb plain, FreshDb(engine, "cmp_plain"));
   DECIBEL_ASSIGN_OR_RETURN(
       ScopedDb packed,
-      FreshDb(engine, "cmp_packed", /*scan_threads=*/0,
-              /*compress_pages=*/true));
+      FreshDb(engine, "cmp_packed", /*compress_pages=*/true));
   DECIBEL_RETURN_NOT_OK(LoadSequential(plain.db.get(), records).status());
   DECIBEL_RETURN_NOT_OK(LoadSequential(packed.db.get(), records).status());
   // A handful of updates and deletes so tombstones and rewritten tails

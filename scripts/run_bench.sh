@@ -34,9 +34,8 @@ FIGURE_TABLE_BENCHES=(
   fig6_scaling fig7_q1 fig8_q2 fig9_q3 fig10_q4 fig11_tablewise
   table2_commits table3_merge table5_load table6_git table7_git_updates
   load_paths scan_pushdown concurrent_txn wal_overhead merge_diff
-  agentic_branches
 )
-ABLATION_BENCHES=(ablation_orientation ablation_parallel_scan)
+ABLATION_BENCHES=(ablation_orientation)
 
 EXPLICIT=0
 if [ "$#" -gt 0 ]; then

@@ -175,7 +175,10 @@ void Bitmap::EncodeTo(std::string* dst) const {
 bool Bitmap::DecodeFrom(Slice* input, Bitmap* out) {
   uint64_t nbits;
   Slice bytes;
-  if (!GetVarint64(input, &nbits) || !GetLengthPrefixed(input, &bytes)) {
+  // EncodeTo writes exactly (nbits + 7) / 8 bytes; checking that keeps a
+  // corrupt nbits from sizing the allocation.
+  if (!GetVarint64(input, &nbits) || !GetLengthPrefixed(input, &bytes) ||
+      bytes.size() != nbits / 8 + (nbits % 8 != 0)) {
     return false;
   }
   *out = FromBytes(bytes, nbits);

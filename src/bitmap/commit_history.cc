@@ -23,16 +23,16 @@ std::string XorBytes(const std::string& a, const std::string& b) {
 }  // namespace
 
 Result<std::unique_ptr<CommitHistory>> CommitHistory::Create(
-    const std::string& path, const Options& options) {
-  std::unique_ptr<CommitHistory> h(new CommitHistory(path, options));
+    const std::string& path) {
+  std::unique_ptr<CommitHistory> h(new CommitHistory(path));
   DECIBEL_ASSIGN_OR_RETURN(WritableFile w, WritableFile::Open(path, true));
   h->writer_.emplace(std::move(w));
   return h;
 }
 
 Result<std::unique_ptr<CommitHistory>> CommitHistory::Open(
-    const std::string& path, const Options& options) {
-  std::unique_ptr<CommitHistory> h(new CommitHistory(path, options));
+    const std::string& path) {
+  std::unique_ptr<CommitHistory> h(new CommitHistory(path));
   DECIBEL_ASSIGN_OR_RETURN(std::string contents, ReadFileToString(path));
   Slice input(contents);
   uint64_t pos = 0;
@@ -119,7 +119,7 @@ Status CommitHistory::AppendCommit(uint64_t seq, const Bitmap& bitmap) {
     // First append after reopen: rebuild writer state from disk.
     if (!layer0_.empty()) {
       DECIBEL_RETURN_NOT_OK(ReplayTo(layer0_.size() - 1, &last_bytes_));
-      const size_t boundary = layer1_.size() * options_.composite_every;
+      const size_t boundary = layer1_.size() * kCompositeEvery;
       composite_base_.clear();
       if (boundary > 0) {
         DECIBEL_RETURN_NOT_OK(ReplayTo(boundary - 1, &composite_base_));
@@ -134,7 +134,7 @@ Status CommitHistory::AppendCommit(uint64_t seq, const Bitmap& bitmap) {
   DECIBEL_RETURN_NOT_OK(WriteRecord(0, seq, bitmap.size(), payload));
   last_bytes_ = cur;
 
-  if (layer0_.size() % options_.composite_every == 0) {
+  if (layer0_.size() % kCompositeEvery == 0) {
     std::string composite;
     rle::Encode(XorBytes(composite_base_, cur), &composite);
     DECIBEL_RETURN_NOT_OK(WriteRecord(1, seq, bitmap.size(), composite));
@@ -154,22 +154,27 @@ Status CommitHistory::ReadPayload(const Entry& e, std::string* out) const {
 
 Status CommitHistory::ReplayTo(size_t pos, std::string* bytes) const {
   bytes->clear();
+  // Every delta decodes to the length of the longest bitmap it spans.
+  uint64_t max_bytes = 0;
+  for (size_t j = 0; j <= pos; ++j) {
+    max_bytes = std::max(max_bytes, (layer0_[j].nbits + 7) / 8);
+  }
   size_t covered = 0;
-  const size_t k = options_.composite_every;
+  const size_t k = kCompositeEvery;
   // Apply composite deltas while they end at or before the target.
   for (size_t i = 0; i < layer1_.size(); ++i) {
     const size_t end = (i + 1) * k;  // covers layer-0 records [0, end)
     if (end > pos + 1) break;
     std::string payload;
     DECIBEL_RETURN_NOT_OK(ReadPayload(layer1_[i], &payload));
-    DECIBEL_RETURN_NOT_OK(rle::DecodeXorInto(payload, bytes));
+    DECIBEL_RETURN_NOT_OK(rle::DecodeXorInto(payload, max_bytes, bytes));
     covered = end;
   }
   // Finish with single-commit deltas.
   for (size_t j = covered; j <= pos; ++j) {
     std::string payload;
     DECIBEL_RETURN_NOT_OK(ReadPayload(layer0_[j], &payload));
-    DECIBEL_RETURN_NOT_OK(rle::DecodeXorInto(payload, bytes));
+    DECIBEL_RETURN_NOT_OK(rle::DecodeXorInto(payload, max_bytes, bytes));
   }
   return Status::OK();
 }

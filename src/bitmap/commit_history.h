@@ -31,27 +31,18 @@ namespace decibel {
 
 class CommitHistory {
  public:
-  struct Options {
-    /// Write a composite (layer-1) delta every this many commits.
-    uint32_t composite_every = 16;
-  };
+  /// A composite (layer-1) delta is written every this many commits.
+  /// Part of the file format: the file does not record it, and a reader
+  /// that assumed another interval would replay the wrong spans.
+  static constexpr uint32_t kCompositeEvery = 16;
 
   /// Creates a new, empty history file (truncates an existing one).
   static Result<std::unique_ptr<CommitHistory>> Create(
-      const std::string& path, const Options& options);
-  static Result<std::unique_ptr<CommitHistory>> Create(
-      const std::string& path) {
-    return Create(path, Options{});
-  }
+      const std::string& path);
 
   /// Opens an existing history, rebuilding the in-memory record index by
   /// scanning the file.
-  static Result<std::unique_ptr<CommitHistory>> Open(const std::string& path,
-                                                     const Options& options);
-  static Result<std::unique_ptr<CommitHistory>> Open(
-      const std::string& path) {
-    return Open(path, Options{});
-  }
+  static Result<std::unique_ptr<CommitHistory>> Open(const std::string& path);
 
   /// Records the bitmap state at commit \p seq. Sequence numbers must be
   /// strictly increasing. Thread-safe against concurrent Checkout /
@@ -98,8 +89,7 @@ class CommitHistory {
     uint32_t length;    // payload length
   };
 
-  explicit CommitHistory(std::string path, const Options& options)
-      : path_(std::move(path)), options_(options) {}
+  explicit CommitHistory(std::string path) : path_(std::move(path)) {}
 
   Status WriteRecord(uint8_t layer, uint64_t seq, uint64_t nbits,
                      Slice payload);
@@ -109,7 +99,6 @@ class CommitHistory {
   Status ReplayTo(size_t pos, std::string* bytes) const;
 
   const std::string path_;
-  const Options options_;
 
   /// One lock for the whole object: the record indexes, the lazily-opened
   /// reader, and the writer state. Held across the (file-backed) replay a
@@ -121,7 +110,7 @@ class CommitHistory {
   mutable std::optional<RandomAccessFile> reader_;
 
   std::vector<Entry> layer0_;
-  // layer1_[i] covers layer-0 records [0, (i+1)*composite_every).
+  // layer1_[i] covers layer-0 records [0, (i+1)*kCompositeEvery).
   std::vector<Entry> layer1_;
 
   /// Set while the write handle is released: SizeBytes answers from the

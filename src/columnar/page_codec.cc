@@ -181,7 +181,7 @@ Status DecodeStrip(StripTag tag, Slice stored, uint32_t width, uint32_t count,
       return Status::OK();
     }
     case StripTag::kByteRle: {
-      Result<std::string> decoded = rle::Decode(stored);
+      Result<std::string> decoded = rle::Decode(stored, want);
       if (!decoded.ok()) return decoded.status();
       if (decoded.value().size() != want) return CorruptStrip();
       *plain = std::move(decoded).MoveValueUnsafe();
@@ -384,7 +384,7 @@ Status DecodePage(const Schema& schema, PageFormat format, Slice stored,
       return Status::OK();
     }
     case PageFormat::kLz: {
-      Result<std::string> plain = lz::Decompress(stored);
+      Result<std::string> plain = lz::Decompress(stored, want);
       if (!plain.ok()) return plain.status();
       if (plain.value().size() != want) {
         return Status::Corruption("lz page payload size mismatch");

@@ -89,7 +89,7 @@ void Compress(Slice input, std::string* output) {
   FlushLiteral(input, lit_start, n, output);
 }
 
-Result<std::string> Decompress(Slice input) {
+Result<std::string> Decompress(Slice input, uint64_t max_size) {
   std::string out;
   while (!input.empty()) {
     const char tag = input[0];
@@ -98,6 +98,9 @@ Result<std::string> Decompress(Slice input) {
       uint64_t len;
       if (!GetVarint64(&input, &len) || len > input.size()) {
         return Status::Corruption("lz: truncated literal");
+      }
+      if (len > max_size - out.size()) {
+        return Status::Corruption("lz: output longer than expected");
       }
       out.append(input.data(), static_cast<size_t>(len));
       input.RemovePrefix(static_cast<size_t>(len));
@@ -108,6 +111,9 @@ Result<std::string> Decompress(Slice input) {
       }
       if (dist == 0 || dist > out.size()) {
         return Status::Corruption("lz: copy distance out of range");
+      }
+      if (len > max_size - out.size()) {
+        return Status::Corruption("lz: output longer than expected");
       }
       // Byte-at-a-time: copies may overlap their own output (RLE-style).
       size_t src = out.size() - static_cast<size_t>(dist);

@@ -24,8 +24,10 @@ namespace lz {
 /// Compresses \p input, appending to \p output.
 void Compress(Slice input, std::string* output);
 
-/// Decompresses a full stream produced by Compress.
-Result<std::string> Decompress(Slice input);
+/// Decompresses a full stream produced by Compress. Fails with Corruption
+/// on a malformed stream or on output longer than \p max_size bytes (a
+/// copy length read from corrupt bytes must not size the output).
+Result<std::string> Decompress(Slice input, uint64_t max_size);
 
 }  // namespace lz
 }  // namespace decibel

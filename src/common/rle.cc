@@ -46,7 +46,7 @@ namespace {
 
 /// Shared decode loop; Emit(pos, ptr_or_null, byte, len) writes output.
 template <typename EmitRun, typename EmitLiteral>
-Status DecodeLoop(Slice input, EmitRun&& emit_run,
+Status DecodeLoop(Slice input, uint64_t max_size, EmitRun&& emit_run,
                   EmitLiteral&& emit_literal) {
   while (!input.empty()) {
     const char tag = input[0];
@@ -55,6 +55,10 @@ Status DecodeLoop(Slice input, EmitRun&& emit_run,
     if (!GetVarint64(&input, &len)) {
       return Status::Corruption("rle: truncated run length");
     }
+    if (len > max_size) {
+      return Status::Corruption("rle: output longer than expected");
+    }
+    max_size -= len;
     switch (tag) {
       case kZeroRun:
         emit_run(static_cast<char>(0), len);
@@ -83,19 +87,19 @@ Status DecodeLoop(Slice input, EmitRun&& emit_run,
 
 }  // namespace
 
-Result<std::string> Decode(Slice input) {
+Result<std::string> Decode(Slice input, uint64_t max_size) {
   std::string out;
   Status s = DecodeLoop(
-      input, [&](char b, uint64_t len) { out.append(len, b); },
+      input, max_size, [&](char b, uint64_t len) { out.append(len, b); },
       [&](Slice lit) { out.append(lit.data(), lit.size()); });
   if (!s.ok()) return s;
   return out;
 }
 
-Status DecodeXorInto(Slice input, std::string* target) {
+Status DecodeXorInto(Slice input, uint64_t max_size, std::string* target) {
   size_t pos = 0;
   Status s = DecodeLoop(
-      input,
+      input, max_size,
       [&](char b, uint64_t len) {
         if (b != 0) {
           if (pos + len > target->size()) target->resize(pos + len, '\0');

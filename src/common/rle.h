@@ -28,15 +28,17 @@ inline constexpr size_t kMinRun = 4;
 /// Appends the RLE encoding of \p input to \p output.
 void Encode(Slice input, std::string* output);
 
-/// Decodes a full RLE stream. Fails with Corruption on malformed input.
-Result<std::string> Decode(Slice input);
+/// Decodes a full RLE stream. Fails with Corruption on malformed input or
+/// on output longer than \p max_size bytes (a run length read from
+/// corrupt bytes must not size an allocation).
+Result<std::string> Decode(Slice input, uint64_t max_size);
 
 /// Decodes and XORs the decoded bytes into \p target, growing it with
 /// zeros if the decoded output is longer (bitmaps grow between commits, and
 /// bytes past the end of the shorter snapshot are implicitly zero). Used to
 /// replay bitmap commit deltas without materializing the intermediate
-/// plain buffer.
-Status DecodeXorInto(Slice input, std::string* target);
+/// plain buffer. \p max_size bounds the decoded length as in Decode.
+Status DecodeXorInto(Slice input, uint64_t max_size, std::string* target);
 
 }  // namespace rle
 }  // namespace decibel

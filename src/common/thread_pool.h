@@ -2,9 +2,8 @@
 #define DECIBEL_COMMON_THREAD_POOL_H_
 
 /// \file thread_pool.h
-/// A small fixed-size worker pool. The hybrid engine's branch-segment
-/// bitmap makes per-segment scans independent (§3.4: "allows for
-/// parallelization of segment scanning"), which this pool exploits.
+/// A small fixed-size worker pool; net::Server runs complete requests on
+/// one.
 
 #include <condition_variable>
 #include <functional>

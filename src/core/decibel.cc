@@ -141,8 +141,6 @@ Result<std::unique_ptr<Decibel>> Decibel::Open(const std::string& path,
   engine_options.page_size = options.page_size;
   engine_options.buffer_pool_bytes = options.buffer_pool_bytes;
   engine_options.orientation = options.orientation;
-  engine_options.composite_every = options.composite_every;
-  engine_options.scan_threads = options.scan_threads;
   engine_options.compress_pages = options.compress_pages;
   if (have_manifest) engine_options.checkpoint_tag = manifest.checkpoint_tag;
   DECIBEL_ASSIGN_OR_RETURN(db->engine_,
@@ -860,21 +858,6 @@ Status Decibel::CommitTransaction(BranchId branch, uint64_t owner,
 
 Status Decibel::ApplyBatch(BranchId branch, const WriteBatch& batch) {
   return CommitTransaction(branch, NextOwnerId(), batch);
-}
-
-Status Decibel::Insert(Session* session, const Record& record) {
-  DECIBEL_RETURN_NOT_OK(WriteGuard(*session));
-  return InsertInto(session->branch_, record);
-}
-
-Status Decibel::Update(Session* session, const Record& record) {
-  DECIBEL_RETURN_NOT_OK(WriteGuard(*session));
-  return UpdateIn(session->branch_, record);
-}
-
-Status Decibel::Delete(Session* session, int64_t pk) {
-  DECIBEL_RETURN_NOT_OK(WriteGuard(*session));
-  return DeleteFrom(session->branch_, pk);
 }
 
 Status Decibel::InsertInto(BranchId branch, const Record& record) {

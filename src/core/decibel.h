@@ -33,9 +33,9 @@
 ///   while (cursor->Next(&row)) { /* row.record */ }
 ///   Result<Record> rec = db->Get(dev, /*pk=*/42);
 ///
-/// The per-record methods (Insert/Update/Delete, InsertInto/UpdateIn/
-/// DeleteFrom) are thin wrappers that run a one-op transaction; every
-/// write reaches the engines through StorageEngine::ApplyBatch.
+/// The per-record methods (InsertInto/UpdateIn/DeleteFrom) are thin
+/// wrappers that run a one-op transaction on a branch; every write
+/// reaches the engines through StorageEngine::ApplyBatch.
 ///
 /// Operational semantics follow §2.2.3: updates become visible to other
 /// branches only through merges; only committed versions can be checked
@@ -70,8 +70,6 @@ struct DecibelOptions {
   uint64_t page_size = 1 << 20;
   uint64_t buffer_pool_bytes = 64 << 20;
   BitmapOrientation orientation = BitmapOrientation::kBranchOriented;
-  uint32_t composite_every = 16;
-  int scan_threads = 0;
   /// Branch-lock deadlock timeout: a lock not granted within this window
   /// fails with the retryable Status::Aborted (§2.2.3's 2PL discipline).
   uint32_t lock_timeout_ms = 1000;
@@ -306,15 +304,9 @@ class Decibel {
 
   // ------------------------------------------------------------- mutation
 
-  /// One-op transaction against the session's branch head: stage, lock,
-  /// apply, unlock. Group statements with Begin() to amortize the lock
-  /// round-trip and the engine pass.
-  Status Insert(Session* session, const Record& record);
-  Status Update(Session* session, const Record& record);
-  Status Delete(Session* session, int64_t pk);
-
-  /// Convenience entry points keyed by branch (the benchmark driver's
-  /// path); equivalent to a one-op transaction on \p branch.
+  /// One-op transaction on \p branch's head: stage, lock, apply, unlock.
+  /// Group statements with Begin() to amortize the lock round-trip and
+  /// the engine pass; Begin(Session*) is the session-keyed form.
   Status InsertInto(BranchId branch, const Record& record);
   Status UpdateIn(BranchId branch, const Record& record);
   Status DeleteFrom(BranchId branch, int64_t pk);

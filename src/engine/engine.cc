@@ -1,5 +1,7 @@
 #include "engine/engine.h"
 
+#include <cstring>
+
 #include "common/coding.h"
 #include "engine/hybrid.h"
 #include "engine/scan_util.h"
@@ -7,6 +9,59 @@
 #include "engine/version_first.h"
 
 namespace decibel {
+
+namespace {
+
+/// A cursor over the rows MakeDiffScanCursor copied in up front.
+class BufferedCursor : public ScanCursor {
+ public:
+  BufferedCursor(const Schema* schema, ScanCounters* counters)
+      : schema_(schema), counters_(counters) {}
+  ~BufferedCursor() override { counters_->Add(stats_); }
+
+  /// Copies \p record: whole when \p projection is empty, otherwise
+  /// only the header, the primary key and the projected columns.
+  void AddRow(Slice record, const std::vector<size_t>& projection) {
+    if (projection.empty()) {
+      rows_.push_back(record.ToString());
+      return;
+    }
+    std::string buf(schema_->record_size(), '\0');
+    buf[0] = record[0];
+    auto copy_column = [&](size_t col) {
+      memcpy(buf.data() + schema_->offset(col),
+             record.data() + schema_->offset(col),
+             schema_->column(col).width);
+    };
+    copy_column(0);  // identity travels with every row
+    for (size_t col : projection) copy_column(col);
+    rows_.push_back(std::move(buf));
+  }
+
+  size_t buffered() const { return rows_.size(); }
+  ScanStats* mutable_stats() { return &stats_; }
+
+  bool Next(ScanRow* out) override {
+    if (next_ >= rows_.size()) return false;
+    out->record = RecordRef(schema_, Slice(rows_[next_]));
+    out->branches = nullptr;
+    ++next_;
+    ++stats_.rows_emitted;
+    return true;
+  }
+  const Status& status() const override { return status_; }
+  const ScanStats& stats() const override { return stats_; }
+
+ private:
+  const Schema* schema_;
+  ScanCounters* counters_;
+  std::vector<std::string> rows_;
+  size_t next_ = 0;
+  ScanStats stats_;
+  Status status_;  // always OK: a failed walk fails MakeDiffScanCursor
+};
+
+}  // namespace
 
 Result<std::unique_ptr<ScanCursor>> MakeDiffScanCursor(
     const Schema& schema, const ScanSpec& spec, ScanCounters* counters,

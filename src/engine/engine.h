@@ -82,10 +82,6 @@ struct EngineOptions {
   uint64_t buffer_pool_bytes = 64 << 20;  ///< read-cache budget
   /// Bitmap layout for tuple-first / hybrid (§5: branch-oriented default).
   BitmapOrientation orientation = BitmapOrientation::kBranchOriented;
-  /// Commit-history composite-delta interval (§3.2's second layer).
-  uint32_t composite_every = 16;
-  /// >0 enables the hybrid engine's parallel segment scanning (§3.4).
-  int scan_threads = 0;
   /// Non-empty: open the engine at the named checkpoint — data files are
   /// rolled back to exactly the state the checkpoint captured, so a WAL
   /// tail can be replayed on top. Empty: initialize a fresh engine,
@@ -157,12 +153,12 @@ class StorageEngine {
   /// of once per record. The facade calls this under the branch's
   /// exclusive lock; per-record mutations arrive as one-op batches.
   ///
-  /// Tuple-first and hybrid validate the batch's deletes against the pk
-  /// index up front, so a delete of an absent key fails with NotFound
-  /// before any operation is applied; version-first keeps its
-  /// blind-tombstone delete semantics (§3.3). A batch whose new record
-  /// locations would not fit the pk index's packed form (PackedLoc) fails
-  /// with OutOfRange, also before any operation is applied.
+  /// Every engine validates the batch's deletes against its pk index up
+  /// front, so a delete of an absent key fails with NotFound before any
+  /// operation is applied (version-first then appends a tombstone per
+  /// valid delete, §3.3). A batch whose new record locations would not
+  /// fit the pk index's packed form (PackedLoc) fails with OutOfRange,
+  /// also before any operation is applied.
   virtual Status ApplyBatch(BranchId branch, const WriteBatch& batch) = 0;
 
   // -------------------------------------------------------------- queries

@@ -7,7 +7,6 @@
 #include <optional>
 
 #include "common/coding.h"
-#include "common/thread_pool.h"
 #include "engine/bitmap_scan.h"
 #include "engine/diff_util.h"
 #include "engine/scan_util.h"
@@ -399,10 +398,7 @@ Result<CommitHistory*> HybridEngine::HistoryFor(BranchId branch,
   // it away (WAL replay re-appends its commits).
   const bool known = HistoryKnownLocked(branch, seg);
   Result<std::unique_ptr<CommitHistory>> h =
-      known ? CommitHistory::Open(
-                  path, {.composite_every = options_.composite_every})
-            : CommitHistory::Create(
-                  path, {.composite_every = options_.composite_every});
+      known ? CommitHistory::Open(path) : CommitHistory::Create(path);
   if (!h.ok()) return h.status();
   CommitHistory* raw = h.value().get();
   histories_.emplace(key, std::move(h).MoveValueUnsafe());
@@ -748,85 +744,6 @@ Result<std::vector<ScanPart>> HybridEngine::BuildScanParts(
   return parts;
 }
 
-Result<std::unique_ptr<ScanCursor>> HybridEngine::ParallelScan(
-    std::vector<ScanPart> parts, uint64_t segments_skipped,
-    const ScanSpec& spec, int threads) {
-  // §3.4: the branch-segment bitmap "allows for parallelization of
-  // segment scanning". Workers filter and project inside the scan, so
-  // only matching rows are copied out of the pages; the cursor then
-  // drains the materialized result. The whole filtered result set is
-  // held in memory — the price of lock-free workers; callers scanning
-  // huge low-selectivity views without a limit should prefer the
-  // streaming sequential path (parallelism <= 1).
-  struct PartResult {
-    std::vector<std::string> rows;
-    std::vector<std::vector<uint32_t>> annotations;
-    ScanStats stats;
-    Status status;
-  };
-  std::vector<PartResult> results(parts.size());
-  const PreparedPredicate prepared(spec.predicate, schema_);
-  const uint32_t row_bytes = ProjectedRowBytes(schema_, spec.projection);
-  {
-    ThreadPool pool(static_cast<size_t>(threads));
-    for (size_t p = 0; p < parts.size(); ++p) {
-      pool.Submit([&, p] {
-        const ScanPart& part = parts[p];
-        PartResult& result = results[p];
-        BitmapScanner scanner(part.file, &schema_, &part.unioned);
-        scanner.EnablePruning(&prepared, &result.stats);
-        RecordRef rec;
-        uint64_t idx;
-        std::vector<uint32_t> present;
-        while (scanner.Next(&rec, &idx)) {
-          // Each worker can stop at the global limit: the merge below
-          // takes at most spec.limit rows total, so copies past it in
-          // any one part can never be emitted.
-          if (spec.limit != 0 && result.rows.size() >= spec.limit) break;
-          ++result.stats.rows_scanned;
-          result.stats.bytes_scanned += row_bytes;
-          if (!prepared.Matches(rec.data().data())) continue;
-          result.rows.push_back(
-              ProjectRecordCopy(schema_, rec.data(), spec.projection));
-          if (!part.cols.empty()) {
-            present.clear();
-            for (uint32_t i = 0; i < part.cols.size(); ++i) {
-              if (part.cols[i].Test(idx)) present.push_back(i);
-            }
-            result.annotations.push_back(present);
-          }
-        }
-        result.status = scanner.status();
-      });
-    }
-    pool.Wait();
-  }
-  auto cursor = std::make_unique<BufferedCursor>(&schema_, &scan_counters_);
-  *cursor->mutable_branch_list() = spec.branches;
-  ScanStats* stats = cursor->mutable_stats();
-  stats->segments_skipped = segments_skipped;
-  for (PartResult& result : results) {
-    if (!result.status.ok()) {
-      cursor->set_status(result.status);
-      break;
-    }
-    stats->rows_scanned += result.stats.rows_scanned;
-    stats->bytes_scanned += result.stats.bytes_scanned;
-    stats->bytes_read += result.stats.bytes_read;
-    stats->pages_skipped += result.stats.pages_skipped;
-    for (size_t i = 0; i < result.rows.size(); ++i) {
-      if (spec.limit != 0 && cursor->buffered() >= spec.limit) break;
-      if (result.annotations.empty()) {
-        cursor->AddOwnedRow(std::move(result.rows[i]));
-      } else {
-        cursor->AddAnnotatedRow(std::move(result.rows[i]),
-                                std::move(result.annotations[i]));
-      }
-    }
-  }
-  return std::unique_ptr<ScanCursor>(std::move(cursor));
-}
-
 Result<std::unique_ptr<ScanCursor>> HybridEngine::NewScan(
     const ScanSpec& spec) {
   DECIBEL_RETURN_NOT_OK(ValidateScanSpec(spec, schema_));
@@ -839,11 +756,6 @@ Result<std::unique_ptr<ScanCursor>> HybridEngine::NewScan(
   uint64_t segments_skipped = 0;
   DECIBEL_ASSIGN_OR_RETURN(std::vector<ScanPart> parts,
                            BuildScanParts(spec, &segments_skipped));
-  const int threads =
-      spec.parallelism != 0 ? spec.parallelism : options_.scan_threads;
-  if (threads > 1 && parts.size() > 1) {
-    return ParallelScan(std::move(parts), segments_skipped, spec, threads);
-  }
   std::vector<BranchId> branch_list =
       spec.view == ScanView::kMulti ? spec.branches : std::vector<BranchId>();
   return std::unique_ptr<ScanCursor>(

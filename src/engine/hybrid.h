@@ -8,8 +8,8 @@
 /// bitmap index *local to each segment*, plus a global branch x segment
 /// bitmap that maps each branch to the segments holding at least one of
 /// its live records. Scans consult the global bitmap to skip irrelevant
-/// segments entirely (and may scan segments in parallel); diffs and merges
-/// run the tuple-first bitmap algorithms per segment.
+/// segments entirely; diffs and merges run the tuple-first bitmap
+/// algorithms per segment.
 ///
 /// Segments are either *head* segments (the working tail of one branch)
 /// or *internal* segments (frozen at the first branch taken from them).
@@ -206,9 +206,6 @@ class HybridEngine : public StorageEngine {
   /// appear.
   Result<std::vector<ScanPart>> BuildScanParts(const ScanSpec& spec,
                                                uint64_t* segments_skipped);
-  Result<std::unique_ptr<ScanCursor>> ParallelScan(
-      std::vector<ScanPart> parts, uint64_t segments_skipped,
-      const ScanSpec& spec, int threads);
 };
 
 }  // namespace decibel

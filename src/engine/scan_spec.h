@@ -5,9 +5,9 @@
 /// The unified read-path contract: a ScanSpec describes *what* to read
 /// (one view — a branch head, a historical commit, several branch heads
 /// at once, or the positive diff of two branches) and *how much* of it
-/// (a pushed-down Predicate, a column projection, a row limit, a
-/// parallelism hint); StorageEngine::NewScan(spec) returns a ScanCursor
-/// streaming the matching rows.
+/// (a pushed-down Predicate, a column projection, a row limit);
+/// StorageEngine::NewScan(spec) returns a ScanCursor streaming the
+/// matching rows.
 ///
 /// Pushing the predicate into the engines is what separates a native
 /// versioned store from bolt-on versioning (§3): the engines evaluate the
@@ -46,7 +46,7 @@ enum class ScanView : uint8_t {
 };
 
 /// A declarative description of one read. Build with the static view
-/// constructors, then chain Where/Project/WithLimit/Parallel:
+/// constructors, then chain Where/Project/WithLimit:
 ///
 ///   db->NewScan(ScanSpec::Branch(dev)
 ///                   .Where(*Predicate::Compare(schema, "c1",
@@ -68,14 +68,11 @@ struct ScanSpec {
   /// bytes_scanned charges per row. The primary key and the projected
   /// columns are always valid in emitted rows; the CONTENTS OF OTHER
   /// COLUMNS ARE UNSPECIFIED — zero-copy streaming paths expose the
-  /// stored bytes, materializing paths (diff views, parallel segment
-  /// scans) copy only the projection and leave the rest zeroed.
+  /// stored bytes; diff views, which materialize, copy only the
+  /// projection and leave the rest zeroed.
   std::vector<size_t> projection;
   /// Stop after this many emitted rows; 0 means unlimited.
   uint64_t limit = 0;
-  /// Scan-thread hint for engines that can scan segments in parallel
-  /// (§3.4); 0 defers to EngineOptions::scan_threads.
-  int parallelism = 0;
 
   static ScanSpec Branch(BranchId b) {
     ScanSpec spec;
@@ -124,10 +121,6 @@ struct ScanSpec {
   }
   ScanSpec& WithLimit(uint64_t n) {
     limit = n;
-    return *this;
-  }
-  ScanSpec& Parallel(int threads) {
-    parallelism = threads;
     return *this;
   }
 };

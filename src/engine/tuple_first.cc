@@ -181,10 +181,8 @@ Status TupleFirstEngine::LoadExisting() {
     // tail record) are cut away first so Open parses exactly the
     // checkpointed state and WAL replay can re-append from there.
     DECIBEL_RETURN_NOT_OK(TruncateFile(HistoryPath(branch), bytes));
-    DECIBEL_ASSIGN_OR_RETURN(
-        histories_[branch],
-        CommitHistory::Open(HistoryPath(branch),
-                            {.composite_every = options_.composite_every}));
+    DECIBEL_ASSIGN_OR_RETURN(histories_[branch],
+                             CommitHistory::Open(HistoryPath(branch)));
   }
   for (BranchId branch : branches) {
     // The pk index is memory-only; rebuild it from the branch's bitmap.
@@ -257,8 +255,7 @@ Result<CommitHistory*> TupleFirstEngine::HistoryFor(BranchId branch) {
   // miss means any on-disk history file for this branch is stale
   // post-checkpoint debris from a crash, and Create truncates it away
   // (WAL replay re-appends its commits).
-  Result<std::unique_ptr<CommitHistory>> h = CommitHistory::Create(
-      path, {.composite_every = options_.composite_every});
+  Result<std::unique_ptr<CommitHistory>> h = CommitHistory::Create(path);
   if (!h.ok()) return h.status();
   CommitHistory* raw = h.value().get();
   histories_.emplace(branch, std::move(h).MoveValueUnsafe());

@@ -441,11 +441,14 @@ Status VersionFirstEngine::ApplyBatch(BranchId branch,
   // key; branch scans will ignore the earlier copy" and "deletes require
   // a tombstone" (§3.3). A delete-free batch (the bulk-load shape) is
   // one chunked heap append of the whole staged arena. The branch's pk
-  // index tracks the newest location per key; deletes erase blindly,
-  // preserving the layout's blind-tombstone semantics.
+  // index tracks the newest location per live key, so a delete of an
+  // absent key fails with NotFound before anything is appended, as on
+  // the other two engines.
   const uint32_t head = it->second;
   HeapFile* file = segments_[head]->file.get();
   PkIndex& pks = pk_index_[branch];
+  DECIBEL_RETURN_NOT_OK(ValidateBatchDeletes(
+      batch, [&pks](int64_t pk) { return pks.Contains(pk); }));
   DECIBEL_RETURN_NOT_OK(
       PackedLoc::Check(head, file->num_records() + batch.size()));
   if (batch.num_appends() == batch.size()) {

@@ -14,6 +14,10 @@ namespace gitlike {
 
 namespace {
 
+/// Objects are stored without their size, as git's loose objects are
+/// zlib streams without one; the baseline reads only objects it wrote.
+constexpr uint64_t kNoSizeLimit = UINT64_MAX;
+
 const char* TypeName(ObjectType type) {
   switch (type) {
     case ObjectType::kBlob:
@@ -144,14 +148,15 @@ Result<std::string> ObjectStore::Load(const std::string& id) const {
   if (!it->second.packed) {
     DECIBEL_ASSIGN_OR_RETURN(std::string compressed,
                              ReadFileToString(LoosePath(id)));
-    return lz::Decompress(compressed);
+    return lz::Decompress(compressed, kNoSizeLimit);
   }
   DECIBEL_ASSIGN_OR_RETURN(RandomAccessFile pack,
                            RandomAccessFile::Open(PackPath()));
   std::string compressed;
   DECIBEL_RETURN_NOT_OK(
       pack.Read(it->second.offset, it->second.length, &compressed));
-  DECIBEL_ASSIGN_OR_RETURN(std::string data, lz::Decompress(compressed));
+  DECIBEL_ASSIGN_OR_RETURN(std::string data,
+                           lz::Decompress(compressed, kNoSizeLimit));
   if (!it->second.delta_base.empty()) {
     DECIBEL_ASSIGN_OR_RETURN(std::string base, Load(it->second.delta_base));
     return ApplyDelta(base, data);

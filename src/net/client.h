@@ -3,8 +3,8 @@
 
 /// \file client.h
 /// A blocking Decibel client: one TCP connection, one statement in
-/// flight. Not thread-safe — one Client per thread (the agentic bench
-/// gives each agent its own).
+/// flight. Not thread-safe — one Client per thread (decibench's
+/// wire_sessions gives each session its own).
 ///
 /// Asynchronous kNotify frames can arrive between a request and its
 /// response; Execute() queues them, and PollNotification() /

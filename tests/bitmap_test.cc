@@ -8,6 +8,7 @@
 #include "bitmap/bitmap.h"
 #include "bitmap/bitmap_index.h"
 #include "bitmap/commit_history.h"
+#include "common/coding.h"
 #include "common/random.h"
 #include "test_util.h"
 
@@ -116,6 +117,16 @@ TEST(BitmapTest, BytesRoundTrip) {
   Bitmap decoded;
   ASSERT_TRUE(Bitmap::DecodeFrom(&in, &decoded));
   EXPECT_TRUE(b == decoded);
+
+  // A bit count that disagrees with the byte count is corrupt, however
+  // large: it must not size an allocation.
+  for (uint64_t nbits : {b.size() + 8, uint64_t{1} << 62}) {
+    std::string forged;
+    PutVarint64(&forged, nbits);
+    PutLengthPrefixed(&forged, bytes);
+    Slice forged_in(forged);
+    EXPECT_FALSE(Bitmap::DecodeFrom(&forged_in, &decoded)) << nbits;
+  }
 }
 
 // Regression: an empty bitmap backs its words with a null pointer, and the
@@ -267,8 +278,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(CommitHistoryTest, CheckoutReconstructsEverySnapshot) {
   ScratchDir dir("ch");
-  auto h = CommitHistory::Create(JoinPath(dir.path(), "h.hist"),
-                                 {.composite_every = 4});
+  auto h = CommitHistory::Create(JoinPath(dir.path(), "h.hist"));
   ASSERT_TRUE(h.ok());
   Random rng(3);
   Bitmap state;
@@ -298,7 +308,7 @@ TEST(CommitHistoryTest, CheckoutReconstructsEverySnapshot) {
 
 TEST(CommitHistoryTest, FloorSemantics) {
   ScratchDir dir("ch");
-  auto h = CommitHistory::Create(JoinPath(dir.path(), "h.hist"), {});
+  auto h = CommitHistory::Create(JoinPath(dir.path(), "h.hist"));
   ASSERT_TRUE(h.ok());
   Bitmap b1, b2;
   b1.Set(1);
@@ -322,7 +332,7 @@ TEST(CommitHistoryTest, FloorSemantics) {
 
 TEST(CommitHistoryTest, RejectsNonIncreasingSeq) {
   ScratchDir dir("ch");
-  auto h = CommitHistory::Create(JoinPath(dir.path(), "h.hist"), {});
+  auto h = CommitHistory::Create(JoinPath(dir.path(), "h.hist"));
   ASSERT_TRUE(h.ok());
   Bitmap b;
   b.Set(1);
@@ -332,40 +342,59 @@ TEST(CommitHistoryTest, RejectsNonIncreasingSeq) {
 }
 
 TEST(CommitHistoryTest, ReopenAndContinue) {
+  // Two composites before the reopen and a third after it, so Open must
+  // index the composites and the first append after it must rebuild the
+  // composite base from them.
+  constexpr uint32_t k = CommitHistory::kCompositeEvery;
   ScratchDir dir("ch");
   const std::string path = JoinPath(dir.path(), "h.hist");
-  Bitmap b1, b2, b3;
-  b1.Set(1);
-  b2.Set(1);
-  b2.Set(200);
-  b3.Set(200);
+  Random rng(7);
+  Bitmap state;
+  std::vector<Bitmap> snapshots;
+  auto next_state = [&] {
+    for (int i = 0; i < 20; ++i) {
+      const uint64_t bit = rng.Uniform(2000);
+      if (rng.OneIn(3)) {
+        state.Reset(bit);
+      } else {
+        state.Set(bit);
+      }
+    }
+    snapshots.push_back(state);
+    return snapshots.size();  // the commit's seq
+  };
+  auto expect_all = [&](const CommitHistory& h, const char* when) {
+    for (size_t i = 0; i < snapshots.size(); ++i) {
+      auto got = h.Checkout(i + 1);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_TRUE(*got == snapshots[i]) << when << ": seq " << i + 1;
+    }
+  };
   {
-    auto h = CommitHistory::Create(path, {.composite_every = 2});
+    auto h = CommitHistory::Create(path);
     ASSERT_TRUE(h.ok());
-    ASSERT_OK((*h)->AppendCommit(1, b1));
-    ASSERT_OK((*h)->AppendCommit(2, b2));
-  }
-  {
-    auto h = CommitHistory::Open(path, {.composite_every = 2});
-    ASSERT_TRUE(h.ok()) << h.status().ToString();
-    EXPECT_EQ((*h)->num_commits(), 2u);
-    // Continue appending after reopen (writer state rebuilt lazily).
-    ASSERT_OK((*h)->AppendCommit(3, b3));
-    for (const auto& [seq, want] :
-         std::vector<std::pair<uint64_t, Bitmap*>>{{1, &b1}, {2, &b2},
-                                                   {3, &b3}}) {
-      auto got = (*h)->Checkout(seq);
-      ASSERT_TRUE(got.ok());
-      EXPECT_TRUE(*got == *want) << "seq " << seq;
+    while (snapshots.size() < 2 * k + 3) {
+      const uint64_t seq = next_state();
+      ASSERT_OK((*h)->AppendCommit(seq, state));
     }
   }
+  auto h = CommitHistory::Open(path);
+  ASSERT_TRUE(h.ok()) << h.status().ToString();
+  EXPECT_EQ((*h)->num_commits(), 2 * k + 3);
+  expect_all(**h, "after reopen");
+  // Continue appending after reopen (writer state rebuilt lazily).
+  while (snapshots.size() < 3 * k + 2) {
+    const uint64_t seq = next_state();
+    ASSERT_OK((*h)->AppendCommit(seq, state));
+  }
+  expect_all(**h, "after appending past the third composite");
 }
 
 TEST(CommitHistoryTest, DetectsCorruptRecords) {
   ScratchDir dir("ch");
   const std::string path = JoinPath(dir.path(), "h.hist");
   {
-    auto h = CommitHistory::Create(path, {});
+    auto h = CommitHistory::Create(path);
     ASSERT_TRUE(h.ok());
     Bitmap b;
     for (uint64_t i = 0; i < 100; i += 2) b.Set(i);
@@ -377,7 +406,7 @@ TEST(CommitHistoryTest, DetectsCorruptRecords) {
   std::string mutated = *contents;
   mutated[mutated.size() / 2] ^= 0xff;
   ASSERT_OK(WriteStringToFile(path, mutated));
-  auto h = CommitHistory::Open(path, {});
+  auto h = CommitHistory::Open(path);
   EXPECT_FALSE(h.ok());
   EXPECT_TRUE(h.status().IsCorruption());
 }
@@ -386,7 +415,7 @@ TEST(CommitHistoryTest, CompressionIsEffectiveOnSparseDeltas) {
   // Consecutive commits differing by a handful of bits should cost far
   // less than full snapshots (the point of §3.2's delta+RLE encoding).
   ScratchDir dir("ch");
-  auto h = CommitHistory::Create(JoinPath(dir.path(), "h.hist"), {});
+  auto h = CommitHistory::Create(JoinPath(dir.path(), "h.hist"));
   ASSERT_TRUE(h.ok());
   Bitmap state(1 << 20);  // 128 KiB of bitmap
   for (uint64_t i = 0; i < (1 << 20); i += 2) state.Set(i);

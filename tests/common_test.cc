@@ -264,7 +264,7 @@ TEST(RleTest, RoundTripSparseBitmapDelta) {
   std::string enc;
   rle::Encode(data, &enc);
   EXPECT_LT(enc.size(), 64u);  // long zero runs collapse
-  auto dec = rle::Decode(enc);
+  auto dec = rle::Decode(enc, data.size());
   ASSERT_TRUE(dec.ok());
   EXPECT_EQ(*dec, data);
 }
@@ -283,7 +283,7 @@ TEST(RleTest, RoundTripRandomData) {
     }
     std::string enc;
     rle::Encode(data, &enc);
-    auto dec = rle::Decode(enc);
+    auto dec = rle::Decode(enc, data.size());
     ASSERT_TRUE(dec.ok());
     EXPECT_EQ(*dec, data) << "trial " << trial;
   }
@@ -304,7 +304,7 @@ TEST(RleTest, DecodeXorIntoAppliesDelta) {
   std::string enc;
   rle::Encode(delta, &enc);
   std::string state = before;
-  ASSERT_OK(rle::DecodeXorInto(enc, &state));
+  ASSERT_OK(rle::DecodeXorInto(enc, delta.size(), &state));
   state.resize(200, '\0');  // zero-extension is implicit
   EXPECT_EQ(state, after);
 }
@@ -313,13 +313,13 @@ TEST(RleTest, EmptyAndSingleInputs) {
   // Empty input.
   std::string enc;
   rle::Encode("", &enc);
-  auto dec = rle::Decode(enc);
+  auto dec = rle::Decode(enc, 0);
   ASSERT_TRUE(dec.ok());
   EXPECT_TRUE(dec->empty());
   // Single byte.
   enc.clear();
   rle::Encode("x", &enc);
-  dec = rle::Decode(enc);
+  dec = rle::Decode(enc, 1);
   ASSERT_TRUE(dec.ok());
   EXPECT_EQ(*dec, "x");
   // One long run of a single value.
@@ -327,7 +327,7 @@ TEST(RleTest, EmptyAndSingleInputs) {
   enc.clear();
   rle::Encode(run, &enc);
   EXPECT_LT(enc.size(), 64u);
-  dec = rle::Decode(enc);
+  dec = rle::Decode(enc, run.size());
   ASSERT_TRUE(dec.ok());
   EXPECT_EQ(*dec, run);
 }
@@ -342,7 +342,7 @@ TEST(RleTest, WorstCaseIncompressibleRoundTrips) {
   std::string enc;
   rle::Encode(data, &enc);
   EXPECT_LE(enc.size(), 2 * data.size() + 16);  // bounded worst case
-  auto dec = rle::Decode(enc);
+  auto dec = rle::Decode(enc, data.size());
   ASSERT_TRUE(dec.ok());
   EXPECT_EQ(*dec, data);
 }
@@ -350,10 +350,20 @@ TEST(RleTest, WorstCaseIncompressibleRoundTrips) {
 TEST(RleTest, DecodeRejectsCorruption) {
   std::string enc;
   rle::Encode(std::string(100, 'z'), &enc);
+  EXPECT_TRUE(rle::Decode(enc, 100).ok());
+  // One byte short of the encoded output.
+  EXPECT_FALSE(rle::Decode(enc, 99).ok());
+  std::string xored(10, '\0');
+  EXPECT_FALSE(rle::DecodeXorInto(enc, 99, &xored).ok());
   enc.resize(enc.size() / 2);
-  EXPECT_FALSE(rle::Decode(enc).ok());
+  EXPECT_FALSE(rle::Decode(enc, 100).ok());
   std::string bad = "\x07";  // invalid tag
-  EXPECT_FALSE(rle::Decode(bad).ok());
+  EXPECT_FALSE(rle::Decode(bad, 100).ok());
+  // A run length past any real output is rejected before it is sized.
+  std::string huge = "\x01";
+  PutVarint64(&huge, uint64_t{1} << 62);
+  huge.push_back('z');
+  EXPECT_FALSE(rle::Decode(huge, 1 << 20).ok());
 }
 
 // ---------------------------------------------------------------------- lz
@@ -366,7 +376,7 @@ TEST(LzTest, RoundTripText) {
   std::string enc;
   lz::Compress(data, &enc);
   EXPECT_LT(enc.size(), data.size() / 4);  // repetitive text compresses
-  auto dec = lz::Decompress(enc);
+  auto dec = lz::Decompress(enc, data.size());
   ASSERT_TRUE(dec.ok());
   EXPECT_EQ(*dec, data);
 }
@@ -381,7 +391,7 @@ TEST(LzTest, RoundTripRandomBinary) {
     }
     std::string enc;
     lz::Compress(data, &enc);
-    auto dec = lz::Decompress(enc);
+    auto dec = lz::Decompress(enc, data.size());
     ASSERT_TRUE(dec.ok());
     EXPECT_EQ(*dec, data) << "trial " << trial;
   }
@@ -392,7 +402,7 @@ TEST(LzTest, EmptyAndTiny) {
                                   std::string("abc")}) {
     std::string enc;
     lz::Compress(data, &enc);
-    auto dec = lz::Decompress(enc);
+    auto dec = lz::Decompress(enc, data.size());
     ASSERT_TRUE(dec.ok());
     EXPECT_EQ(*dec, data);
   }
@@ -404,14 +414,23 @@ TEST(LzTest, OverlappingCopies) {
   std::string enc;
   lz::Compress(data, &enc);
   EXPECT_LT(enc.size(), 64u);
-  auto dec = lz::Decompress(enc);
+  auto dec = lz::Decompress(enc, data.size());
   ASSERT_TRUE(dec.ok());
   EXPECT_EQ(*dec, data);
 }
 
 TEST(LzTest, RejectsCorruptStreams) {
-  EXPECT_FALSE(lz::Decompress("\x01\x05\x05").ok());  // copy before start
-  EXPECT_FALSE(lz::Decompress("\x09").ok());          // bad tag
+  EXPECT_FALSE(lz::Decompress("\x01\x05\x05", 64).ok());  // copy before start
+  EXPECT_FALSE(lz::Decompress("\x09", 64).ok());          // bad tag
+  // A copy or literal longer than the expected output is rejected before
+  // any byte of it is produced.
+  std::string enc;
+  lz::Compress(std::string(4096, 'q'), &enc);
+  EXPECT_TRUE(lz::Decompress(enc, 4096).ok());
+  EXPECT_FALSE(lz::Decompress(enc, 4095).ok());
+  std::string huge = "\x00\x01q\x01\x01";
+  PutVarint64(&huge, uint64_t{1} << 62);
+  EXPECT_FALSE(lz::Decompress(huge, 1 << 20).ok());
 }
 
 TEST(LzTest, WorstCaseIncompressibleRoundTrips) {
@@ -425,7 +444,7 @@ TEST(LzTest, WorstCaseIncompressibleRoundTrips) {
   std::string enc;
   lz::Compress(data, &enc);
   EXPECT_LE(enc.size(), data.size() + data.size() / 8 + 64);
-  auto dec = lz::Decompress(enc);
+  auto dec = lz::Decompress(enc, data.size());
   ASSERT_TRUE(dec.ok());
   EXPECT_EQ(*dec, data);
 }
@@ -436,7 +455,7 @@ TEST(LzTest, RejectsTruncatedStreams) {
   std::string enc;
   lz::Compress(data, &enc);
   for (size_t keep = 1; keep < enc.size(); keep += 7) {
-    const auto dec = lz::Decompress(enc.substr(0, keep));
+    const auto dec = lz::Decompress(enc.substr(0, keep), data.size());
     // A truncated stream either fails outright or yields a strict prefix
     // — it must never fabricate bytes past what was stored.
     if (dec.ok()) {

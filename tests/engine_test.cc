@@ -154,7 +154,7 @@ TEST_P(EngineTest, CheckoutSessionReadsHistoricalVersion) {
   auto rows = Collect(it.get());
   EXPECT_EQ(rows[1], 1);
   // Writes to a historical checkout are rejected.
-  EXPECT_FALSE(db_->Insert(&s, MakeRecord(schema_, 5, 5)).ok());
+  EXPECT_FALSE(db_->Begin(&s).ok());
 }
 
 TEST_P(EngineTest, BranchFromHistoricalCommit) {

@@ -157,16 +157,9 @@ TEST_P(FailureTest, ApiMisuseIsStatusNotCrash) {
   ASSERT_TRUE(db->Branch("dev", &s).ok());
   ASSERT_OK(db->Use(&s, kMasterBranch));
   EXPECT_FALSE(db->Branch("dev", &s).ok());
-  // Deleting a key that does not exist: the bitmap engines detect it via
-  // their pk indexes; version-first appends a tombstone unconditionally
-  // (its physical design has no cheap liveness check — §3.3). Either way,
-  // a subsequent scan must be unaffected.
-  const Status missing_delete = db->DeleteFrom(kMasterBranch, 424242);
-  if (GetParam() == EngineType::kVersionFirst) {
-    EXPECT_OK(missing_delete);
-  } else {
-    EXPECT_TRUE(missing_delete.IsNotFound());
-  }
+  // Deleting a key that does not exist: every engine detects it via its
+  // pk index, and a subsequent scan is unaffected.
+  EXPECT_TRUE(db->DeleteFrom(kMasterBranch, 424242).IsNotFound());
   auto rows = testing_util::CollectBranch(db.get(), kMasterBranch);
   EXPECT_EQ(rows.count(424242), 0u);
 }

@@ -8,6 +8,7 @@
 
 #include <map>
 
+#include "bitmap/commit_history.h"
 #include "common/random.h"
 #include "core/decibel.h"
 #include "test_util.h"
@@ -19,6 +20,17 @@ using testing_util::MakeRecord;
 using testing_util::ScratchDir;
 using testing_util::TestSchema;
 
+std::string EngineParamName(EngineType engine) {
+  switch (engine) {
+    case EngineType::kTupleFirst:
+      return "TupleFirst";
+    case EngineType::kVersionFirst:
+      return "VersionFirst";
+    default:
+      return "Hybrid";
+  }
+}
+
 class HistoryTest
     : public ::testing::TestWithParam<std::tuple<EngineType, uint64_t>> {};
 
@@ -29,7 +41,6 @@ TEST_P(HistoryTest, BranchesFromRandomCommitsMatchSnapshots) {
   DecibelOptions options;
   options.engine = engine;
   options.page_size = 4096;
-  options.composite_every = 4;  // exercise the composite-delta layer
   auto db = Decibel::Open(dir.path(), schema, options).MoveValueUnsafe();
 
   Random rng(seed);
@@ -118,6 +129,77 @@ TEST_P(HistoryTest, BranchesFromRandomCommitsMatchSnapshots) {
   EXPECT_EQ(testing_util::Collect(it->get()), snapshots[last]);
 }
 
+/// The composite interval is a format constant, so a history holds a
+/// composite only past CommitHistory::kCompositeEvery commits. One branch
+/// committed 2k + 8 times gives each tuple-first and hybrid history two;
+/// k more after a reopen add a third, built from the writer state the
+/// first append rebuilds. Every commit must keep its own rows throughout
+/// (version-first resolves commits without bitmaps and must agree).
+class CompositeHistoryTest : public ::testing::TestWithParam<EngineType> {};
+
+TEST_P(CompositeHistoryTest, LongBranchReplaysEveryCommitAcrossReopen) {
+  constexpr uint32_t k = CommitHistory::kCompositeEvery;
+  ScratchDir dir("history_composite");
+  const Schema schema = TestSchema(2);
+  DecibelOptions options;
+  options.engine = GetParam();
+  options.page_size = 4096;
+  auto db = Decibel::Open(dir.path(), schema, options).MoveValueUnsafe();
+
+  Random rng(5);
+  std::map<int64_t, int32_t> table;
+  std::vector<std::pair<CommitId, std::map<int64_t, int32_t>>> snapshots;
+  int64_t next_pk = 0;
+  int32_t next_val = 0;
+  auto commit_rounds = [&](size_t until) {
+    while (snapshots.size() < until) {
+      for (int op = 0; op < 6; ++op) {
+        const uint64_t kind = rng.Uniform(6);
+        if (kind < 3 || table.empty()) {
+          ASSERT_OK(db->InsertInto(kMasterBranch,
+                                   MakeRecord(schema, next_pk, ++next_val)));
+          table[next_pk++] = next_val;
+        } else {
+          auto it = table.begin();
+          std::advance(it, rng.Uniform(table.size()));
+          if (kind < 5) {
+            it->second = ++next_val;
+            ASSERT_OK(db->UpdateIn(kMasterBranch,
+                                   MakeRecord(schema, it->first, next_val)));
+          } else {
+            ASSERT_OK(db->DeleteFrom(kMasterBranch, it->first));
+            table.erase(it);
+          }
+        }
+      }
+      ASSERT_OK_AND_ASSIGN(CommitId c, db->CommitBranch(kMasterBranch));
+      snapshots.emplace_back(c, table);
+    }
+  };
+  auto expect_every_commit = [&](const char* when) {
+    for (const auto& [c, rows] : snapshots) {
+      ASSERT_OK_AND_ASSIGN(auto it, db->NewScan(ScanSpec::Commit(c)));
+      EXPECT_EQ(testing_util::Collect(it.get()), rows)
+          << when << ": commit " << c;
+    }
+  };
+
+  commit_rounds(2 * k + 8);
+  expect_every_commit("before reopen");
+  ASSERT_OK(db->Flush());
+  db.reset();
+  db = Decibel::Open(dir.path(), schema, options).MoveValueUnsafe();
+  expect_every_commit("after reopen");
+  commit_rounds(3 * k + 8);
+  expect_every_commit("after a third composite");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllEngines, CompositeHistoryTest,
+    ::testing::Values(EngineType::kTupleFirst, EngineType::kVersionFirst,
+                      EngineType::kHybrid),
+    [](const auto& info) { return EngineParamName(info.param); });
+
 INSTANTIATE_TEST_SUITE_P(
     EnginesAndSeeds, HistoryTest,
     ::testing::Combine(::testing::Values(EngineType::kTupleFirst,
@@ -125,18 +207,8 @@ INSTANTIATE_TEST_SUITE_P(
                                          EngineType::kHybrid),
                        ::testing::Values(3u, 11u, 77u)),
     [](const auto& info) {
-      std::string engine;
-      switch (std::get<0>(info.param)) {
-        case EngineType::kTupleFirst:
-          engine = "TupleFirst";
-          break;
-        case EngineType::kVersionFirst:
-          engine = "VersionFirst";
-          break;
-        default:
-          engine = "Hybrid";
-      }
-      return engine + "_seed" + std::to_string(std::get<1>(info.param));
+      return EngineParamName(std::get<0>(info.param)) + "_seed" +
+             std::to_string(std::get<1>(info.param));
     });
 
 }  // namespace

@@ -269,9 +269,6 @@ TEST_P(ScanApiTest, CheckedOutSessionRoutesReadsAndRejectsWrites) {
 
   // Writes through a historical checkout stay rejected.
   EXPECT_FALSE(db_->Begin(&session).ok());
-  EXPECT_FALSE(db_->Insert(&session, MakeRecord(schema_, 500, 1)).ok());
-  EXPECT_FALSE(db_->Update(&session, MakeRecord(schema_, 101, 9)).ok());
-  EXPECT_FALSE(db_->Delete(&session, 101).ok());
 
   // Back at the head, reads see the branch again and writes work.
   ASSERT_OK(db_->Use(&session, dev_));
@@ -280,7 +277,9 @@ TEST_P(ScanApiTest, CheckedOutSessionRoutesReadsAndRejectsWrites) {
   ASSERT_OK_AND_ASSIGN(rec, db_->Get(session, 101));
   EXPECT_EQ(rec.ref().GetInt32(1), 55);
   EXPECT_TRUE(db_->Get(session, 100).status().IsNotFound());
-  ASSERT_OK(db_->Insert(&session, MakeRecord(schema_, 500, 1)));
+  ASSERT_OK_AND_ASSIGN(Transaction txn, db_->Begin(&session));
+  ASSERT_OK(txn.Insert(MakeRecord(schema_, 500, 1)));
+  ASSERT_OK(txn.Commit());
 }
 
 TEST_P(ScanApiTest, ZoneMapsSkipPagesAndReduceBytesRead) {
@@ -413,18 +412,6 @@ TEST_P(ScanApiTest, EngineReportsScanCounters) {
   const EngineStats stats = db_->engine()->Stats();
   EXPECT_EQ(stats.rows_scanned, rows_before + 50);
   EXPECT_GE(stats.bytes_scanned, 50u * schema_.record_size());
-}
-
-TEST_P(ScanApiTest, ParallelismHintPreservesResults) {
-  ASSERT_OK_AND_ASSIGN(
-      auto sequential, db_->NewScan(ScanSpec::Multi({kMasterBranch, dev_})
-                                        .Where(C1(CompareOp::kGe, 0))));
-  ASSERT_OK_AND_ASSIGN(
-      auto parallel, db_->NewScan(ScanSpec::Multi({kMasterBranch, dev_})
-                                      .Where(C1(CompareOp::kGe, 0))
-                                      .Parallel(4)));
-  EXPECT_EQ(Drain(sequential.get()), Drain(parallel.get()));
-  EXPECT_EQ(sequential->stats().rows_emitted, parallel->stats().rows_emitted);
 }
 
 TEST_P(ScanApiTest, InvalidSpecsAreRejected) {

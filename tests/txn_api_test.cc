@@ -115,11 +115,10 @@ TEST_P(TxnApiTest, BeginRejectsHistoricalCheckout) {
 }
 
 TEST_P(TxnApiTest, PerOpWrappersAreOneOpTransactions) {
-  Session s = db_->NewSession();
-  ASSERT_OK(db_->Insert(&s, MakeRecord(schema_, 1, 1)));
-  ASSERT_OK(db_->Update(&s, MakeRecord(schema_, 1, 2)));
+  ASSERT_OK(db_->InsertInto(kMasterBranch, MakeRecord(schema_, 1, 1)));
+  ASSERT_OK(db_->UpdateIn(kMasterBranch, MakeRecord(schema_, 1, 2)));
   EXPECT_TRUE(db_->IsDirty(kMasterBranch));
-  ASSERT_OK(db_->Delete(&s, 1));
+  ASSERT_OK(db_->DeleteFrom(kMasterBranch, 1));
   EXPECT_TRUE(CollectBranch(db_.get(), kMasterBranch).empty());
   // The branch lock is fully released between one-op transactions.
   EXPECT_FALSE(db_->lock_manager()->IsLocked(kMasterBranch));
@@ -154,11 +153,6 @@ TEST_P(TxnApiTest, LockTimeoutIsRetryable) {
 }
 
 TEST_P(TxnApiTest, DeleteOfAbsentKeyIsAllOrNothing) {
-  if (GetParam() == EngineType::kVersionFirst) {
-    // Version-first deletes are blind tombstone appends (§3.3): there is
-    // no pk index to validate against, so nothing to test here.
-    GTEST_SKIP();
-  }
   ASSERT_OK(db_->InsertInto(kMasterBranch, MakeRecord(schema_, 1, 1)));
 
   ASSERT_OK_AND_ASSIGN(Transaction txn, db_->Begin(kMasterBranch));

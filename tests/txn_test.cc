@@ -171,49 +171,5 @@ TEST(SessionTest, ParallelWritersOnDistinctBranches) {
   EXPECT_EQ(testing_util::CollectBranch(db.get(), b2).size(), 201u);
 }
 
-// ------------------------------------------- hybrid parallel segment scan
-
-TEST(ParallelScanTest, MatchesSequentialResults) {
-  ScratchDir dir_seq("pscan_seq");
-  ScratchDir dir_par("pscan_par");
-  const Schema schema = TestSchema(2);
-
-  auto load = [&](const std::string& path, int threads) {
-    DecibelOptions options;
-    options.engine = EngineType::kHybrid;
-    options.scan_threads = threads;
-    auto db = Decibel::Open(path, schema, options).MoveValueUnsafe();
-    Session s = db->NewSession();
-    BranchId current = kMasterBranch;
-    for (int level = 0; level < 6; ++level) {
-      for (int64_t i = 0; i < 200; ++i) {
-        EXPECT_OK(db->InsertInto(
-            current, MakeRecord(schema, level * 1000 + i, level)));
-      }
-      EXPECT_OK(db->Use(&s, current));
-      auto child = db->Branch("b" + std::to_string(level), &s);
-      EXPECT_TRUE(child.ok());
-      current = *child;
-    }
-    return db;
-  };
-
-  auto db_seq = load(dir_seq.path(), 0);
-  auto db_par = load(dir_par.path(), 8);
-
-  auto collect = [](Decibel* db) {
-    std::map<int64_t, std::set<uint32_t>> out;
-    auto it = db->NewScan(ScanSpec::Heads());
-    EXPECT_TRUE(it.ok()) << it.status().ToString();
-    ScanRow row;
-    while ((*it)->Next(&row)) {
-      for (uint32_t b : *row.branches) out[row.record.pk()].insert(b);
-    }
-    EXPECT_OK((*it)->status());
-    return out;
-  };
-  EXPECT_EQ(collect(db_seq.get()), collect(db_par.get()));
-}
-
 }  // namespace
 }  // namespace decibel
