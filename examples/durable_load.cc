@@ -1,24 +1,29 @@
 /// Durable load driver for crash-recovery smoke testing.
 ///
 /// `load` opens a database in fsync durability and streams records into
-/// two branches, committing every few rows. After each acknowledged
-/// commit it durably records the high-water mark in a sidecar progress
-/// file. The process is designed to be SIGKILLed mid-load.
+/// three branches, one loader thread per branch, each committing its
+/// branch every few rows. The threads' WAL syncs overlap. After each
+/// acknowledged commit a thread durably records its branch's high-water
+/// mark in that branch's sidecar progress file. The process is designed
+/// to be SIGKILLed mid-load.
 ///
 /// `verify` reopens the same directory — recovering from the manifest,
-/// checkpoint, and WAL tail — and checks that every record up to the
-/// acknowledged high-water mark survived, on the right branch, with the
-/// right values.
+/// checkpoint, and WAL tail — and checks that every record up to each
+/// branch's acknowledged high-water mark survived, on the right branch,
+/// with the right values.
 ///
 ///   $ ./durable_load load <dir> [num_records]     # kill -9 me
 ///   $ ./durable_load verify <dir>                 # exit 0 iff intact
 ///
 /// The CI release job runs exactly this pair around a SIGKILL.
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/io.h"
 #include "core/decibel.h"
@@ -26,6 +31,9 @@
 using namespace decibel;
 
 namespace {
+
+/// Record i belongs to branch i % kBranches; branch 0 is master.
+constexpr int kBranches = 3;
 
 Record Row(const Schema& schema, int64_t pk, int32_t value) {
   Record rec(&schema);
@@ -45,7 +53,48 @@ DecibelOptions LoadOptions() {
   return options;
 }
 
-std::string ProgressPath(const std::string& dir) { return dir + ".progress"; }
+std::string BranchName(int b) {
+  return b == 0 ? "master" : "dev" + std::to_string(b);
+}
+
+std::string ProgressPath(const std::string& dir, int b) {
+  return dir + ".progress." + BranchName(b);
+}
+
+/// Loads every record i < num_records with i % kBranches == b into
+/// \p branch, committing every 4 rows and recording progress after each
+/// acknowledged commit.
+bool LoadBranch(Decibel* db, const std::string& dir, int b, BranchId branch,
+                int num_records) {
+  int loaded = 0;
+  for (int i = b; i < num_records; i += kBranches) {
+    Status s = db->InsertInto(branch, Row(db->schema(), i, i));
+    if (!s.ok()) {
+      fprintf(stderr, "insert %d failed: %s\n", i, s.ToString().c_str());
+      return false;
+    }
+    if (++loaded % 4 != 0) continue;
+    auto c = db->CommitBranch(branch);
+    if (!c.ok()) {
+      fprintf(stderr, "commit at %d failed: %s\n", i,
+              c.status().ToString().c_str());
+      return false;
+    }
+    // The commit is acknowledged: record the high-water mark with the
+    // same durability the commit itself has.
+    s = AtomicWriteFile(ProgressPath(dir, b), std::to_string(i),
+                        /*sync=*/true);
+    if (!s.ok()) {
+      fprintf(stderr, "progress write failed: %s\n", s.ToString().c_str());
+      return false;
+    }
+    if (b == 0 && loaded % 256 == 0) {
+      printf("acked %d\n", i);
+      fflush(stdout);
+    }
+  }
+  return true;
+}
 
 int RunLoad(const std::string& dir, int num_records) {
   auto db = Decibel::Open(dir, Schema::MakeBenchmark(3), LoadOptions());
@@ -53,78 +102,74 @@ int RunLoad(const std::string& dir, int num_records) {
     fprintf(stderr, "open failed: %s\n", db.status().ToString().c_str());
     return 1;
   }
-  auto dev = (*db)->BranchAt("dev", (*db)->graph().Head(kMasterBranch));
-  if (!dev.ok()) {
-    fprintf(stderr, "branch failed: %s\n", dev.status().ToString().c_str());
-    return 1;
-  }
-  for (int i = 0; i < num_records; ++i) {
-    const BranchId target = (i % 2 == 0) ? kMasterBranch : *dev;
-    Status s = (*db)->InsertInto(target, Row((*db)->schema(), i, i));
-    if (!s.ok()) {
-      fprintf(stderr, "insert %d failed: %s\n", i, s.ToString().c_str());
+  std::vector<BranchId> branches = {kMasterBranch};
+  for (int b = 1; b < kBranches; ++b) {
+    auto child =
+        (*db)->BranchAt(BranchName(b), (*db)->Head(kMasterBranch));
+    if (!child.ok()) {
+      fprintf(stderr, "branch failed: %s\n",
+              child.status().ToString().c_str());
       return 1;
     }
-    if (i % 8 == 7) {
-      auto c1 = (*db)->CommitBranch(kMasterBranch);
-      auto c2 = (*db)->CommitBranch(*dev);
-      if (!c1.ok() || !c2.ok()) {
-        fprintf(stderr, "commit at %d failed\n", i);
-        return 1;
-      }
-      // Both commits are acknowledged: record the high-water mark with
-      // the same durability the commits themselves have.
-      s = AtomicWriteFile(ProgressPath(dir), std::to_string(i),
-                          /*sync=*/true);
-      if (!s.ok()) {
-        fprintf(stderr, "progress write failed: %s\n", s.ToString().c_str());
-        return 1;
-      }
-      if (i % 256 == 255) {
-        printf("acked %d\n", i);
-        fflush(stdout);
-      }
-    }
+    branches.push_back(*child);
   }
-  printf("load complete: %d records\n", num_records);
+  std::atomic<bool> ok{true};
+  std::vector<std::thread> loaders;
+  for (int b = 0; b < kBranches; ++b) {
+    loaders.emplace_back([&, b] {
+      if (!LoadBranch(db->get(), dir, b, branches[b], num_records)) {
+        ok = false;
+      }
+    });
+  }
+  for (std::thread& t : loaders) t.join();
+  if (!ok) return 1;
+  const DecibelStats stats = (*db)->Stats();
+  printf("load complete: %d records, %llu WAL fdatasyncs, at most %llu at "
+         "once\n",
+         num_records, static_cast<unsigned long long>(stats.wal_syncs),
+         static_cast<unsigned long long>(stats.wal_syncs_in_flight_max));
   return 0;
 }
 
 int RunVerify(const std::string& dir) {
-  auto note = ReadFileToString(ProgressPath(dir));
-  if (!note.ok()) {
-    fprintf(stderr, "no progress file: %s\n", note.status().ToString().c_str());
-    return 1;
-  }
-  const int acked = std::atoi(note->c_str());
   auto db = Decibel::Open(dir, LoadOptions());
   if (!db.ok()) {
     fprintf(stderr, "reopen failed: %s\n", db.status().ToString().c_str());
     return 1;
   }
-  auto dev = (*db)->graph().FindBranchByName("dev");
-  if (!dev.ok()) {
-    fprintf(stderr, "branch 'dev' lost\n");
-    return 1;
-  }
   int verified = 0;
-  for (int i = 0; i <= acked; ++i) {
-    const BranchId target = (i % 2 == 0) ? kMasterBranch : *dev;
-    auto rec = (*db)->Get(target, i);
-    if (!rec.ok()) {
-      fprintf(stderr, "record %d lost: %s\n", i,
-              rec.status().ToString().c_str());
+  for (int b = 0; b < kBranches; ++b) {
+    auto note = ReadFileToString(ProgressPath(dir, b));
+    if (!note.ok()) {
+      fprintf(stderr, "no progress file for %s: %s\n", BranchName(b).c_str(),
+              note.status().ToString().c_str());
       return 1;
     }
-    if (rec->ref().GetInt32(1) != i) {
-      fprintf(stderr, "record %d corrupt: got %d\n", i,
-              rec->ref().GetInt32(1));
+    const int acked = std::atoi(note->c_str());
+    auto branch = (*db)->FindBranchByName(BranchName(b));
+    if (!branch.ok()) {
+      fprintf(stderr, "branch '%s' lost\n", BranchName(b).c_str());
       return 1;
     }
-    ++verified;
+    for (int i = b; i <= acked; i += kBranches) {
+      auto rec = (*db)->Get(*branch, i);
+      if (!rec.ok()) {
+        fprintf(stderr, "record %d lost: %s\n", i,
+                rec.status().ToString().c_str());
+        return 1;
+      }
+      if (rec->ref().GetInt32(1) != i) {
+        fprintf(stderr, "record %d corrupt: got %d\n", i,
+                rec->ref().GetInt32(1));
+        return 1;
+      }
+      ++verified;
+    }
+    printf("%s: acked through record %d\n", BranchName(b).c_str(), acked);
   }
-  printf("verified %d acknowledged records across 2 branches (acked=%d)\n",
-         verified, acked);
+  printf("verified %d acknowledged records across %d branches\n", verified,
+         kBranches);
   return 0;
 }
 

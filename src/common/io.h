@@ -36,10 +36,8 @@ class WritableFile {
   Status Append(Slice data);
   Status Flush();
   Status Sync();
-  /// fdatasyncs the descriptor without touching the write buffer. Callers
-  /// that Flush() under a lock can persist the flushed bytes off the lock
-  /// (the WAL's group-commit leader); any bytes still buffered when this
-  /// runs are NOT covered.
+  /// fdatasyncs the descriptor without touching the write buffer; any
+  /// bytes still buffered when this runs are NOT covered.
   Status SyncData();
   /// Writes \p bytes zeros past the file's current end. Appends then
   /// overwrite already-allocated blocks without growing the file, so an

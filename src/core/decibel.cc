@@ -161,6 +161,7 @@ Result<std::unique_ptr<Decibel>> Decibel::Open(const std::string& path,
 
   db->manifest_ = std::move(manifest);
   DECIBEL_RETURN_NOT_OK(db->InitDurability(have_manifest));
+  db->num_branches_.store(db->graph_.num_branches(), std::memory_order_release);
   return db;
 }
 
@@ -199,6 +200,7 @@ Status Decibel::WriteCheckpointGraph(const std::string& tag, bool sync) {
   // map a reopened branch would look clean and fork without committing.
   std::string blob;
   graph_.EncodeTo(&blob);
+  std::lock_guard<std::mutex> dirty_lock(dirty_mu_);
   PutVarint64(&blob, dirty_.size());
   for (const auto& [branch, ops] : dirty_) {
     PutVarint32(&blob, branch);
@@ -500,8 +502,7 @@ uint64_t Decibel::checkpoint_generation() const {
 // ---------------------------------------------------------------- sessions
 
 uint64_t Decibel::NextOwnerId() {
-  std::lock_guard<std::mutex> guard(mu_);
-  return next_id_++;
+  return next_id_.fetch_add(1, std::memory_order_relaxed);
 }
 
 Session Decibel::NewSession() {
@@ -551,15 +552,10 @@ Result<Transaction> Decibel::Begin(Session* session) {
 }
 
 Result<Transaction> Decibel::Begin(BranchId branch) {
-  uint64_t id;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!graph_.HasBranch(branch)) {
-      return Status::NotFound("no branch " + std::to_string(branch));
-    }
-    id = next_id_++;
+  if (branch >= num_branches_.load(std::memory_order_acquire)) {
+    return Status::NotFound("no branch " + std::to_string(branch));
   }
-  return Transaction(this, branch, id, &schema_);
+  return Transaction(this, branch, NextOwnerId(), &schema_);
 }
 
 // ---------------------------------------------------------- version control
@@ -580,11 +576,7 @@ Result<CommitId> Decibel::CommitLocked(BranchId branch) {
     DECIBEL_RETURN_NOT_OK(LogWal(wal::RecordType::kCommit, body));
   }
   DECIBEL_RETURN_NOT_OK(engine_->Commit(branch, commit));
-  uint64_t ops = 0;
-  if (auto it = dirty_.find(branch); it != dirty_.end()) {
-    ops = it->second;
-    dirty_.erase(it);
-  }
+  const uint64_t ops = TakeDirty(branch);
   CommitEvent event;
   event.branch = branch;
   if (Result<BranchInfo> info = graph_.GetBranch(branch); info.ok()) {
@@ -597,7 +589,7 @@ Result<CommitId> Decibel::CommitLocked(BranchId branch) {
 }
 
 Result<CommitId> Decibel::EnsureCommitted(BranchId branch) {
-  if (dirty_.count(branch) != 0) {
+  if (IsDirty(branch)) {
     return CommitLocked(branch);
   }
   return graph_.Head(branch);
@@ -637,20 +629,30 @@ Result<BranchId> Decibel::Branch(const std::string& name, Session* session) {
       LogBranchCreation(child, name, base, parent, /*at_head=*/true));
   DECIBEL_RETURN_NOT_OK(
       engine_->CreateBranch(child, parent, base, /*at_head=*/true));
+  num_branches_.store(graph_.num_branches(), std::memory_order_release);
   return child;
 }
 
 Result<BranchId> Decibel::BranchAt(const std::string& name, CommitId commit) {
+  BranchId parent = kInvalidBranch;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    DECIBEL_ASSIGN_OR_RETURN(CommitInfo info, graph_.GetCommit(commit));
+    parent = info.branch;
+  }
+  // Shared on the commit's branch: a transaction still applying there
+  // has written the engine but not yet marked the branch dirty, and a
+  // fork that read it as clean would clone its uncommitted rows.
+  DECIBEL_ASSIGN_OR_RETURN(
+      LockGuard guard, LockGuard::Acquire(&locks_, NextOwnerId(), parent,
+                                          LockMode::kShared));
   std::shared_lock<std::shared_mutex> barrier(checkpoint_mu_);
   std::lock_guard<std::mutex> lock(mu_);
-  DECIBEL_ASSIGN_OR_RETURN(CommitInfo info, graph_.GetCommit(commit));
-  const bool at_head =
-      graph_.Head(info.branch) == commit && dirty_.count(info.branch) == 0;
+  const bool at_head = graph_.Head(parent) == commit && !IsDirty(parent);
   DECIBEL_ASSIGN_OR_RETURN(BranchId child, graph_.CreateBranch(name, commit));
-  DECIBEL_RETURN_NOT_OK(
-      LogBranchCreation(child, name, commit, info.branch, at_head));
-  DECIBEL_RETURN_NOT_OK(
-      engine_->CreateBranch(child, info.branch, commit, at_head));
+  DECIBEL_RETURN_NOT_OK(LogBranchCreation(child, name, commit, parent, at_head));
+  DECIBEL_RETURN_NOT_OK(engine_->CreateBranch(child, parent, commit, at_head));
+  num_branches_.store(graph_.num_branches(), std::memory_order_release);
   return child;
 }
 
@@ -678,7 +680,7 @@ Status Decibel::RetireBranch(BranchId branch) {
   // branch), but it drops out of ActiveBranches / HEADS scans. Any ops
   // staged but never committed are abandoned with it.
   graph_.SetActive(branch, false);
-  dirty_.erase(branch);
+  TakeDirty(branch);
   // Drop the file descriptors the branch pinned (head segment, commit
   // histories) — under agentic fork/merge/retire churn the held handles
   // otherwise accumulate until the process hits its descriptor limit.
@@ -759,7 +761,7 @@ Result<MergeInfo> Decibel::Merge(const MergeSpec& spec) {
     DECIBEL_RETURN_NOT_OK(engine_->ApplyBatch(spec.into, plan.batch));
   }
   DECIBEL_RETURN_NOT_OK(engine_->Commit(spec.into, commit));
-  dirty_.erase(spec.into);
+  TakeDirty(spec.into);
   CommitEvent event;
   event.branch = spec.into;
   if (Result<BranchInfo> binfo = graph_.GetBranch(spec.into); binfo.ok()) {
@@ -842,7 +844,7 @@ Status Decibel::ApplyBatchLocked(BranchId branch, const WriteBatch& batch) {
     DECIBEL_RETURN_NOT_OK(LogWal(wal::RecordType::kBatch, body));
   }
   DECIBEL_RETURN_NOT_OK(engine_->ApplyBatch(branch, batch));
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(dirty_mu_);
   dirty_[branch] += batch.size();
   return Status::OK();
 }
@@ -879,8 +881,17 @@ Status Decibel::DeleteFrom(BranchId branch, int64_t pk) {
 }
 
 bool Decibel::IsDirty(BranchId branch) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(dirty_mu_);
   return dirty_.count(branch) != 0;
+}
+
+uint64_t Decibel::TakeDirty(BranchId branch) {
+  std::lock_guard<std::mutex> lock(dirty_mu_);
+  auto it = dirty_.find(branch);
+  if (it == dirty_.end()) return 0;
+  const uint64_t ops = it->second;
+  dirty_.erase(it);
+  return ops;
 }
 
 bool Decibel::HasBranch(BranchId branch) const {
@@ -925,6 +936,8 @@ DecibelStats Decibel::Stats() const {
     stats.wal_bytes_appended = wal_->bytes_appended();
     stats.wal_segment_seq = wal_->segment_seq();
     stats.wal_last_lsn = wal_->last_lsn();
+    stats.wal_syncs = wal_->syncs();
+    stats.wal_syncs_in_flight_max = wal_->syncs_in_flight_max();
     stats.checkpoint_generation = manifest_.version;
   }
   stats.subscriptions = publisher_.num_subscriptions();

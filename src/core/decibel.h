@@ -46,6 +46,7 @@
 /// discipline is: release anything else you hold, back off, and call
 /// Commit() again (or Abort() to discard).
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -144,6 +145,10 @@ struct DecibelStats {
   /// Current WAL segment sequence number (segments created so far).
   uint64_t wal_segment_seq = 0;
   uint64_t wal_last_lsn = 0;
+  /// Group-commit fdatasyncs issued (kFsync), and the most in flight at
+  /// once; wal_last_lsn / wal_syncs is records per fdatasync.
+  uint64_t wal_syncs = 0;
+  uint64_t wal_syncs_in_flight_max = 0;
   uint64_t checkpoint_generation = 0;
   /// Commit-subscription counters (core/publisher.h).
   uint64_t subscriptions = 0;
@@ -260,7 +265,9 @@ class Decibel {
   /// head has uncommitted changes they are committed first (branching is
   /// always anchored at a commit).
   Result<BranchId> Branch(const std::string& name, Session* session);
-  /// Branches \p name off an explicit commit.
+  /// Branches \p name off an explicit commit. Takes the commit's branch
+  /// lock shared, so it waits for a transaction applying there (and fails
+  /// with the retryable Status::Aborted past the lock timeout).
   Result<BranchId> BranchAt(const std::string& name, CommitId commit);
 
   /// Commits the session's branch working state (§2.2.3 Commit). Fails
@@ -417,7 +424,8 @@ class Decibel {
   // checkpoint_mu_ (shared for writers — held across {WAL append, engine
   // apply, graph mutate} so a checkpoint sees no half-logged operation —
   // unique for the checkpointer, which never takes branch locks), then
-  // mu_, then the engine's internal locks.
+  // mu_, then dirty_mu_, then the engine's internal locks. A transaction
+  // (Begin, CommitTransaction) never takes mu_.
 
   /// Opens the WAL writer (replaying any tail first when \p have_manifest),
   /// checkpoints the opened state, and starts the background
@@ -443,6 +451,8 @@ class Decibel {
   /// Deletes manifests/engine checkpoints older than \p keep and WAL
   /// segments below its replay window. Best effort.
   void CleanupObsolete(const wal::ManifestData& keep);
+  /// Erases \p branch from dirty_; returns the ops it had staged.
+  uint64_t TakeDirty(BranchId branch);
   /// Commits \p branch if it has uncommitted changes; returns its head.
   Result<CommitId> EnsureCommitted(BranchId branch);
   Result<CommitId> CommitLocked(BranchId branch);
@@ -475,11 +485,19 @@ class Decibel {
   /// mu_ inside CheckpointLocked; read-only elsewhere).
   wal::ManifestData manifest_;
 
-  mutable std::mutex mu_;  // guards graph_, dirty_, id counter
+  /// Guards graph_ and orders the metadata ops (commit, branch, merge,
+  /// retire), which also log and sync their WAL record under it.
+  mutable std::mutex mu_;
+  /// Number of branches Begin may target: graph_.num_branches() as of
+  /// the last finished branch creation. Branch ids are dense and never
+  /// reused, so `b < num_branches_` is graph_.HasBranch without mu_.
+  std::atomic<uint64_t> num_branches_{0};
+  /// Leaf lock (taken after mu_ when both are held) for dirty_.
+  mutable std::mutex dirty_mu_;
   /// Branches with uncommitted changes → ops staged since their last
   /// commit (the record count carried by commit notifications).
   std::unordered_map<BranchId, uint64_t> dirty_;
-  uint64_t next_id_ = 1;
+  std::atomic<uint64_t> next_id_{1};
 
   /// Commit/merge event hub; its own (leaf) mutex, safe under mu_.
   CommitPublisher publisher_;

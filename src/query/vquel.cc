@@ -637,10 +637,12 @@ Result<ExecResult> Interpreter::Execute(const std::string& statement) {
         << "wal.bytes_appended: " << s.wal_bytes_appended << "\n"
         << "wal.segment_seq: " << s.wal_segment_seq << "\n"
         << "wal.last_lsn: " << s.wal_last_lsn << "\n"
+        << "wal.syncs: " << s.wal_syncs << "\n"
+        << "wal.syncs_in_flight_max: " << s.wal_syncs_in_flight_max << "\n"
         << "checkpoint.generation: " << s.checkpoint_generation << "\n"
         << "subscriptions: " << s.subscriptions << "\n"
         << "events_published: " << s.events_published;
-    result.rows = 20;
+    result.rows = 22;
   } else if (verb == "SUBSCRIBE" || verb == "UNSUBSCRIBE") {
     // Subscriptions need a connection to push notifications down; the
     // net server intercepts these verbs per session before the

@@ -1,5 +1,6 @@
 #include "wal/wal_writer.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <utility>
 
@@ -44,8 +45,19 @@ Status Writer::OpenSegment() {
   DECIBEL_ASSIGN_OR_RETURN(
       WritableFile f, WritableFile::Open(SegmentPath(dir_, segment_seq_),
                                          /*truncate=*/true));
-  file_ = std::make_shared<WritableFile>(std::move(f));
+  file_ = std::make_unique<WritableFile>(std::move(f));
   if (options_.sync_mode == SyncMode::kFsync) {
+    // Opened before the first append, so each description sees every
+    // writeback error of the segment (see the file comment).
+    auto sync_files = std::make_shared<SyncFiles>();
+    sync_files->files.reserve(kSyncFiles);
+    for (size_t i = 0; i < kSyncFiles; ++i) {
+      DECIBEL_ASSIGN_OR_RETURN(RandomWriteFile h,
+                               RandomWriteFile::Open(file_->path()));
+      sync_files->files.push_back(std::move(h));
+    }
+    for (RandomWriteFile& h : sync_files->files) sync_files->free.push_back(&h);
+    sync_files_ = std::move(sync_files);
     // The file's own fsync does not persist its directory entry.
     DECIBEL_RETURN_NOT_OK(SyncDir(dir_));
   }
@@ -72,10 +84,6 @@ Status Writer::SealLocked() {
 }
 
 Status Writer::RollLocked() {
-  // Seal without Close(): a group-commit leader may hold a shared_ptr to
-  // this file and be fdatasyncing it concurrently (Close() sets fd_ = -1
-  // and is not safe against that). The fd is closed by the last holder's
-  // destructor, after any in-flight sync has finished with it.
   DECIBEL_RETURN_NOT_OK(error_);
   DECIBEL_RETURN_NOT_OK(Poison(SealLocked()));
   file_.reset();
@@ -109,60 +117,55 @@ Result<uint64_t> Writer::Append(RecordType type, Slice body) {
 }
 
 Status Writer::Sync(uint64_t lsn) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    DECIBEL_RETURN_NOT_OK(error_);
-    switch (options_.sync_mode) {
-      case SyncMode::kOff:
-      case SyncMode::kNone:
-        return Status::OK();
-      case SyncMode::kFlush:
-        if (flushed_lsn_ >= lsn) return Status::OK();
-        DECIBEL_RETURN_NOT_OK(Poison(file_->Flush()));
-        flushed_lsn_ = next_lsn_ - 1;
-        return Status::OK();
-      case SyncMode::kFsync:
-        break;
-    }
+  std::unique_lock<std::mutex> lock(mu_);
+  DECIBEL_RETURN_NOT_OK(error_);
+  switch (options_.sync_mode) {
+    case SyncMode::kOff:
+    case SyncMode::kNone:
+      return Status::OK();
+    case SyncMode::kFlush:
+      if (flushed_lsn_ >= lsn) return Status::OK();
+      DECIBEL_RETURN_NOT_OK(Poison(file_->Flush()));
+      flushed_lsn_ = next_lsn_ - 1;
+      return Status::OK();
+    case SyncMode::kFsync:
+      break;
   }
 
-  // Group commit: the first waiter past this gate becomes the leader and
-  // fdatasyncs every record flushed so far; later committers wait on the
-  // cv and are covered by the leader's one fdatasync. A follower whose
-  // lsn is still not covered when the leader finishes becomes the next
-  // leader — and, if the leader failed, finds the writer poisoned.
-  std::unique_lock<std::mutex> sl(sync_mu_);
+  // Pipelined group commit: wait while a started fdatasync covers lsn
+  // (its end advances synced_lsn_ or poisons the writer); otherwise start
+  // one now, beside any in flight, covering every record flushed so far.
   for (;;) {
+    DECIBEL_RETURN_NOT_OK(error_);
     if (synced_lsn_ >= lsn) return Status::OK();
-    if (!sync_active_) break;
-    sync_cv_.wait(sl);
+    if (sync_target_ < lsn && !sync_files_->free.empty()) break;
+    sync_cv_.wait(lock);
   }
-  sync_active_ = true;
-  sl.unlock();
+  DECIBEL_RETURN_NOT_OK(Poison(file_->Flush()));
+  flushed_lsn_ = next_lsn_ - 1;
+  const uint64_t target = flushed_lsn_;
+  sync_target_ = target;
+  const std::shared_ptr<SyncFiles> files = sync_files_;
+  RandomWriteFile* h = files->free.back();
+  files->free.pop_back();
+  ++syncs_;
+  syncs_in_flight_max_ = std::max(syncs_in_flight_max_, ++syncs_in_flight_);
 
-  std::shared_ptr<WritableFile> f;
-  uint64_t target = 0;
-  Status s;
-  {
-    // Push the buffer into the OS under the append lock (cheap), then
-    // fdatasync off it so appenders keep running during the disk wait.
-    std::lock_guard<std::mutex> al(mu_);
-    s = error_.ok() ? Poison(file_->Flush()) : error_;
-    if (s.ok()) flushed_lsn_ = next_lsn_ - 1;
-    target = flushed_lsn_;
-    f = file_;
-  }
-  if (s.ok()) {
-    s = f->SyncData();
-    if (!s.ok()) {
-      std::lock_guard<std::mutex> al(mu_);
-      Poison(s);
-    }
-  }
+  // The disk wait runs off the lock, so appenders and other syncs proceed.
+  lock.unlock();
+  Status s = h->Sync();
+  lock.lock();
 
-  sl.lock();
-  if (s.ok() && target > synced_lsn_) synced_lsn_ = target;
-  sync_active_ = false;
+  files->free.push_back(h);
+  --syncs_in_flight_;
+  if (!s.ok()) {
+    Poison(s);
+  } else if (!error_.ok()) {
+    // Another sync failed meanwhile; its records may be among ours.
+    s = error_;
+  } else if (target > synced_lsn_) {
+    synced_lsn_ = target;
+  }
   sync_cv_.notify_all();
   return s;
 }
@@ -193,12 +196,28 @@ uint64_t Writer::bytes_appended() const {
   return bytes_appended_;
 }
 
+uint64_t Writer::synced_lsn() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return synced_lsn_;
+}
+
+uint64_t Writer::syncs() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return syncs_;
+}
+
+uint64_t Writer::syncs_in_flight_max() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return syncs_in_flight_max_;
+}
+
 Status Writer::Close() {
   std::lock_guard<std::mutex> lock(mu_);
   if (file_ == nullptr) return error_;
   Status s = error_.ok() ? Poison(SealLocked()) : error_;
   Status c = file_->Close();
   file_.reset();
+  sync_files_.reset();
   return s.ok() ? c : s;
 }
 

@@ -4,7 +4,7 @@
 /// \file wal_writer.h
 /// The write-ahead-log writer: thread-safe appends of framed records
 /// (wal_format.h) into numbered segment files, with a configurable
-/// durability level and leader/follower group commit.
+/// durability level and pipelined group commit.
 ///
 /// Sync modes:
 ///  - kOff:   the owner appends nothing (Decibel skips encoding records
@@ -15,10 +15,11 @@
 ///  - kFlush: every Sync() pushes the buffer into the OS page cache; a
 ///            process kill loses nothing, an OS crash / power loss can.
 ///  - kFsync: Sync() fdatasyncs; acknowledged records survive power loss.
-///            Concurrent committers group-commit: the first waiter
-///            becomes the leader and fdatasyncs once for every record
-///            written so far, while followers (and fresh appenders —
-///            the append lock is not held across the fdatasync) proceed.
+///            Concurrent committers group-commit without a leader: a
+///            Sync whose lsn an in-flight fdatasync already covers waits
+///            for it; any other Sync flushes every record appended so far
+///            and starts its own fdatasync at once, overlapping the ones
+///            in flight. Appends never wait for these fdatasyncs.
 ///            The active segment carries a zero-filled tail: an Append
 ///            that would cross it first extends the file by another
 ///            kZeroExtendBytes of real zeros, so a group-commit fdatasync
@@ -35,15 +36,19 @@
 /// Failures are sticky: the first failed write, flush, zero-extension or
 /// fdatasync poisons the writer, and every later Append, Sync and Roll
 /// returns that status. Linux reports a writeback error to only one
-/// fdatasync, so a retry that "succeeds" proves nothing about the records
-/// the failed one covered; and a failed write may leave part of a frame
-/// on disk.
+/// fdatasync per open file description, so a retry that "succeeds" proves
+/// nothing about the records the failed one covered; and a failed write
+/// may leave part of a frame on disk. For the same reason overlapping
+/// fdatasyncs never share a description: each segment is opened
+/// kSyncFiles extra times when it is created, before any append, and
+/// every in-flight fdatasync holds one of those descriptions to itself.
 
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "common/io.h"
 #include "common/result.h"
@@ -76,12 +81,17 @@ class Writer {
   /// Under kFsync the active segment is zero-extended this many bytes at
   /// a time (more if one frame needs it).
   static constexpr uint64_t kZeroExtendBytes = 1ull << 20;
+  /// Under kFsync, at most this many fdatasyncs of one segment run at
+  /// once, each through its own open file description; a Sync that finds
+  /// every description busy waits for one.
+  static constexpr size_t kSyncFiles = 4;
 
   /// Appends one framed record and returns its lsn. Thread-safe; the
   /// record is buffered (durability comes from Sync).
   Result<uint64_t> Append(RecordType type, Slice body);
 
   /// Makes every record up to \p lsn as durable as the sync mode asks.
+  /// Under kFsync, OK means synced_lsn() >= \p lsn.
   Status Sync(uint64_t lsn);
 
   /// Seals the current segment (SealLocked) and starts the next one.
@@ -97,6 +107,12 @@ class Writer {
   uint64_t segment_seq() const;
   /// Frame bytes appended over this writer's lifetime.
   uint64_t bytes_appended() const;
+  /// Highest lsn a group-commit fdatasync has made durable (kFsync).
+  uint64_t synced_lsn() const;
+  /// Group-commit fdatasyncs issued by Sync (seals not counted), and the
+  /// most that were in flight at once.
+  uint64_t syncs() const;
+  uint64_t syncs_in_flight_max() const;
 
   Status Close();
 
@@ -115,10 +131,9 @@ class Writer {
   Status OpenSegment();
   /// Caller holds mu_. Rolls if the active segment is over budget.
   Status MaybeRollLocked();
-  /// Caller holds mu_. Seals the active segment (SealLocked) WITHOUT
-  /// Close() — a group-commit leader may still be fdatasyncing it
-  /// off-lock — and opens the next one. The old fd is closed by the last
-  /// shared_ptr holder's destructor.
+  /// Caller holds mu_. Seals the active segment (SealLocked) and opens
+  /// the next one. In-flight syncs keep the old segment's sync files open
+  /// until the last of them ends.
   Status RollLocked();
   /// Caller holds mu_. Makes the active segment's contents final: a
   /// flush, or under kFsync a trim of the zero tail plus an fdatasync.
@@ -130,12 +145,19 @@ class Writer {
   const std::string dir_;
   const Options options_;
 
-  /// Append state: the active file, lsn counter, rollover. Never held
-  /// across an fdatasync.
+  /// The sync-only descriptions of one segment (kFsync). Each in-flight
+  /// fdatasync takes one from `free` and holds a reference to the set, so
+  /// a rolled segment's descriptions close when its last sync ends.
+  struct SyncFiles {
+    std::vector<RandomWriteFile> files;
+    std::vector<RandomWriteFile*> free;
+  };
+
+  /// Guards everything below. Never held across a group-commit
+  /// fdatasync; sealing a segment fdatasyncs under it.
   mutable std::mutex mu_;
-  /// shared_ptr so the group-commit leader can fdatasync a stable handle
-  /// after releasing mu_ even if a rollover swaps the active segment.
-  std::shared_ptr<WritableFile> file_;
+  std::unique_ptr<WritableFile> file_;
+  std::shared_ptr<SyncFiles> sync_files_;  ///< the active segment's
   uint64_t next_lsn_ = 1;
   uint64_t segment_seq_ = 1;
   uint64_t flushed_lsn_ = 0;  ///< highest lsn pushed to the OS
@@ -143,12 +165,14 @@ class Writer {
   std::string frame_;  ///< reused encode scratch
   Status error_;       ///< first I/O failure; poisons every later call
 
-  /// Group-commit state. Lock order: sync_mu_ then mu_ (the leader takes
-  /// mu_ briefly to flush; Append never takes sync_mu_).
-  mutable std::mutex sync_mu_;
+  /// Group-commit state. A Sync waits on sync_cv_ while an in-flight
+  /// fdatasync covers its lsn or no sync file is free.
   std::condition_variable sync_cv_;
-  uint64_t synced_lsn_ = 0;  ///< highest lsn fdatasynced
-  bool sync_active_ = false;
+  uint64_t synced_lsn_ = 0;   ///< highest lsn fdatasynced
+  uint64_t sync_target_ = 0;  ///< highest lsn any started sync covers
+  uint64_t syncs_ = 0;
+  uint64_t syncs_in_flight_ = 0;
+  uint64_t syncs_in_flight_max_ = 0;
 };
 
 }  // namespace wal

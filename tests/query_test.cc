@@ -715,6 +715,10 @@ TEST_F(VquelTest, InfoReportsEngineAndGraphCounters) {
   EXPECT_NE(info.find("active_branches: 2"), std::string::npos) << info;
   EXPECT_NE(info.find("durable: true"), std::string::npos) << info;
   EXPECT_NE(info.find("engine.num_records:"), std::string::npos) << info;
+  // Under the default kFlush nothing is fdatasynced.
+  EXPECT_NE(info.find("wal.syncs: 0\n"), std::string::npos) << info;
+  EXPECT_NE(info.find("wal.syncs_in_flight_max: 0\n"), std::string::npos)
+      << info;
   // The buffer pool's counters are listed, and rows counts every line.
   for (const char* key : {"pool.hits: ", "pool.misses: ",
                           "pool.resident_bytes: "}) {

@@ -463,6 +463,32 @@ TEST(WalWriterTest, FsyncSegmentKeepsAZeroTailUntilSealed) {
   EXPECT_EQ(size_of(3) + size_of(2), writer->bytes_appended());
 }
 
+/// One committer under kFsync issues one fdatasync per record; every other
+/// mode issues none.
+TEST(WalWriterTest, SyncCountersFollowTheSyncMode) {
+  for (wal::SyncMode mode : {wal::SyncMode::kFsync, wal::SyncMode::kFlush,
+                             wal::SyncMode::kNone, wal::SyncMode::kOff}) {
+    ScratchDir dir("wal_sync_counters");
+    wal::Writer::Options wopts;
+    wopts.sync_mode = mode;
+    ASSERT_OK_AND_ASSIGN(auto writer,
+                         wal::Writer::Open(dir.path(), wopts, 1, 1));
+    constexpr uint64_t kRecords = 20;
+    for (uint64_t i = 0; i < kRecords; ++i) {
+      ASSERT_OK_AND_ASSIGN(uint64_t lsn,
+                           writer->Append(wal::RecordType::kCommit, "r"));
+      ASSERT_OK(writer->Sync(lsn));
+      // Already durable: no second fdatasync.
+      ASSERT_OK(writer->Sync(lsn));
+    }
+    const bool fsync = mode == wal::SyncMode::kFsync;
+    EXPECT_EQ(writer->syncs(), fsync ? kRecords : 0u);
+    EXPECT_EQ(writer->syncs_in_flight_max(), fsync ? 1u : 0u);
+    EXPECT_EQ(writer->synced_lsn(), fsync ? kRecords : 0u);
+    ASSERT_OK(writer->Close());
+  }
+}
+
 /// The fsyncgate rule: once a write fails, the writer never reports
 /// success again. A forked child caps its file size just past the first
 /// zero-extension, so the append that needs the second one fails.
@@ -518,8 +544,10 @@ TEST(WalWriterTest, FailedZeroExtensionPoisonsEveryLaterCall) {
 }
 
 /// Group commit across zero-extensions and rolls: appenders extend and
-/// roll the active segment under the append lock while a leader
-/// fdatasyncs the previous handle off it.
+/// roll the active segment under the append lock while overlapping
+/// fdatasyncs run off it, some on the previous segment's sync files. A
+/// Sync that returns OK has made its own lsn durable, not merely waited
+/// on whatever sync was in flight.
 TEST(WalWriterTest, ConcurrentFsyncAppendersAcrossExtensionsAndRolls) {
   ScratchDir dir("wal_fsync_concurrent");
   wal::Writer::Options wopts;
@@ -530,6 +558,7 @@ TEST(WalWriterTest, ConcurrentFsyncAppendersAcrossExtensionsAndRolls) {
   constexpr int kThreads = 4;
   constexpr int kPerThread = 300;
   std::atomic<int> failures{0};
+  std::atomic<int> uncovered{0};
   std::vector<std::vector<uint64_t>> lsns(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
@@ -541,12 +570,19 @@ TEST(WalWriterTest, ConcurrentFsyncAppendersAcrossExtensionsAndRolls) {
           ++failures;
           return;
         }
+        if (writer->synced_lsn() < *lsn) ++uncovered;
         lsns[t].push_back(*lsn);
       }
     });
   }
   for (auto& th : threads) th.join();
   ASSERT_EQ(failures.load(), 0);
+  EXPECT_EQ(uncovered.load(), 0);
+  // Group commit never syncs more often than it appends.
+  EXPECT_GE(writer->syncs(), 1u);
+  EXPECT_LE(writer->syncs(), static_cast<uint64_t>(kThreads * kPerThread));
+  EXPECT_GE(writer->syncs_in_flight_max(), 1u);
+  EXPECT_LE(writer->syncs_in_flight_max(), static_cast<uint64_t>(kThreads));
   ASSERT_OK(writer->Close());
 
   std::vector<uint64_t> all;
@@ -1222,6 +1258,32 @@ TEST_P(RecoveryTest, FailedWalWriteKeepsExactlyTheAcknowledgedRows) {
     EXPECT_EQ(master[pk], pk);
   }
   RemoveFile(progress).ok();
+}
+
+/// DecibelStats carries the writer's sync counters: a single-threaded
+/// kFsync caller pays one fdatasync per logged record (a one-op
+/// transaction or a commit), and kFlush and kOff pay none.
+TEST_P(RecoveryTest, StatsCountOneWalSyncPerRecordUnderFsyncOnly) {
+  for (wal::SyncMode mode :
+       {wal::SyncMode::kFsync, wal::SyncMode::kFlush, wal::SyncMode::kOff}) {
+    ScratchDir dir("recov_sync_stats");
+    ASSERT_OK_AND_ASSIGN(auto db, Decibel::Open(dir.path(), TestSchema(),
+                                                DurableOptions(GetParam(), mode)));
+    for (int64_t pk = 0; pk < 10; ++pk) {
+      ASSERT_OK(db->InsertInto(kMasterBranch, MakeRecord(TestSchema(), pk, 1)));
+    }
+    ASSERT_OK(db->CommitBranch(kMasterBranch).status());
+    const DecibelStats stats = db->Stats();
+    const uint64_t records = mode == wal::SyncMode::kOff ? 0 : 11;
+    EXPECT_EQ(stats.wal_last_lsn, records);
+    if (mode == wal::SyncMode::kFsync) {
+      EXPECT_EQ(stats.wal_syncs, records);
+      EXPECT_EQ(stats.wal_syncs_in_flight_max, 1u);
+    } else {
+      EXPECT_EQ(stats.wal_syncs, 0u);
+      EXPECT_EQ(stats.wal_syncs_in_flight_max, 0u);
+    }
+  }
 }
 
 /// Zone-map statistics and the version-first pk index must come back

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "test_util.h"
@@ -284,6 +287,85 @@ TEST_P(TxnConcurrencyBranchesTest, ParallelTransactionsOnDistinctBranches) {
 }
 
 INSTANTIATE_TEST_SUITE_P(TxnConcurrency, TxnConcurrencyBranchesTest,
+                         ::testing::Values(EngineType::kTupleFirst,
+                                           EngineType::kVersionFirst,
+                                           EngineType::kHybrid),
+                         [](const auto& info) {
+                           switch (info.param) {
+                             case EngineType::kTupleFirst:
+                               return "TupleFirst";
+                             case EngineType::kVersionFirst:
+                               return "VersionFirst";
+                             default:
+                               return "Hybrid";
+                           }
+                         });
+
+// A fork of a head commit taken while a one-op transaction on that branch
+// is mid-apply: the engine already holds the row, but the branch is not
+// yet marked dirty, so a fork that read the branch as clean would clone
+// that uncommitted row. BranchAt must wait the transaction out under a
+// shared branch lock, so every child holds exactly its commit's rows.
+class BranchAtRaceTest : public ::testing::TestWithParam<EngineType> {};
+
+TEST_P(BranchAtRaceTest, ForkOfHeadCommitNeverCarriesUncommittedRows) {
+  ScratchDir dir("txn_api_branch_at");
+  const Schema schema = TestSchema(2);
+  DecibelOptions options;
+  options.engine = GetParam();
+  options.lock_timeout_ms = 5000;
+  auto db = Decibel::Open(dir.path(), schema, options).MoveValueUnsafe();
+
+  // The forker takes one fork per insert the writer starts, so forks
+  // spread over the whole load instead of piling up at its start.
+  constexpr int64_t kInserts = 900;
+  std::atomic<int64_t> started{0};
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int64_t pk = 0; pk < kInserts; ++pk) {
+      started = pk + 1;
+      Status s = db->InsertInto(kMasterBranch, MakeRecord(schema, pk, 1));
+      if (s.ok() && pk % 3 == 2) s = db->CommitBranch(kMasterBranch).status();
+      if (!s.ok()) {
+        ADD_FAILURE() << s.ToString();
+        break;
+      }
+    }
+    done = true;
+  });
+  std::vector<std::pair<BranchId, CommitId>> forks;
+  for (int64_t seen = 0; !done;) {
+    if (started == seen) {
+      std::this_thread::yield();
+      continue;
+    }
+    seen = started;
+    const CommitId head = db->Head(kMasterBranch);
+    auto child = db->BranchAt("fork" + std::to_string(forks.size()), head);
+    if (!child.ok()) {
+      ADD_FAILURE() << child.status().ToString();
+      break;
+    }
+    forks.emplace_back(*child, head);
+  }
+  writer.join();
+
+  int wrong = 0;
+  for (const auto& [child, commit] : forks) {
+    ASSERT_OK_AND_ASSIGN(auto at_commit, db->NewScan(ScanSpec::Commit(commit)));
+    const auto expected = testing_util::Collect(at_commit.get());
+    const auto forked = CollectBranch(db.get(), child);
+    if (forked != expected) {
+      ++wrong;
+      ADD_FAILURE() << "branch " << child << " forked at commit " << commit
+                    << " has " << forked.size() << " rows, the commit "
+                    << expected.size();
+    }
+  }
+  EXPECT_EQ(wrong, 0) << "of " << forks.size() << " forks";
+}
+
+INSTANTIATE_TEST_SUITE_P(AllEngines, BranchAtRaceTest,
                          ::testing::Values(EngineType::kTupleFirst,
                                            EngineType::kVersionFirst,
                                            EngineType::kHybrid),
