@@ -179,7 +179,7 @@ Status CommitHistory::ReplayTo(size_t pos, std::string* bytes) const {
   return Status::OK();
 }
 
-Result<Bitmap> CommitHistory::Checkout(uint64_t seq) const {
+Result<Bitmap> CommitHistory::Checkout(uint64_t seq, uint64_t max_bits) const {
   std::lock_guard<std::mutex> guard(mu_);
   // Floor lookup: last entry with entry.seq <= seq.
   auto it = std::upper_bound(
@@ -190,6 +190,12 @@ Result<Bitmap> CommitHistory::Checkout(uint64_t seq) const {
                             std::to_string(seq));
   }
   const size_t pos = static_cast<size_t>(it - layer0_.begin()) - 1;
+  if (layer0_[pos].nbits > max_bits) {
+    return Status::Corruption(
+        "commit history: commit " + std::to_string(layer0_[pos].seq) +
+        " claims " + std::to_string(layer0_[pos].nbits) + " bits, past the " +
+        std::to_string(max_bits) + " records it can index, in " + path_);
+  }
   std::string bytes;
   Status replayed = ReplayTo(pos, &bytes);
   // Released histories (rolled-away heads, retired branches) are read by

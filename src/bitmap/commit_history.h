@@ -53,8 +53,12 @@ class CommitHistory {
 
   /// Reconstructs the bitmap at the latest commit whose seq <= \p seq
   /// ("floor" semantics — hybrid segments only write deltas when dirty).
-  /// NotFound if there is no such commit.
-  Result<Bitmap> Checkout(uint64_t seq) const;
+  /// NotFound if there is no such commit. \p max_bits is the record
+  /// universe the snapshots index (no snapshot is larger): a record
+  /// header claiming more bits, which its CRC does not cover, is
+  /// Corruption instead of an allocation of that size.
+  Result<Bitmap> Checkout(uint64_t seq,
+                          uint64_t max_bits = UINT64_MAX) const;
 
   /// The seq of the latest commit at or before \p seq — the one Checkout
   /// would replay — or nullopt if there is none. Two equal floors of one

@@ -122,21 +122,12 @@ const char* EngineTypeName(EngineType type) {
 Result<std::unique_ptr<StorageEngine>> MakeEngine(
     EngineType type, const Schema& schema, const EngineOptions& options) {
   switch (type) {
-    case EngineType::kTupleFirst: {
-      DECIBEL_ASSIGN_OR_RETURN(auto engine,
-                               TupleFirstEngine::Make(schema, options));
-      return std::unique_ptr<StorageEngine>(std::move(engine));
-    }
-    case EngineType::kVersionFirst: {
-      DECIBEL_ASSIGN_OR_RETURN(auto engine,
-                               VersionFirstEngine::Make(schema, options));
-      return std::unique_ptr<StorageEngine>(std::move(engine));
-    }
-    case EngineType::kHybrid: {
-      DECIBEL_ASSIGN_OR_RETURN(auto engine,
-                               HybridEngine::Make(schema, options));
-      return std::unique_ptr<StorageEngine>(std::move(engine));
-    }
+    case EngineType::kTupleFirst:
+      return OpenEngine<TupleFirstEngine>(schema, options);
+    case EngineType::kVersionFirst:
+      return OpenEngine<VersionFirstEngine>(schema, options);
+    case EngineType::kHybrid:
+      return OpenEngine<HybridEngine>(schema, options);
   }
   return Status::InvalidArgument("unknown engine type");
 }

@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "bitmap/bitmap_index.h"
@@ -216,35 +215,6 @@ class StorageEngine {
   virtual void DropCaches() = 0;
   virtual EngineStats Stats() const = 0;
 };
-
-/// Validates the deletes of \p batch against a branch's current key set
-/// before any op is applied, simulating the batch's own earlier
-/// inserts/updates and deletes, so ApplyBatch is all-or-nothing for the
-/// one data-dependent failure mode (deleting an absent key). \p contains
-/// is a callable int64_t -> bool answering "is this pk live in the
-/// branch right now".
-template <typename Contains>
-Status ValidateBatchDeletes(const WriteBatch& batch, Contains&& contains) {
-  if (batch.num_appends() == batch.size()) return Status::OK();  // no deletes
-  std::unordered_set<int64_t> added, removed;
-  for (const WriteBatch::Op& op : batch.ops()) {
-    if (op.kind != WriteBatch::OpKind::kDelete) {
-      const int64_t pk = batch.RecordAt(op).pk();
-      added.insert(pk);
-      removed.erase(pk);
-      continue;
-    }
-    const bool live = added.count(op.pk) != 0 ||
-                      (removed.count(op.pk) == 0 && contains(op.pk));
-    if (!live) {
-      return Status::NotFound("batch deletes pk " + std::to_string(op.pk) +
-                              " which is not live in the branch");
-    }
-    removed.insert(op.pk);
-    added.erase(op.pk);
-  }
-  return Status::OK();
-}
 
 /// Instantiates an engine of \p type rooted at options.directory.
 Result<std::unique_ptr<StorageEngine>> MakeEngine(EngineType type,

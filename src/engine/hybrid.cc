@@ -23,29 +23,13 @@ uint64_t HistoryKey(BranchId branch, uint32_t seg) {
 
 // ------------------------------------------------------------ construction
 
-Result<std::unique_ptr<HybridEngine>> HybridEngine::Make(
-    const Schema& schema, const EngineOptions& options) {
-  std::unique_ptr<HybridEngine> engine(new HybridEngine(schema, options));
-  DECIBEL_RETURN_NOT_OK(CreateDir(options.directory));
-  DECIBEL_RETURN_NOT_OK(CreateDir(JoinPath(options.directory, "commits")));
-  if (!options.checkpoint_tag.empty()) {
-    DECIBEL_RETURN_NOT_OK(engine->LoadExisting());
-  } else {
-    DECIBEL_RETURN_NOT_OK(engine->InitFresh());
-  }
-  return engine;
-}
-
-std::string HybridEngine::MetaPath(const std::string& tag) const {
-  return JoinPath(options_.directory, "engine.meta." + tag);
-}
-
 std::string HybridEngine::SegmentPath(uint32_t seg) const {
-  return JoinPath(options_.directory, "seg_" + std::to_string(seg) + ".dbhf");
+  return JoinPath(core_.options().directory,
+                  "seg_" + std::to_string(seg) + ".dbhf");
 }
 
 std::string HybridEngine::HistoryPath(BranchId branch, uint32_t seg) const {
-  return JoinPath(options_.directory,
+  return JoinPath(core_.options().directory,
                   "commits/b" + std::to_string(branch) + "_s" +
                       std::to_string(seg) + ".hist");
 }
@@ -56,12 +40,13 @@ Result<uint32_t> HybridEngine::NewHeadSegment(BranchId owner) {
   segment->owner = owner;
   segment->is_head = true;
   HeapFile::Options hopts;
-  hopts.page_size = options_.page_size;
-  hopts.schema = &schema_;
-  hopts.compress_pages = options_.compress_pages;
+  hopts.page_size = core_.options().page_size;
+  hopts.schema = &core_.schema();
+  hopts.compress_pages = core_.options().compress_pages;
   DECIBEL_ASSIGN_OR_RETURN(
-      segment->file, HeapFile::Create(SegmentPath(segment->id),
-                                      schema_.record_size(), hopts, &pool_));
+      segment->file,
+      HeapFile::Create(SegmentPath(segment->id), core_.schema().record_size(),
+                       hopts, core_.pool()));
   segment->local.AddBranch(owner);
   const uint32_t id = segment->id;
   segments_.push_back(std::move(segment));
@@ -71,33 +56,24 @@ Result<uint32_t> HybridEngine::NewHeadSegment(BranchId owner) {
 }
 
 Status HybridEngine::InitFresh() {
-  pk_index_.try_emplace(kMasterBranch);
+  core_.Register(kMasterBranch);
   branch_segments_.try_emplace(kMasterBranch);
   dirty_.try_emplace(kMasterBranch);
   return NewHeadSegment(kMasterBranch).status();
 }
 
 Status HybridEngine::LoadExisting() {
-  const std::string& tag = options_.checkpoint_tag;
-  DECIBEL_ASSIGN_OR_RETURN(std::string meta, ReadFileToString(MetaPath(tag)));
-  Slice input(meta);
-  DECIBEL_RETURN_NOT_OK(CheckEngineMetaHeader(&input, "hybrid"));
-  Slice schema_blob;
-  if (!GetLengthPrefixed(&input, &schema_blob)) {
-    return Status::Corruption("hybrid: truncated meta");
-  }
-  Slice schema_slice = schema_blob;
-  DECIBEL_ASSIGN_OR_RETURN(Schema stored, Schema::DecodeFrom(&schema_slice));
-  if (!(stored == schema_)) {
-    return Status::InvalidArgument("hybrid: schema mismatch on reopen");
-  }
+  std::string meta;
+  Slice input;
+  DECIBEL_RETURN_NOT_OK(
+      core_.ReadMeta(core_.options().checkpoint_tag, &meta, &input));
   uint64_t num_segments;
   if (!GetVarint64(&input, &num_segments)) {
     return Status::Corruption("hybrid: truncated meta");
   }
   HeapFile::Options hopts;
-  hopts.schema = &schema_;
-  hopts.compress_pages = options_.compress_pages;
+  hopts.schema = &core_.schema();
+  hopts.compress_pages = core_.options().compress_pages;
   for (uint64_t i = 0; i < num_segments; ++i) {
     auto segment = std::make_unique<Segment>();
     if (!GetVarint32(&input, &segment->id) ||
@@ -130,8 +106,8 @@ Status HybridEngine::LoadExisting() {
     }
     DECIBEL_ASSIGN_OR_RETURN(
         segment->file,
-        HeapFile::OpenAtCheckpoint(SegmentPath(segment->id), hopts, &pool_,
-                                   cs));
+        HeapFile::OpenAtCheckpoint(SegmentPath(segment->id), hopts,
+                                   core_.pool(), cs));
     DECIBEL_RETURN_NOT_OK(segment->file->LoadStats(stats_blob));
     DECIBEL_RETURN_NOT_OK(segment->file->EnsureStats());
     segments_.push_back(std::move(segment));
@@ -164,7 +140,7 @@ Status HybridEngine::LoadExisting() {
       return Status::Corruption("hybrid: bitmap row points past segments");
     }
     branch_segments_[branch] = std::move(row);
-    pk_index_.try_emplace(branch);
+    core_.Register(branch);
     dirty_.try_emplace(branch);
   }
   uint64_t num_commits;
@@ -250,10 +226,7 @@ Status HybridEngine::LoadExisting() {
 
 std::string HybridEngine::EncodeMeta() {
   std::string meta;
-  PutEngineMetaHeader(&meta);
-  std::string schema_blob;
-  schema_.EncodeTo(&schema_blob);
-  PutLengthPrefixed(&meta, schema_blob);
+  core_.EncodeMetaPrefix(&meta);
   PutVarint64(&meta, segments_.size());
   for (const auto& segment : segments_) {
     PutVarint32(&meta, segment->id);
@@ -333,7 +306,7 @@ Status HybridEngine::ReleaseBranch(BranchId branch) {
   // files never grow past their final commit, so close their descriptors.
   // Registry entries stay: the data remains readable (handles reopen
   // lazily) and the meta encoding is unchanged.
-  std::unique_lock<std::shared_mutex> registry_lock(registry_mu_);
+  std::unique_lock<std::shared_mutex> registry_lock(core_.registry_mu());
   for (auto& segment : segments_) {
     if (segment->owner != branch) continue;
     DECIBEL_RETURN_NOT_OK(segment->file->ReleaseFileHandles());
@@ -347,7 +320,7 @@ Status HybridEngine::ReleaseBranch(BranchId branch) {
 }
 
 Status HybridEngine::Checkpoint(const std::string& tag, bool sync) {
-  std::unique_lock<std::shared_mutex> registry_lock(registry_mu_);
+  std::unique_lock<std::shared_mutex> registry_lock(core_.registry_mu());
   for (auto& segment : segments_) {
     DECIBEL_RETURN_NOT_OK(sync ? segment->file->Sync()
                                : segment->file->Flush());
@@ -358,11 +331,11 @@ Status HybridEngine::Checkpoint(const std::string& tag, bool sync) {
       DECIBEL_RETURN_NOT_OK(history->Sync());
     }
   }
-  return AtomicWriteFile(MetaPath(tag), EncodeMeta(), sync);
+  return core_.WriteMeta(tag, EncodeMeta(), sync);
 }
 
 Status HybridEngine::RemoveCheckpoint(const std::string& tag) {
-  return RemoveFile(MetaPath(tag));
+  return core_.RemoveMeta(tag);
 }
 
 // --------------------------------------------------------- version control
@@ -409,7 +382,8 @@ Result<CommitHistory*> HybridEngine::HistoryFor(BranchId branch,
 Status HybridEngine::CreateBranch(BranchId child, BranchId parent,
                                   CommitId base_commit, bool at_head) {
   // Grows segments_, the branch maps, and local-index column sets.
-  std::unique_lock<std::shared_mutex> registry_lock(registry_mu_);
+  std::unique_lock<std::shared_mutex> registry_lock(core_.registry_mu());
+  DECIBEL_RETURN_NOT_OK(core_.CheckFork(child, parent));
   {
     // The child's committed columns are its base commit's until it
     // writes them (see inherits_), so no history is copied here.
@@ -420,7 +394,6 @@ Status HybridEngine::CreateBranch(BranchId child, BranchId parent,
     }
     inherits_[child] = base_commit;
   }
-  pk_index_.try_emplace(child);
   branch_segments_.try_emplace(child);
   dirty_.try_emplace(child);
   if (at_head) {
@@ -442,7 +415,7 @@ Status HybridEngine::CreateBranch(BranchId child, BranchId parent,
     }
     const std::unordered_set<uint32_t>& parent_dirty = dirty_[parent];
     dirty_[child].insert(parent_dirty.begin(), parent_dirty.end());
-    pk_index_[child] = pk_index_[parent];
+    core_.ForkIndex(child, parent);
     DECIBEL_RETURN_NOT_OK(NewHeadSegment(parent).status());
     DECIBEL_RETURN_NOT_OK(NewHeadSegment(child).status());
     // Only a branch's current head takes new records, so the parent's
@@ -474,14 +447,11 @@ Status HybridEngine::CreateBranch(BranchId child, BranchId parent,
 }
 
 Status HybridEngine::Commit(BranchId branch, CommitId commit_id) {
-  std::shared_lock<std::shared_mutex> registry_lock(registry_mu_);
+  std::shared_lock<std::shared_mutex> registry_lock(core_.registry_mu());
+  DECIBEL_RETURN_NOT_OK(core_.CheckKnown(branch));
   // The stripe pins the branch's columns and dirty set while they are
   // snapshotted into the history files.
-  std::lock_guard<std::mutex> stripe_lock(stripes_.ForBranch(branch));
-  return CommitImpl(branch, commit_id);
-}
-
-Status HybridEngine::CommitImpl(BranchId branch, CommitId commit_id) {
+  std::lock_guard<std::mutex> stripe_lock(core_.stripes().ForBranch(branch));
   auto dirty_it = dirty_.find(branch);
   if (dirty_it != dirty_.end()) {
     // Deterministic order keeps history files reproducible.
@@ -578,30 +548,33 @@ Status HybridEngine::CommitColumns(
   std::vector<ColumnRef> refs;
   DECIBEL_RETURN_NOT_OK(ResolveColumns(commit, &refs));
   for (const ColumnRef& ref : refs) {
-    DECIBEL_ASSIGN_OR_RETURN(Bitmap bits, ref.history->Checkout(ref.seq));
+    DECIBEL_ASSIGN_OR_RETURN(
+        Bitmap bits, ref.history->Checkout(
+                         ref.seq, segments_[ref.seg]->file->num_records()));
     out->emplace_back(ref.seg, std::move(bits));
   }
   return Status::OK();
 }
 
 Status HybridEngine::Checkout(CommitId commit) {
+  std::shared_lock<std::shared_mutex> registry_lock(core_.registry_mu());
   std::vector<std::pair<uint32_t, Bitmap>> columns;
   return CommitColumns(commit, &columns);
 }
 
 Status HybridEngine::RebuildPkIndex(BranchId b) {
-  PkIndex& idx = pk_index_[b];
-  idx.Clear();
+  PkIndex* idx = core_.Register(b);
+  idx->Clear();
   for (uint32_t seg : SegmentsOf(b)) {
     const Bitmap* view = segments_[seg]->local.BranchView(b);
     if (view == nullptr) continue;
     HeapFile* file = segments_[seg]->file.get();
     DECIBEL_RETURN_NOT_OK(PackedLoc::Check(seg, file->num_records()));
-    BitmapScanner scanner(file, &schema_, view);
+    BitmapScanner scanner(file, &core_.schema(), view);
     RecordRef rec;
     uint64_t pos;
     while (scanner.Next(&rec, &pos)) {
-      idx.Put(rec.pk(), PackedLoc::Pack(seg, pos));
+      idx->Put(rec.pk(), PackedLoc::Pack(seg, pos));
     }
     DECIBEL_RETURN_NOT_OK(scanner.status());
   }
@@ -616,17 +589,10 @@ Status HybridEngine::ApplyBatch(BranchId branch, const WriteBatch& batch) {
   // and deletes of records inherited from shared ancestor segments flip
   // bits only in *this branch's* column of those segments' local
   // bitmaps, so sibling writers never touch the same bitmap.
-  std::shared_lock<std::shared_mutex> registry_lock(registry_mu_);
-  std::lock_guard<std::mutex> stripe_lock(stripes_.ForBranch(branch));
-  auto head_it = head_seg_.find(branch);
-  if (head_it == head_seg_.end()) {
-    return Status::NotFound("hybrid: unknown branch " +
-                            std::to_string(branch));
-  }
-  Segment& head = *segments_[head_it->second];
-  PkIndex& pks = pk_index_[branch];
-  DECIBEL_RETURN_NOT_OK(ValidateBatchDeletes(
-      batch, [&pks](int64_t pk) { return pks.Contains(pk); }));
+  std::shared_lock<std::shared_mutex> registry_lock(core_.registry_mu());
+  std::lock_guard<std::mutex> stripe_lock(core_.stripes().ForBranch(branch));
+  DECIBEL_ASSIGN_OR_RETURN(PkIndex * pks, core_.BeginBatch(branch, batch));
+  Segment& head = *segments_[head_seg_.at(branch)];
 
   // One pass over the batch: the record payloads go to the head segment
   // in page-sized chunks, its local bitmap universe grows once, and the
@@ -642,16 +608,16 @@ Status HybridEngine::ApplyBatch(BranchId branch, const WriteBatch& batch) {
   head.local.AppendTuples(batch.num_appends());
   for (const WriteBatch::Op& op : batch.ops()) {
     if (op.kind == WriteBatch::OpKind::kDelete) {
-      const uint64_t old = *pks.Find(op.pk);
+      const uint64_t old = *pks->Find(op.pk);
       segments_[PackedLoc::Seg(old)]->local.Set(PackedLoc::Idx(old), branch,
                                                 false);
       MarkDirty(branch, PackedLoc::Seg(old));
-      pks.Erase(op.pk);
+      pks->Erase(op.pk);
       continue;
     }
     const uint64_t idx = next_idx++;
     const uint64_t loc = PackedLoc::Pack(head.id, idx);
-    auto [stored, inserted] = pks.TryEmplace(batch.RecordAt(op).pk(), loc);
+    auto [stored, inserted] = pks->TryEmplace(batch.RecordAt(op).pk(), loc);
     if (!inserted) {
       const uint32_t old_seg = PackedLoc::Seg(*stored);
       segments_[old_seg]->local.Set(PackedLoc::Idx(*stored), branch, false);
@@ -672,18 +638,15 @@ Result<std::vector<ScanPart>> HybridEngine::BuildScanParts(
   // stripe lock, so a snapshot always lands on a batch boundary; every
   // part also captures its segment's file pointer so the cursor streams
   // without re-reading segments_.
-  std::shared_lock<std::shared_mutex> registry_lock(registry_mu_);
+  std::shared_lock<std::shared_mutex> registry_lock(core_.registry_mu());
   std::vector<ScanPart> parts;
   switch (spec.view) {
     case ScanView::kBranch: {
-      if (head_seg_.count(spec.branch) == 0) {
-        return Status::NotFound("hybrid: unknown branch " +
-                                std::to_string(spec.branch));
-      }
+      DECIBEL_RETURN_NOT_OK(core_.CheckKnown(spec.branch));
       // "Single branch scans check the branch-segment index to identify
       // the segments that need to be read" (§3.4); order is irrelevant.
       std::lock_guard<std::mutex> stripe_lock(
-          stripes_.ForBranch(spec.branch));
+          core_.stripes().ForBranch(spec.branch));
       for (uint32_t seg : SegmentsOf(spec.branch)) {
         ScanPart part;
         part.file = segments_[seg]->file.get();
@@ -707,12 +670,9 @@ Result<std::vector<ScanPart>> HybridEngine::BuildScanParts(
       // Segments relevant to any requested branch: a logical OR of rows
       // of the branch-segment bitmap (§3.4).
       for (BranchId b : spec.branches) {
-        if (head_seg_.count(b) == 0) {
-          return Status::NotFound("hybrid: unknown branch " +
-                                  std::to_string(b));
-        }
+        DECIBEL_RETURN_NOT_OK(core_.CheckKnown(b));
       }
-      StripeLocks::MultiGuard stripe_locks(stripes_, spec.branches);
+      StripeLocks::MultiGuard stripe_locks(core_.stripes(), spec.branches);
       Bitmap segs;
       for (BranchId b : spec.branches) {
         auto it = branch_segments_.find(b);
@@ -740,16 +700,18 @@ Result<std::vector<ScanPart>> HybridEngine::BuildScanParts(
   // File zones only grow (they are supersets of any earlier snapshot the
   // bitmaps were built against), so the test is safe lock-free here.
   *segments_skipped +=
-      DropUnmatchableParts(PreparedPredicate(spec.predicate, schema_), &parts);
+      DropUnmatchableParts(PreparedPredicate(spec.predicate, core_.schema()),
+                           &parts);
   return parts;
 }
 
 Result<std::unique_ptr<ScanCursor>> HybridEngine::NewScan(
     const ScanSpec& spec) {
-  DECIBEL_RETURN_NOT_OK(ValidateScanSpec(spec, schema_));
+  DECIBEL_RETURN_NOT_OK(ValidateScanSpec(spec, core_.schema()));
   if (spec.view == ScanView::kDiff) {
     return MakeDiffScanCursor(
-        schema_, spec, &scan_counters_, [&](const DiffRowSink& emit) {
+        core_.schema(), spec, core_.scan_counters(),
+        [&](const DiffRowSink& emit) {
           return DiffRows(spec.branch, spec.diff_base, emit);
         });
   }
@@ -759,32 +721,19 @@ Result<std::unique_ptr<ScanCursor>> HybridEngine::NewScan(
   std::vector<BranchId> branch_list =
       spec.view == ScanView::kMulti ? spec.branches : std::vector<BranchId>();
   return std::unique_ptr<ScanCursor>(
-      new PartsCursor(&schema_, &scan_counters_, std::move(parts),
+      new PartsCursor(&core_.schema(), core_.scan_counters(), std::move(parts),
                       segments_skipped, std::move(branch_list), spec));
 }
 
 Result<Record> HybridEngine::Get(BranchId branch, int64_t pk) {
-  std::shared_lock<std::shared_mutex> registry_lock(registry_mu_);
-  uint64_t loc;
-  {
-    // The pk index is per-branch state guarded by the branch's stripe.
-    std::lock_guard<std::mutex> stripe_lock(stripes_.ForBranch(branch));
-    auto branch_it = pk_index_.find(branch);
-    if (branch_it == pk_index_.end()) {
-      return Status::NotFound("hybrid: unknown branch " +
-                              std::to_string(branch));
-    }
-    const uint64_t* found = branch_it->second.Find(pk);
-    if (found == nullptr) {
-      return Status::NotFound("hybrid: no record with pk " +
-                              std::to_string(pk));
-    }
-    loc = *found;
-  }
+  // The registry stays held across the read: segments_ reallocates under
+  // CreateBranch.
+  std::shared_lock<std::shared_mutex> registry_lock(core_.registry_mu());
+  DECIBEL_ASSIGN_OR_RETURN(const uint64_t loc, core_.Probe(branch, pk));
   std::string buf;
   DECIBEL_RETURN_NOT_OK(segments_[PackedLoc::Seg(loc)]->file->Get(
       PackedLoc::Idx(loc), &buf));
-  return Record(&schema_, Slice(buf));
+  return Record(&core_.schema(), Slice(buf));
 }
 
 Status HybridEngine::DiffRows(BranchId a, BranchId b,
@@ -792,12 +741,8 @@ Status HybridEngine::DiffRows(BranchId a, BranchId b,
   // Materialize both sides' per-segment deltas under the two branches'
   // stripes (ascending order via MultiGuard), then scan the snapshot
   // with the stripes released.
-  std::shared_lock<std::shared_mutex> registry_lock(registry_mu_);
-  for (BranchId x : {a, b}) {
-    if (head_seg_.count(x) == 0) {
-      return Status::NotFound("hybrid: unknown branch " + std::to_string(x));
-    }
-  }
+  std::shared_lock<std::shared_mutex> registry_lock(core_.registry_mu());
+  for (BranchId x : {a, b}) DECIBEL_RETURN_NOT_OK(core_.CheckKnown(x));
   struct SegDiff {
     HeapFile* file = nullptr;
     Bitmap only_a;
@@ -805,7 +750,7 @@ Status HybridEngine::DiffRows(BranchId a, BranchId b,
   };
   std::vector<SegDiff> seg_diffs;
   {
-    StripeLocks::MultiGuard stripe_locks(stripes_, {a, b});
+    StripeLocks::MultiGuard stripe_locks(core_.stripes(), {a, b});
     Bitmap segs;
     for (BranchId x : {a, b}) {
       auto it = branch_segments_.find(x);
@@ -824,9 +769,9 @@ Status HybridEngine::DiffRows(BranchId a, BranchId b,
 
   // One walk over every segment's changed rows; DiffEmitter holds a's
   // rows back until the walk has seen every key b changed.
-  DiffEmitter emitter(&schema_);
+  DiffEmitter emitter(&core_.schema());
   for (const SegDiff& d : seg_diffs) {
-    BitmapScanner scanner(d.file, &schema_, &d.both);
+    BitmapScanner scanner(d.file, &core_.schema(), &d.both);
     RecordRef rec;
     uint64_t idx;
     while (scanner.Next(&rec, &idx)) emitter.Add(rec, d.only_a.Test(idx));
@@ -850,8 +795,8 @@ Status HybridEngine::MergeWalk(CommitId left, CommitId right, CommitId base,
   // the (branch, segment) commit histories; the history files and record
   // pages are internally synchronized and commit snapshots are immutable,
   // so the walk holds the registry shared only to address segments_.
-  std::shared_lock<std::shared_mutex> registry_lock(registry_mu_);
-  const uint32_t rs = schema_.record_size();
+  std::shared_lock<std::shared_mutex> registry_lock(core_.registry_mu());
+  const uint32_t rs = core_.schema().record_size();
 
   // Each side's columns are first only located. A segment whose three
   // columns are one stored bitmap (the child never wrote it and the
@@ -889,7 +834,9 @@ Status HybridEngine::MergeWalk(CommitId left, CommitId right, CommitId base,
         continue;
       }
       DECIBEL_ASSIGN_OR_RETURN(
-          bits[side], sides[side]->history->Checkout(sides[side]->seq));
+          bits[side],
+          sides[side]->history->Checkout(sides[side]->seq,
+                                         segments_[seg]->file->num_records()));
     }
     const Bitmap& bits_l = bits[0];
     const Bitmap& bits_r = bits[1];
@@ -898,7 +845,7 @@ Status HybridEngine::MergeWalk(CommitId left, CommitId right, CommitId base,
         Bitmap::Or(Bitmap::Xor(bits_l, bits_b), Bitmap::Xor(bits_r, bits_b));
     if (!mask.Any()) continue;  // segment untouched between the commits
 
-    BitmapScanner scanner(segments_[seg]->file.get(), &schema_, &mask);
+    BitmapScanner scanner(segments_[seg]->file.get(), &core_.schema(), &mask);
     RecordRef rec;
     uint64_t idx;
     while (scanner.Next(&rec, &idx)) {
@@ -935,7 +882,7 @@ Status HybridEngine::MergeWalk(CommitId left, CommitId right, CommitId base,
     std::optional<RecordRef> ref_l, ref_r, ref_b;
     if (pos.l_seg != kAbsentSeg) {
       DECIBEL_RETURN_NOT_OK(fetch(pos.l, &buf_l));
-      ref_l.emplace(&schema_, Slice(buf_l));
+      ref_l.emplace(&core_.schema(), Slice(buf_l));
       item.left = &*ref_l;
     }
     if (pos.r_seg != kAbsentSeg) {
@@ -943,7 +890,7 @@ Status HybridEngine::MergeWalk(CommitId left, CommitId right, CommitId base,
         item.right = item.left;
       } else {
         DECIBEL_RETURN_NOT_OK(fetch(pos.r, &buf_r));
-        ref_r.emplace(&schema_, Slice(buf_r));
+        ref_r.emplace(&core_.schema(), Slice(buf_r));
         item.right = &*ref_r;
       }
     }
@@ -954,7 +901,7 @@ Status HybridEngine::MergeWalk(CommitId left, CommitId right, CommitId base,
         item.base = item.right;
       } else {
         DECIBEL_RETURN_NOT_OK(fetch(pos.b, &buf_b));
-        ref_b.emplace(&schema_, Slice(buf_b));
+        ref_b.emplace(&core_.schema(), Slice(buf_b));
         item.base = &*ref_b;
       }
     }
@@ -967,39 +914,23 @@ Status HybridEngine::MergeWalk(CommitId left, CommitId right, CommitId base,
 // -------------------------------------------------------------------- stats
 
 EngineStats HybridEngine::Stats() const {
-  EngineStats stats;
-  std::shared_lock<std::shared_mutex> registry_lock(registry_mu_);
-  {
-    // Every stripe: the walk reads all branches' columns and pk indexes.
-    StripeLocks::AllGuard stripe_locks(stripes_);
+  return core_.Stats([this](EngineStats* stats) {
     for (const auto& segment : segments_) {
-      stats.data_bytes += segment->file->SizeBytes();
-      stats.num_records += segment->file->num_records();
-      stats.index_memory_bytes += segment->local.MemoryBytes();
+      stats->data_bytes += segment->file->SizeBytes();
+      stats->num_records += segment->file->num_records();
+      stats->index_memory_bytes += segment->local.MemoryBytes();
     }
     for (const auto& [branch, row] : branch_segments_) {
-      stats.index_memory_bytes += row.MemoryBytes();
+      stats->index_memory_bytes += row.MemoryBytes();
     }
-    for (const auto& [branch, pks] : pk_index_) {
-      stats.index_memory_bytes += pks.MemoryBytes();
+    {
+      std::lock_guard<std::mutex> commit_lock(commit_mu_);
+      for (const auto& [key, history] : histories_) {
+        stats->commit_store_bytes += history->SizeBytes();
+      }
     }
-  }
-  {
-    std::lock_guard<std::mutex> commit_lock(commit_mu_);
-    for (const auto& [key, history] : histories_) {
-      stats.commit_store_bytes += history->SizeBytes();
-    }
-  }
-  stats.num_segments = segments_.size();
-  stats.rows_scanned = scan_counters_.rows();
-  stats.bytes_scanned = scan_counters_.bytes();
-  stats.bytes_read = scan_counters_.bytes_read();
-  stats.segments_skipped = scan_counters_.segments_skipped();
-  stats.pages_skipped = scan_counters_.pages_skipped();
-  stats.pool_hits = pool_.hits();
-  stats.pool_misses = pool_.misses();
-  stats.pool_resident_bytes = pool_.resident_bytes();
-  return stats;
+    stats->num_segments = segments_.size();
+  });
 }
 
 }  // namespace decibel

@@ -30,39 +30,30 @@
 /// its own pk index, and its own columns of the per-segment local
 /// bitmaps (a column is private to its branch even when the segment is
 /// shared with siblings), so writers on disjoint branches proceed in
-/// parallel. The lock hierarchy is registry_mu_ (the segments_ vector,
-/// head_seg_/branch_segments_/pk_index_/dirty_ map shapes, and the local
-/// indexes' column sets; writers take it shared, CreateBranch/Checkpoint
-/// take it unique) -> stripe locks (branch % kWriteStripes) ->
-/// commit_mu_ (the commit registries, a leaf). Scans materialize bitmap
-/// copies under the stripe lock, capture per-segment file pointers, and
-/// stream without any lock.
+/// parallel under the lock order of branch_core.h. The registry lock
+/// also guards the segments_ vector, the head_seg_/branch_segments_/
+/// dirty_ map shapes and the local indexes' column sets. Scans
+/// materialize bitmap copies under the stripe lock, capture per-segment
+/// file pointers, and stream without any lock.
 
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "bitmap/commit_history.h"
-#include "common/stripe_lock.h"
 #include "engine/bitmap_scan.h"
-#include "engine/engine.h"
-#include "engine/pk_index.h"
+#include "engine/branch_core.h"
 #include "engine/scan_util.h"
-#include "storage/buffer_pool.h"
 #include "storage/heap_file.h"
 
 namespace decibel {
 
 class HybridEngine : public StorageEngine {
  public:
-  static Result<std::unique_ptr<HybridEngine>> Make(
-      const Schema& schema, const EngineOptions& options);
-
   EngineType type() const override { return EngineType::kHybrid; }
-  const Schema& schema() const override { return schema_; }
+  const Schema& schema() const override { return core_.schema(); }
 
   Status CreateBranch(BranchId child, BranchId parent, CommitId base_commit,
                       bool at_head) override;
@@ -79,10 +70,16 @@ class HybridEngine : public StorageEngine {
 
   Status Checkpoint(const std::string& tag, bool sync) override;
   Status RemoveCheckpoint(const std::string& tag) override;
-  void DropCaches() override { pool_.EvictAll(); }
+  void DropCaches() override { core_.DropCaches(); }
   EngineStats Stats() const override;
 
  private:
+  template <typename Engine>
+  friend Result<std::unique_ptr<StorageEngine>> OpenEngine(
+      const Schema& schema, const EngineOptions& options);
+  /// Directory under options.directory holding the commit histories.
+  static constexpr const char* kSubdir = "commits";
+
   struct Segment {
     uint32_t id = 0;
     /// Branch whose head this is (meaningful while is_head).
@@ -101,14 +98,10 @@ class HybridEngine : public StorageEngine {
   };
 
   HybridEngine(const Schema& schema, const EngineOptions& options)
-      : schema_(schema),
-        options_(options),
-        pool_(options.buffer_pool_bytes),
-        stripes_(kWriteStripes) {}
+      : core_("hybrid", schema, options) {}
 
   Status InitFresh();
   Status LoadExisting();
-  std::string MetaPath(const std::string& tag) const;
   std::string SegmentPath(uint32_t seg) const;
   std::string HistoryPath(BranchId branch, uint32_t seg) const;
   /// Serializes the engine meta (schema, segments with local indexes and
@@ -125,9 +118,6 @@ class HybridEngine : public StorageEngine {
   /// The (branch, segment) commit history, creating it on first use.
   /// Takes commit_mu_ internally for the registry maps.
   Result<CommitHistory*> HistoryFor(BranchId branch, uint32_t seg);
-  /// Commit body; caller holds registry_mu_ (shared or unique) and the
-  /// branch's stripe. Takes commit_mu_ internally.
-  Status CommitImpl(BranchId branch, CommitId commit_id);
   /// The kDiff walk: hands \p emit every row of \p a whose key \p b
   /// lacks. NotFound when either branch is unknown.
   Status DiffRows(BranchId a, BranchId b, const DiffRowSink& emit);
@@ -153,34 +143,22 @@ class HybridEngine : public StorageEngine {
   /// inherits_). Reads no history payload.
   Status ResolveColumns(CommitId commit, std::vector<ColumnRef>* out);
   /// Restores the per-segment columns of \p commit's branch as of
-  /// \p commit, in ascending segment order.
+  /// \p commit, in ascending segment order. Caller holds the registry.
   Status CommitColumns(CommitId commit,
                        std::vector<std::pair<uint32_t, Bitmap>>* out);
+  /// Registers branch \p b and builds its pk index from its local
+  /// bitmaps. Caller holds the registry unique.
   Status RebuildPkIndex(BranchId b);
 
-  Schema schema_;
-  EngineOptions options_;
-  BufferPool pool_;
-  /// Lifetime scan-work totals (EngineStats::rows_scanned/bytes_scanned);
-  /// mutable so cursors over a const engine can flush into it.
-  mutable ScanCounters scan_counters_;
-
-  /// Shape of segments_, the branch maps, and the local indexes' column
-  /// sets: writers take it shared, CreateBranch/Checkpoint take
-  /// it unique. Ordered before the stripe locks.
-  mutable std::shared_mutex registry_mu_;
-  /// Per-branch write serialization; see file comment for the hierarchy.
-  mutable StripeLocks stripes_;
-  /// Leaf lock: histories_/history_segs_/commit_branch_/inherits_ shape.
-  /// Never acquire another engine lock while holding it.
+  BranchCore core_;
+  /// The lock-order leaf (branch_core.h): the histories_/history_segs_/
+  /// commit_branch_/inherits_ shapes.
   mutable std::mutex commit_mu_;
 
   std::vector<std::unique_ptr<Segment>> segments_;
   std::unordered_map<BranchId, uint32_t> head_seg_;
   /// The global branch-segment bitmap: row per branch, bit per segment.
   std::unordered_map<BranchId, Bitmap> branch_segments_;
-  /// pk -> PackedLoc of the live record version, per branch.
-  std::unordered_map<BranchId, PkIndex> pk_index_;
 
   /// Commit storage: one history file per (branch, segment) (§5.3).
   std::unordered_map<uint64_t, std::unique_ptr<CommitHistory>> histories_;

@@ -84,66 +84,41 @@ class TupleFirstCursor : public ScanCursor {
 
 }  // namespace
 
-Result<std::unique_ptr<TupleFirstEngine>> TupleFirstEngine::Make(
-    const Schema& schema, const EngineOptions& options) {
-  std::unique_ptr<TupleFirstEngine> engine(
-      new TupleFirstEngine(schema, options));
-  DECIBEL_RETURN_NOT_OK(CreateDir(options.directory));
-  DECIBEL_RETURN_NOT_OK(
-      CreateDir(JoinPath(options.directory, "commits")));
-  if (!options.checkpoint_tag.empty()) {
-    DECIBEL_RETURN_NOT_OK(engine->LoadExisting());
-  } else {
-    DECIBEL_RETURN_NOT_OK(engine->InitFresh());
-  }
-  return engine;
-}
-
-std::string TupleFirstEngine::MetaPath(const std::string& tag) const {
-  return JoinPath(options_.directory, "engine.meta." + tag);
-}
-
 std::string TupleFirstEngine::HistoryPath(BranchId branch) const {
-  return JoinPath(options_.directory,
+  return JoinPath(core_.options().directory,
                   "commits/branch_" + std::to_string(branch) + ".hist");
 }
 
 Status TupleFirstEngine::InitFresh() {
+  const EngineOptions& options = core_.options();
   StripedHeap::Options hopts;
-  hopts.page_size = options_.page_size;
-  hopts.stripes = static_cast<uint32_t>(stripes_.count());
-  hopts.schema = &schema_;
-  hopts.compress_pages = options_.compress_pages;
+  hopts.page_size = options.page_size;
+  hopts.stripes = static_cast<uint32_t>(core_.stripes().count());
+  hopts.schema = &core_.schema();
+  hopts.compress_pages = options.compress_pages;
   DECIBEL_ASSIGN_OR_RETURN(
-      heap_, StripedHeap::Create(options_.directory, schema_.record_size(),
-                                 hopts, &pool_));
-  index_ = BitmapIndex::Make(options_.orientation);
+      heap_, StripedHeap::Create(options.directory,
+                                 core_.schema().record_size(), hopts,
+                                 core_.pool()));
+  index_ = BitmapIndex::Make(options.orientation);
   // The master branch exists from the start.
   index_->AddBranch(kMasterBranch);
-  pk_index_.try_emplace(kMasterBranch);
+  core_.Register(kMasterBranch);
   return Status::OK();
 }
 
 Status TupleFirstEngine::LoadExisting() {
-  const std::string& tag = options_.checkpoint_tag;
+  const EngineOptions& options = core_.options();
   StripedHeap::Options hopts;
-  hopts.schema = &schema_;
-  hopts.compress_pages = options_.compress_pages;
+  hopts.schema = &core_.schema();
+  hopts.compress_pages = options.compress_pages;
   DECIBEL_ASSIGN_OR_RETURN(heap_,
-                           StripedHeap::Open(options_.directory, hopts,
-                                             &pool_, tag));
-  DECIBEL_ASSIGN_OR_RETURN(std::string meta, ReadFileToString(MetaPath(tag)));
-  Slice input(meta);
-  DECIBEL_RETURN_NOT_OK(CheckEngineMetaHeader(&input, "tuple-first"));
-  Slice schema_blob;
-  if (!GetLengthPrefixed(&input, &schema_blob)) {
-    return Status::Corruption("tuple-first: truncated meta");
-  }
-  Slice schema_slice = schema_blob;
-  DECIBEL_ASSIGN_OR_RETURN(Schema stored, Schema::DecodeFrom(&schema_slice));
-  if (!(stored == schema_)) {
-    return Status::InvalidArgument("tuple-first: schema mismatch on reopen");
-  }
+                           StripedHeap::Open(options.directory, hopts,
+                                             core_.pool(),
+                                             options.checkpoint_tag));
+  std::string meta;
+  Slice input;
+  DECIBEL_RETURN_NOT_OK(core_.ReadMeta(options.checkpoint_tag, &meta, &input));
   DECIBEL_ASSIGN_OR_RETURN(index_, BitmapIndex::DecodeFrom(&input));
   uint64_t num_commits;
   if (!GetVarint64(&input, &num_commits)) {
@@ -193,18 +168,15 @@ Status TupleFirstEngine::LoadExisting() {
 
 std::string TupleFirstEngine::EncodeMeta() {
   std::string meta;
-  PutEngineMetaHeader(&meta);
-  std::string schema_blob;
-  schema_.EncodeTo(&schema_blob);
-  PutLengthPrefixed(&meta, schema_blob);
+  core_.EncodeMetaPrefix(&meta);
   index_->EncodeTo(&meta);
   PutVarint64(&meta, commit_branch_.size());
   for (const auto& [commit, branch] : commit_branch_) {
     PutVarint64(&meta, commit);
     PutVarint32(&meta, branch);
   }
-  PutVarint64(&meta, pk_index_.size());
-  for (const auto& [branch, pks] : pk_index_) {
+  PutVarint64(&meta, core_.indexes().size());
+  for (const auto& [branch, pks] : core_.indexes()) {
     PutVarint32(&meta, branch);
   }
   {
@@ -230,7 +202,7 @@ Status TupleFirstEngine::ReleaseBranch(BranchId branch) {
 }
 
 Status TupleFirstEngine::Checkpoint(const std::string& tag, bool sync) {
-  std::unique_lock<std::shared_mutex> registry(registry_mu_);
+  std::unique_lock<std::shared_mutex> registry(core_.registry_mu());
   DECIBEL_RETURN_NOT_OK(heap_->Checkpoint(tag, sync));
   if (sync) {
     std::lock_guard<std::mutex> commits(commit_mu_);
@@ -238,12 +210,12 @@ Status TupleFirstEngine::Checkpoint(const std::string& tag, bool sync) {
       DECIBEL_RETURN_NOT_OK(history->Sync());
     }
   }
-  return AtomicWriteFile(MetaPath(tag), EncodeMeta(), sync);
+  return core_.WriteMeta(tag, EncodeMeta(), sync);
 }
 
 Status TupleFirstEngine::RemoveCheckpoint(const std::string& tag) {
   DECIBEL_RETURN_NOT_OK(heap_->RemoveCheckpoint(tag));
-  return RemoveFile(MetaPath(tag));
+  return core_.RemoveMeta(tag);
 }
 
 Result<CommitHistory*> TupleFirstEngine::HistoryFor(BranchId branch) {
@@ -263,14 +235,15 @@ Result<CommitHistory*> TupleFirstEngine::HistoryFor(BranchId branch) {
 }
 
 Status TupleFirstEngine::RebuildPkIndex(BranchId b) {
-  PkIndex& idx = pk_index_[b];
-  idx.Clear();
+  PkIndex* idx = core_.Register(b);
+  idx->Clear();
   const Bitmap view = index_->MaterializeBranch(b);
-  StripedBitmapScanner scanner(heap_->SnapshotMapping(), &schema_, &view);
+  StripedBitmapScanner scanner(heap_->SnapshotMapping(), &core_.schema(),
+                               &view);
   RecordRef rec;
   uint64_t pos;
   while (scanner.Next(&rec, &pos)) {
-    idx.Put(rec.pk(), pos);
+    idx->Put(rec.pk(), pos);
   }
   return scanner.status();
 }
@@ -281,12 +254,13 @@ Status TupleFirstEngine::CreateBranch(BranchId child, BranchId parent,
                                       CommitId base_commit, bool at_head) {
   // Branch creation changes registry shape (new bitmap column, new pk
   // map), so it is the one writer that excludes everything engine-wide.
-  std::unique_lock<std::shared_mutex> registry(registry_mu_);
+  std::unique_lock<std::shared_mutex> registry(core_.registry_mu());
+  DECIBEL_RETURN_NOT_OK(core_.CheckFork(child, parent));
   if (at_head) {
     // "A branch operation clones the state of the parent branch's bitmap"
     // (§3.2) — plus the parent's pk index for update support.
     index_->CloneBranch(parent, child);
-    pk_index_[child] = pk_index_[parent];
+    core_.ForkIndex(child, parent);
     return Status::OK();
   }
   DECIBEL_ASSIGN_OR_RETURN(Bitmap bits, CommitBitmap(base_commit));
@@ -296,12 +270,9 @@ Status TupleFirstEngine::CreateBranch(BranchId child, BranchId parent,
 }
 
 Status TupleFirstEngine::Commit(BranchId branch, CommitId commit_id) {
-  std::shared_lock<std::shared_mutex> registry(registry_mu_);
+  std::shared_lock<std::shared_mutex> registry(core_.registry_mu());
+  DECIBEL_RETURN_NOT_OK(core_.CheckKnown(branch));
   StripeGuard stripe(this, {branch});
-  return CommitImpl(branch, commit_id);
-}
-
-Status TupleFirstEngine::CommitImpl(BranchId branch, CommitId commit_id) {
   DECIBEL_ASSIGN_OR_RETURN(CommitHistory * history, HistoryFor(branch));
   const Bitmap* view = index_->BranchView(branch);
   Bitmap owned;
@@ -329,7 +300,7 @@ Result<Bitmap> TupleFirstEngine::CommitBitmap(CommitId commit) {
   DECIBEL_ASSIGN_OR_RETURN(CommitHistory * history, HistoryFor(branch));
   // The CommitHistory's own lock makes the checkout safe against the
   // owning branch appending a newer commit concurrently.
-  return history->Checkout(commit);
+  return history->Checkout(commit, heap_->allocated_bound());
 }
 
 Status TupleFirstEngine::Checkout(CommitId commit) {
@@ -342,16 +313,9 @@ Status TupleFirstEngine::ApplyBatch(BranchId branch, const WriteBatch& batch) {
   // Writers on the same stripe serialize here; disjoint stripes commit in
   // parallel. Writers on the same *branch* are already serialized above
   // us by the facade's branch lock.
-  std::shared_lock<std::shared_mutex> registry(registry_mu_);
+  std::shared_lock<std::shared_mutex> registry(core_.registry_mu());
   StripeGuard stripe(this, {branch});
-  auto pk_it = pk_index_.find(branch);
-  if (pk_it == pk_index_.end()) {
-    return Status::NotFound("tuple-first: unknown branch " +
-                            std::to_string(branch));
-  }
-  PkIndex& pks = pk_it->second;
-  DECIBEL_RETURN_NOT_OK(ValidateBatchDeletes(
-      batch, [&pks](int64_t pk) { return pks.Contains(pk); }));
+  DECIBEL_ASSIGN_OR_RETURN(PkIndex * pks, core_.BeginBatch(branch, batch));
 
   // One pass: the record payloads go to this branch's heap stripe in
   // page-sized chunks (the stripe allocator hands back the assigned
@@ -368,8 +332,8 @@ Status TupleFirstEngine::ApplyBatch(BranchId branch, const WriteBatch& batch) {
   uint64_t run_off = 0;
   for (const WriteBatch::Op& op : batch.ops()) {
     if (op.kind == WriteBatch::OpKind::kDelete) {
-      index_->Set(*pks.Find(op.pk), branch, false);
-      pks.Erase(op.pk);
+      index_->Set(*pks->Find(op.pk), branch, false);
+      pks->Erase(op.pk);
       continue;
     }
     while (run_off == runs[run_pos].count) {
@@ -377,7 +341,7 @@ Status TupleFirstEngine::ApplyBatch(BranchId branch, const WriteBatch& batch) {
       run_off = 0;
     }
     const uint64_t idx = runs[run_pos].base + run_off++;
-    auto [stored, inserted] = pks.TryEmplace(batch.RecordAt(op).pk(), idx);
+    auto [stored, inserted] = pks->TryEmplace(batch.RecordAt(op).pk(), idx);
     if (!inserted) {
       // "the index bit of the previous version of the record is unset"
       // §3.2
@@ -393,14 +357,12 @@ Status TupleFirstEngine::ApplyBatch(BranchId branch, const WriteBatch& batch) {
 
 Result<std::unique_ptr<ScanCursor>> TupleFirstEngine::NewScan(
     const ScanSpec& spec) {
-  DECIBEL_RETURN_NOT_OK(ValidateScanSpec(spec, schema_));
+  const Schema* schema = &core_.schema();
+  DECIBEL_RETURN_NOT_OK(ValidateScanSpec(spec, *schema));
   switch (spec.view) {
     case ScanView::kBranch: {
-      std::shared_lock<std::shared_mutex> registry(registry_mu_);
-      if (pk_index_.count(spec.branch) == 0) {
-        return Status::NotFound("tuple-first: unknown branch " +
-                                std::to_string(spec.branch));
-      }
+      std::shared_lock<std::shared_mutex> registry(core_.registry_mu());
+      DECIBEL_RETURN_NOT_OK(core_.CheckKnown(spec.branch));
       // Materialize the snapshot under the branch's stripe (for the
       // tuple-oriented layout this walks the whole matrix — the
       // single-branch scan penalty of §3.2), then stream lock-free.
@@ -410,25 +372,22 @@ Result<std::unique_ptr<ScanCursor>> TupleFirstEngine::NewScan(
         bits = index_->MaterializeBranch(spec.branch);
       }
       return std::unique_ptr<ScanCursor>(new TupleFirstCursor(
-          heap_->SnapshotMapping(), &schema_, std::move(bits), {}, {}, spec,
-          &scan_counters_));
+          heap_->SnapshotMapping(), schema, std::move(bits), {}, {}, spec,
+          core_.scan_counters()));
     }
     case ScanView::kCommit: {
       DECIBEL_ASSIGN_OR_RETURN(Bitmap bits, CommitBitmap(spec.commit));
       return std::unique_ptr<ScanCursor>(new TupleFirstCursor(
-          heap_->SnapshotMapping(), &schema_, std::move(bits), {}, {}, spec,
-          &scan_counters_));
+          heap_->SnapshotMapping(), schema, std::move(bits), {}, {}, spec,
+          core_.scan_counters()));
     }
     case ScanView::kMulti: {
       // One pass over the heap, each tuple annotated with the branches it
       // is live in (§3.2 Multi-branch Scan). All requested stripes are
       // held together so the cross-branch snapshot is consistent.
-      std::shared_lock<std::shared_mutex> registry(registry_mu_);
+      std::shared_lock<std::shared_mutex> registry(core_.registry_mu());
       for (BranchId b : spec.branches) {
-        if (pk_index_.count(b) == 0) {
-          return Status::NotFound("tuple-first: unknown branch " +
-                                  std::to_string(b));
-        }
+        DECIBEL_RETURN_NOT_OK(core_.CheckKnown(b));
       }
       std::vector<Bitmap> cols;
       cols.reserve(spec.branches.size());
@@ -441,12 +400,12 @@ Result<std::unique_ptr<ScanCursor>> TupleFirstEngine::NewScan(
         }
       }
       return std::unique_ptr<ScanCursor>(new TupleFirstCursor(
-          heap_->SnapshotMapping(), &schema_, std::move(unioned),
-          std::move(cols), spec.branches, spec, &scan_counters_));
+          heap_->SnapshotMapping(), schema, std::move(unioned),
+          std::move(cols), spec.branches, spec, core_.scan_counters()));
     }
     case ScanView::kDiff:
       return MakeDiffScanCursor(
-          schema_, spec, &scan_counters_, [&](const DiffRowSink& emit) {
+          *schema, spec, core_.scan_counters(), [&](const DiffRowSink& emit) {
             return DiffRows(spec.branch, spec.diff_base, emit);
           });
     case ScanView::kHeads:
@@ -458,24 +417,13 @@ Result<std::unique_ptr<ScanCursor>> TupleFirstEngine::NewScan(
 Result<Record> TupleFirstEngine::Get(BranchId branch, int64_t pk) {
   uint64_t idx;
   {
-    std::shared_lock<std::shared_mutex> registry(registry_mu_);
-    StripeGuard stripe(this, {branch});
-    auto branch_it = pk_index_.find(branch);
-    if (branch_it == pk_index_.end()) {
-      return Status::NotFound("tuple-first: unknown branch " +
-                              std::to_string(branch));
-    }
-    const uint64_t* found = branch_it->second.Find(pk);
-    if (found == nullptr) {
-      return Status::NotFound("tuple-first: no record with pk " +
-                              std::to_string(pk));
-    }
-    idx = *found;
+    std::shared_lock<std::shared_mutex> registry(core_.registry_mu());
+    DECIBEL_ASSIGN_OR_RETURN(idx, core_.Probe(branch, pk));
   }
   // Appended records are immutable; the read needs no lock.
   std::string buf;
   DECIBEL_RETURN_NOT_OK(heap_->Get(idx, &buf));
-  return Record(&schema_, Slice(buf));
+  return Record(&core_.schema(), Slice(buf));
 }
 
 Status TupleFirstEngine::DiffRows(BranchId a, BranchId b,
@@ -486,13 +434,8 @@ Status TupleFirstEngine::DiffRows(BranchId a, BranchId b,
   // form one consistent snapshot; the record walk then runs lock-free.
   Bitmap bits_a, bits_b;
   {
-    std::shared_lock<std::shared_mutex> registry(registry_mu_);
-    for (BranchId x : {a, b}) {
-      if (pk_index_.count(x) == 0) {
-        return Status::NotFound("tuple-first: unknown branch " +
-                                std::to_string(x));
-      }
-    }
+    std::shared_lock<std::shared_mutex> registry(core_.registry_mu());
+    for (BranchId x : {a, b}) DECIBEL_RETURN_NOT_OK(core_.CheckKnown(x));
     StripeGuard stripes(this, {a, b});
     bits_a = index_->MaterializeBranch(a);
     bits_b = index_->MaterializeBranch(b);
@@ -502,8 +445,8 @@ Status TupleFirstEngine::DiffRows(BranchId a, BranchId b,
   // back until the walk has seen every key b changed.
   const Bitmap only_a = Bitmap::AndNot(bits_a, bits_b);
   const Bitmap both = Bitmap::Xor(bits_a, bits_b);
-  DiffEmitter emitter(&schema_);
-  StripedBitmapScanner scanner(mapping, &schema_, &both);
+  DiffEmitter emitter(&core_.schema());
+  StripedBitmapScanner scanner(mapping, &core_.schema(), &both);
   RecordRef rec;
   uint64_t idx;
   while (scanner.Next(&rec, &idx)) emitter.Add(rec, only_a.Test(idx));
@@ -529,7 +472,8 @@ Status TupleFirstEngine::MergeWalk(CommitId left, CommitId right,
   DECIBEL_ASSIGN_OR_RETURN(Bitmap bits_r, CommitBitmap(right));
   DECIBEL_ASSIGN_OR_RETURN(Bitmap bits_b, CommitBitmap(base));
   const StripedHeap::Mapping mapping = heap_->SnapshotMapping();
-  const uint32_t rs = schema_.record_size();
+  const Schema* schema = &core_.schema();
+  const uint32_t rs = schema->record_size();
 
   const Bitmap mask =
       Bitmap::Or(Bitmap::Xor(bits_l, bits_b), Bitmap::Xor(bits_r, bits_b));
@@ -542,7 +486,7 @@ Status TupleFirstEngine::MergeWalk(CommitId left, CommitId right,
   };
   std::map<int64_t, Positions> keys;
   {
-    StripedBitmapScanner scanner(mapping, &schema_, &mask);
+    StripedBitmapScanner scanner(mapping, schema, &mask);
     RecordRef rec;
     uint64_t idx;
     while (scanner.Next(&rec, &idx)) {
@@ -565,7 +509,7 @@ Status TupleFirstEngine::MergeWalk(CommitId left, CommitId right,
     if (pos.l != kAbsent) {
       DECIBEL_RETURN_NOT_OK(heap_->Get(pos.l, &buf_l));
       stats->bytes_processed += rs;
-      ref_l.emplace(&schema_, Slice(buf_l));
+      ref_l.emplace(schema, Slice(buf_l));
       item.left = &*ref_l;
     }
     if (pos.r != kAbsent) {
@@ -574,7 +518,7 @@ Status TupleFirstEngine::MergeWalk(CommitId left, CommitId right,
       } else {
         DECIBEL_RETURN_NOT_OK(heap_->Get(pos.r, &buf_r));
         stats->bytes_processed += rs;
-        ref_r.emplace(&schema_, Slice(buf_r));
+        ref_r.emplace(schema, Slice(buf_r));
         item.right = &*ref_r;
       }
     }
@@ -586,7 +530,7 @@ Status TupleFirstEngine::MergeWalk(CommitId left, CommitId right,
       } else {
         DECIBEL_RETURN_NOT_OK(heap_->Get(pos.b, &buf_b));
         stats->bytes_processed += rs;
-        ref_b.emplace(&schema_, Slice(buf_b));
+        ref_b.emplace(schema, Slice(buf_b));
         item.base = &*ref_b;
       }
     }
@@ -599,31 +543,18 @@ Status TupleFirstEngine::MergeWalk(CommitId left, CommitId right,
 // -------------------------------------------------------------------- stats
 
 EngineStats TupleFirstEngine::Stats() const {
-  std::shared_lock<std::shared_mutex> registry(registry_mu_);
-  StripeLocks::AllGuard stripes(stripes_);
-  EngineStats stats;
-  stats.data_bytes = heap_->SizeBytes();
-  stats.index_memory_bytes = index_->MemoryBytes();
-  for (const auto& [branch, pks] : pk_index_) {
-    stats.index_memory_bytes += pks.MemoryBytes();
-  }
-  {
-    std::lock_guard<std::mutex> commits(commit_mu_);
-    for (const auto& [branch, history] : histories_) {
-      stats.commit_store_bytes += history->SizeBytes();
+  return core_.Stats([this](EngineStats* stats) {
+    stats->data_bytes = heap_->SizeBytes();
+    stats->index_memory_bytes = index_->MemoryBytes();
+    {
+      std::lock_guard<std::mutex> commits(commit_mu_);
+      for (const auto& [branch, history] : histories_) {
+        stats->commit_store_bytes += history->SizeBytes();
+      }
     }
-  }
-  stats.num_segments = heap_->stripe_count();
-  stats.num_records = heap_->num_records();
-  stats.rows_scanned = scan_counters_.rows();
-  stats.bytes_scanned = scan_counters_.bytes();
-  stats.bytes_read = scan_counters_.bytes_read();
-  stats.segments_skipped = scan_counters_.segments_skipped();
-  stats.pages_skipped = scan_counters_.pages_skipped();
-  stats.pool_hits = pool_.hits();
-  stats.pool_misses = pool_.misses();
-  stats.pool_resident_bytes = pool_.resident_bytes();
-  return stats;
+    stats->num_segments = heap_->stripe_count();
+    stats->num_records = heap_->num_records();
+  });
 }
 
 }  // namespace decibel

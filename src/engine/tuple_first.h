@@ -10,42 +10,30 @@
 /// bitmap algebra; single-branch scans pay for the interleaving of
 /// branches in the shared file.
 ///
-/// Concurrency: writers on disjoint branches proceed in parallel. The
-/// lock hierarchy is registry_mu_ (shape of the branch registries, taken
-/// shared by every operation and unique only by branch creation and
-/// flush) -> stripe locks (branch % kWriteStripes; all per-branch state —
-/// the pk index, the branch's bitmap column, its heap-file shard's tail)
-/// -> commit_mu_ (the commit registry, a leaf). Cross-branch operations
-/// needing several stripes take them in ascending order; MergeWalk works
-/// off committed bitmap snapshots and takes no stripe locks. Readers
-/// materialize a bitmap snapshot under the stripe lock, snapshot the
-/// heap's extent mapping, and then stream without any lock.
+/// Concurrency: writers on disjoint branches proceed in parallel under the
+/// lock order of branch_core.h. A branch's stripe guards its bitmap column
+/// and its heap-file shard's tail as well as its pk index; under the
+/// tuple-oriented layout bitmap writes and reads take every stripe (see
+/// StripeGuard). MergeWalk works off committed bitmap snapshots and takes
+/// no stripe. Readers materialize a bitmap snapshot under the stripes,
+/// snapshot the heap's extent mapping, and then stream without any lock.
 
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <unordered_map>
 
 #include "bitmap/commit_history.h"
-#include "common/stripe_lock.h"
-#include "engine/engine.h"
-#include "engine/pk_index.h"
+#include "engine/branch_core.h"
 #include "engine/scan_util.h"
-#include "storage/buffer_pool.h"
 #include "storage/striped_heap.h"
 
 namespace decibel {
 
 class TupleFirstEngine : public StorageEngine {
  public:
-  /// Creates a fresh engine in options.directory, or reopens one that was
-  /// previously flushed there.
-  static Result<std::unique_ptr<TupleFirstEngine>> Make(
-      const Schema& schema, const EngineOptions& options);
-
   EngineType type() const override { return EngineType::kTupleFirst; }
-  const Schema& schema() const override { return schema_; }
+  const Schema& schema() const override { return core_.schema(); }
 
   Status CreateBranch(BranchId child, BranchId parent, CommitId base_commit,
                       bool at_head) override;
@@ -62,7 +50,7 @@ class TupleFirstEngine : public StorageEngine {
 
   Status Checkpoint(const std::string& tag, bool sync) override;
   Status RemoveCheckpoint(const std::string& tag) override;
-  void DropCaches() override { pool_.EvictAll(); }
+  void DropCaches() override { core_.DropCaches(); }
   EngineStats Stats() const override;
 
   /// Reconstructs the bitmap snapshotted at \p commit (exposed for tests
@@ -70,6 +58,12 @@ class TupleFirstEngine : public StorageEngine {
   Result<Bitmap> CommitBitmap(CommitId commit);
 
  private:
+  template <typename Engine>
+  friend Result<std::unique_ptr<StorageEngine>> OpenEngine(
+      const Schema& schema, const EngineOptions& options);
+  /// Directory under options.directory holding the commit histories.
+  static constexpr const char* kSubdir = "commits";
+
   /// Holds the write stripes of a set of branches — or every stripe when
   /// the tuple-oriented matrix is in use, because its Set()/EnsureTuples
   /// reallocate storage shared by all branches.
@@ -77,18 +71,18 @@ class TupleFirstEngine : public StorageEngine {
    public:
     StripeGuard(const TupleFirstEngine* engine,
                 std::initializer_list<BranchId> branches) {
-      if (engine->options_.orientation == BitmapOrientation::kTupleOriented) {
-        all_.emplace(engine->stripes_);
+      if (engine->tuple_oriented()) {
+        all_.emplace(engine->core_.stripes());
       } else {
-        some_.emplace(engine->stripes_, branches);
+        some_.emplace(engine->core_.stripes(), branches);
       }
     }
     StripeGuard(const TupleFirstEngine* engine,
                 const std::vector<BranchId>& branches) {
-      if (engine->options_.orientation == BitmapOrientation::kTupleOriented) {
-        all_.emplace(engine->stripes_);
+      if (engine->tuple_oriented()) {
+        all_.emplace(engine->core_.stripes());
       } else {
-        some_.emplace(engine->stripes_, branches);
+        some_.emplace(engine->core_.stripes(), branches);
       }
     }
 
@@ -98,55 +92,38 @@ class TupleFirstEngine : public StorageEngine {
   };
 
   TupleFirstEngine(const Schema& schema, const EngineOptions& options)
-      : schema_(schema),
-        options_(options),
-        pool_(options.buffer_pool_bytes),
-        stripes_(kWriteStripes) {}
+      : core_("tuple-first", schema, options) {}
 
   Status LoadExisting();
   Status InitFresh();
+  bool tuple_oriented() const {
+    return core_.options().orientation == BitmapOrientation::kTupleOriented;
+  }
   uint32_t StripeOf(BranchId branch) const {
-    return static_cast<uint32_t>(stripes_.IndexOf(branch));
+    return static_cast<uint32_t>(core_.stripes().IndexOf(branch));
   }
   /// The commit-history file for \p branch, creating it on first use.
   /// Takes commit_mu_ internally.
   Result<CommitHistory*> HistoryFor(BranchId branch);
-  /// Commit body; caller holds registry (shared or unique) and the
-  /// branch's stripe.
-  Status CommitImpl(BranchId branch, CommitId commit_id);
   /// The kDiff walk: hands \p emit every row of \p a whose key \p b
   /// lacks. NotFound when either branch is unknown.
   Status DiffRows(BranchId a, BranchId b, const DiffRowSink& emit);
-  /// Rebuilds branch \p b's pk index by scanning its bitmap column.
-  /// Caller holds the registry unique (load/branch-create paths).
+  /// Registers branch \p b and builds its pk index by scanning its bitmap
+  /// column. Caller holds the registry unique (load/branch-create paths).
   Status RebuildPkIndex(BranchId b);
-  std::string MetaPath(const std::string& tag) const;
   std::string HistoryPath(BranchId branch) const;
   /// Serializes the engine meta (schema, bitmap index, commit registry,
   /// branch list, per-branch history byte sizes). Caller holds the
   /// registry unique.
   std::string EncodeMeta();
 
-  Schema schema_;
-  EngineOptions options_;
-  BufferPool pool_;
-  /// Lifetime scan-work totals (EngineStats::rows_scanned/bytes_scanned).
-  ScanCounters scan_counters_;
-
-  /// Shape of the branch registries (pk_index_ keys, bitmap branch set).
-  /// Writers/readers take it shared; CreateBranch and Checkpoint take
-  /// it unique. Ordered before the stripe locks.
-  mutable std::shared_mutex registry_mu_;
-  /// Per-branch write serialization; see file comment for the hierarchy.
-  mutable StripeLocks stripes_;
-  /// Leaf lock: commit_branch_ and the histories_ map shape. Never
-  /// acquire another engine lock while holding it.
+  BranchCore core_;
+  /// The lock-order leaf (branch_core.h): commit_branch_ and the
+  /// histories_ map shape.
   mutable std::mutex commit_mu_;
 
   std::unique_ptr<StripedHeap> heap_;
   std::unique_ptr<BitmapIndex> index_;
-  /// pk -> global record index of the live version, per branch.
-  std::unordered_map<BranchId, PkIndex> pk_index_;
   std::unordered_map<BranchId, std::unique_ptr<CommitHistory>> histories_;
   std::unordered_map<CommitId, BranchId> commit_branch_;
 };

@@ -106,25 +106,9 @@ class ReverseSegmentReader {
 
 // ------------------------------------------------------------ construction
 
-Result<std::unique_ptr<VersionFirstEngine>> VersionFirstEngine::Make(
-    const Schema& schema, const EngineOptions& options) {
-  std::unique_ptr<VersionFirstEngine> engine(
-      new VersionFirstEngine(schema, options));
-  DECIBEL_RETURN_NOT_OK(CreateDir(options.directory));
-  if (!options.checkpoint_tag.empty()) {
-    DECIBEL_RETURN_NOT_OK(engine->LoadExisting());
-  } else {
-    DECIBEL_RETURN_NOT_OK(engine->InitFresh());
-  }
-  return engine;
-}
-
-std::string VersionFirstEngine::MetaPath(const std::string& tag) const {
-  return JoinPath(options_.directory, "engine.meta." + tag);
-}
-
 std::string VersionFirstEngine::SegmentPath(uint32_t seg) const {
-  return JoinPath(options_.directory, "seg_" + std::to_string(seg) + ".dbhf");
+  return JoinPath(core_.options().directory,
+                  "seg_" + std::to_string(seg) + ".dbhf");
 }
 
 Result<uint32_t> VersionFirstEngine::NewSegment(
@@ -134,12 +118,13 @@ Result<uint32_t> VersionFirstEngine::NewSegment(
   segment->owner = owner;
   segment->parents = std::move(parents);
   HeapFile::Options hopts;
-  hopts.page_size = options_.page_size;
-  hopts.schema = &schema_;
-  hopts.compress_pages = options_.compress_pages;
+  hopts.page_size = core_.options().page_size;
+  hopts.schema = &core_.schema();
+  hopts.compress_pages = core_.options().compress_pages;
   DECIBEL_ASSIGN_OR_RETURN(
-      segment->file, HeapFile::Create(SegmentPath(segment->id),
-                                      schema_.record_size(), hopts, &pool_));
+      segment->file,
+      HeapFile::Create(SegmentPath(segment->id), core_.schema().record_size(),
+                       hopts, core_.pool()));
   segments_.push_back(std::move(segment));
   return segments_.back()->id;
 }
@@ -147,32 +132,22 @@ Result<uint32_t> VersionFirstEngine::NewSegment(
 Status VersionFirstEngine::InitFresh() {
   DECIBEL_ASSIGN_OR_RETURN(uint32_t seg, NewSegment(kMasterBranch, {}));
   head_seg_[kMasterBranch] = seg;
-  pk_index_.try_emplace(kMasterBranch);
+  core_.Register(kMasterBranch);
   return Status::OK();
 }
 
 Status VersionFirstEngine::LoadExisting() {
-  const std::string& tag = options_.checkpoint_tag;
-  DECIBEL_ASSIGN_OR_RETURN(std::string meta, ReadFileToString(MetaPath(tag)));
-  Slice input(meta);
-  DECIBEL_RETURN_NOT_OK(CheckEngineMetaHeader(&input, "version-first"));
-  Slice schema_blob;
-  if (!GetLengthPrefixed(&input, &schema_blob)) {
-    return Status::Corruption("version-first: truncated meta");
-  }
-  Slice schema_slice = schema_blob;
-  DECIBEL_ASSIGN_OR_RETURN(Schema stored, Schema::DecodeFrom(&schema_slice));
-  if (!(stored == schema_)) {
-    return Status::InvalidArgument(
-        "version-first: schema mismatch on reopen");
-  }
+  std::string meta;
+  Slice input;
+  DECIBEL_RETURN_NOT_OK(
+      core_.ReadMeta(core_.options().checkpoint_tag, &meta, &input));
   uint64_t num_segments;
   if (!GetVarint64(&input, &num_segments)) {
     return Status::Corruption("version-first: truncated meta");
   }
   HeapFile::Options hopts;
-  hopts.schema = &schema_;
-  hopts.compress_pages = options_.compress_pages;
+  hopts.schema = &core_.schema();
+  hopts.compress_pages = core_.options().compress_pages;
   for (uint64_t i = 0; i < num_segments; ++i) {
     auto segment = std::make_unique<Segment>();
     uint64_t num_parents;
@@ -212,8 +187,8 @@ Status VersionFirstEngine::LoadExisting() {
     // checkpointed record count before anything reads it.
     DECIBEL_ASSIGN_OR_RETURN(
         segment->file,
-        HeapFile::OpenAtCheckpoint(SegmentPath(segment->id), hopts, &pool_,
-                                   cs));
+        HeapFile::OpenAtCheckpoint(SegmentPath(segment->id), hopts,
+                                   core_.pool(), cs));
     DECIBEL_RETURN_NOT_OK(segment->file->LoadStats(stats_blob));
     DECIBEL_RETURN_NOT_OK(segment->file->EnsureStats());
     segments_.push_back(std::move(segment));
@@ -263,17 +238,14 @@ Status VersionFirstEngine::LoadExisting() {
   DECIBEL_RETURN_NOT_OK(BuildWinnerTables(roots, &tables, nullptr));
   for (size_t i = 0; i < branch_ids.size(); ++i) {
     DECIBEL_RETURN_NOT_OK(
-        FillPkIndex(tables[i], &pk_index_[branch_ids[i]]));
+        FillPkIndex(tables[i], core_.Register(branch_ids[i])));
   }
   return Status::OK();
 }
 
 std::string VersionFirstEngine::EncodeMeta() {
   std::string meta;
-  PutEngineMetaHeader(&meta);
-  std::string schema_blob;
-  schema_.EncodeTo(&schema_blob);
-  PutLengthPrefixed(&meta, schema_blob);
+  core_.EncodeMetaPrefix(&meta);
   PutVarint64(&meta, segments_.size());
   for (const auto& segment : segments_) {
     PutVarint32(&meta, segment->id);
@@ -311,7 +283,7 @@ Status VersionFirstEngine::ReleaseBranch(BranchId branch) {
   // A retired branch's segments never append again; close their
   // descriptors. The segments stay in the registry — descendants keep
   // reading inherited records through lazily-reopened handles.
-  std::unique_lock<std::shared_mutex> registry_lock(registry_mu_);
+  std::unique_lock<std::shared_mutex> registry_lock(core_.registry_mu());
   for (auto& segment : segments_) {
     if (segment->owner != branch) continue;
     DECIBEL_RETURN_NOT_OK(segment->file->ReleaseFileHandles());
@@ -320,28 +292,24 @@ Status VersionFirstEngine::ReleaseBranch(BranchId branch) {
 }
 
 Status VersionFirstEngine::Checkpoint(const std::string& tag, bool sync) {
-  std::unique_lock<std::shared_mutex> registry_lock(registry_mu_);
+  std::unique_lock<std::shared_mutex> registry_lock(core_.registry_mu());
   for (auto& segment : segments_) {
     DECIBEL_RETURN_NOT_OK(sync ? segment->file->Sync()
                                : segment->file->Flush());
   }
-  return AtomicWriteFile(MetaPath(tag), EncodeMeta(), sync);
+  return core_.WriteMeta(tag, EncodeMeta(), sync);
 }
 
 Status VersionFirstEngine::RemoveCheckpoint(const std::string& tag) {
-  return RemoveFile(MetaPath(tag));
+  return core_.RemoveMeta(tag);
 }
 
 // --------------------------------------------------------- version control
 
-Result<VersionFirstEngine::Root> VersionFirstEngine::RootForBranch(
+VersionFirstEngine::Root VersionFirstEngine::RootForBranch(
     BranchId branch) const {
-  auto it = head_seg_.find(branch);
-  if (it == head_seg_.end()) {
-    return Status::NotFound("version-first: unknown branch " +
-                            std::to_string(branch));
-  }
-  return Root{it->second, segments_[it->second]->file->num_records()};
+  const uint32_t head = head_seg_.at(branch);
+  return Root{head, segments_[head]->file->num_records()};
 }
 
 Result<VersionFirstEngine::Root> VersionFirstEngine::RootForCommit(
@@ -361,10 +329,11 @@ Status VersionFirstEngine::CreateBranch(BranchId child, BranchId parent,
   // the offset of this branch point" (§3.3). The parent keeps appending
   // to its own segment; records after the branch point are isolated.
   // Growing segments_/head_seg_ changes the registry shape.
-  std::unique_lock<std::shared_mutex> registry_lock(registry_mu_);
+  std::unique_lock<std::shared_mutex> registry_lock(core_.registry_mu());
+  DECIBEL_RETURN_NOT_OK(core_.CheckFork(child, parent));
   Root base{0, 0};
   if (at_head) {
-    DECIBEL_ASSIGN_OR_RETURN(base, RootForBranch(parent));
+    base = RootForBranch(parent);
   } else {
     DECIBEL_ASSIGN_OR_RETURN(base, RootForCommit(base_commit));
   }
@@ -375,7 +344,7 @@ Status VersionFirstEngine::CreateBranch(BranchId child, BranchId parent,
     // The parent's pk index IS the child's starting state (both see the
     // same records up to the branch point, and the parent's map is
     // complete at its head).
-    pk_index_[child] = pk_index_[parent];
+    core_.ForkIndex(child, parent);
     return Status::OK();
   }
   return RebuildPkIndex(child, base);
@@ -384,7 +353,7 @@ Status VersionFirstEngine::CreateBranch(BranchId child, BranchId parent,
 Status VersionFirstEngine::RebuildPkIndex(BranchId branch, const Root& root) {
   std::vector<WinnerTable> tables;
   DECIBEL_RETURN_NOT_OK(BuildWinnerTables({root}, &tables, nullptr));
-  return FillPkIndex(tables[0], &pk_index_[branch]);
+  return FillPkIndex(tables[0], core_.Register(branch));
 }
 
 Status VersionFirstEngine::FillPkIndex(const WinnerTable& table,
@@ -400,17 +369,14 @@ Status VersionFirstEngine::FillPkIndex(const WinnerTable& table,
 }
 
 Status VersionFirstEngine::Commit(BranchId branch, CommitId commit_id) {
-  std::shared_lock<std::shared_mutex> registry_lock(registry_mu_);
-  // The stripe pins the head segment's record count while we capture it.
-  std::lock_guard<std::mutex> stripe_lock(stripes_.ForBranch(branch));
-  return CommitImpl(branch, commit_id);
-}
-
-Status VersionFirstEngine::CommitImpl(BranchId branch, CommitId commit_id) {
   // "version-first supports commits by mapping a commit ID to the byte
   // offset of the latest record active in the committing branch's segment
-  // file" (§3.3).
-  DECIBEL_ASSIGN_OR_RETURN(Root root, RootForBranch(branch));
+  // file" (§3.3). The stripe pins the head segment's record count while
+  // we capture it.
+  std::shared_lock<std::shared_mutex> registry_lock(core_.registry_mu());
+  DECIBEL_RETURN_NOT_OK(core_.CheckKnown(branch));
+  std::lock_guard<std::mutex> stripe_lock(core_.stripes().ForBranch(branch));
+  const Root root = RootForBranch(branch);
   std::lock_guard<std::mutex> commit_lock(commit_mu_);
   commits_[commit_id] = root;
   return Status::OK();
@@ -429,13 +395,9 @@ Status VersionFirstEngine::ApplyBatch(BranchId branch,
   // Registry shared (CreateBranch/Merge may not reshape segments_ under
   // us) + the branch's stripe (one writer per head-segment tail). Batches
   // on branches mapping to different stripes run fully in parallel.
-  std::shared_lock<std::shared_mutex> registry_lock(registry_mu_);
-  std::lock_guard<std::mutex> stripe_lock(stripes_.ForBranch(branch));
-  auto it = head_seg_.find(branch);
-  if (it == head_seg_.end()) {
-    return Status::NotFound("version-first: unknown branch " +
-                            std::to_string(branch));
-  }
+  std::shared_lock<std::shared_mutex> registry_lock(core_.registry_mu());
+  std::lock_guard<std::mutex> stripe_lock(core_.stripes().ForBranch(branch));
+  DECIBEL_ASSIGN_OR_RETURN(PkIndex * pks, core_.BeginBatch(branch, batch));
   // Every op is an append to the branch's head segment: "Updates are
   // performed by inserting a new copy of the tuple with the same primary
   // key; branch scans will ignore the earlier copy" and "deletes require
@@ -444,11 +406,8 @@ Status VersionFirstEngine::ApplyBatch(BranchId branch,
   // index tracks the newest location per live key, so a delete of an
   // absent key fails with NotFound before anything is appended, as on
   // the other two engines.
-  const uint32_t head = it->second;
+  const uint32_t head = head_seg_.at(branch);
   HeapFile* file = segments_[head]->file.get();
-  PkIndex& pks = pk_index_[branch];
-  DECIBEL_RETURN_NOT_OK(ValidateBatchDeletes(
-      batch, [&pks](int64_t pk) { return pks.Contains(pk); }));
   DECIBEL_RETURN_NOT_OK(
       PackedLoc::Check(head, file->num_records() + batch.size()));
   if (batch.num_appends() == batch.size()) {
@@ -456,20 +415,20 @@ Status VersionFirstEngine::ApplyBatch(BranchId branch,
         uint64_t first, file->AppendBatch(batch.arena(), batch.num_appends()));
     uint64_t i = 0;
     for (const WriteBatch::Op& op : batch.ops()) {
-      pks.Put(batch.RecordAt(op).pk(), PackedLoc::Pack(head, first + i));
+      pks->Put(batch.RecordAt(op).pk(), PackedLoc::Pack(head, first + i));
       ++i;
     }
     return Status::OK();
   }
   for (const WriteBatch::Op& op : batch.ops()) {
     if (op.kind == WriteBatch::OpKind::kDelete) {
-      const Record tombstone = MakeTombstone(&schema_, op.pk);
+      const Record tombstone = MakeTombstone(&core_.schema(), op.pk);
       DECIBEL_RETURN_NOT_OK(file->Append(tombstone.data()).status());
-      pks.Erase(op.pk);
+      pks->Erase(op.pk);
     } else {
       DECIBEL_ASSIGN_OR_RETURN(uint64_t idx,
                                file->Append(batch.RecordAt(op).data()));
-      pks.Put(batch.RecordAt(op).pk(), PackedLoc::Pack(head, idx));
+      pks->Put(batch.RecordAt(op).pk(), PackedLoc::Pack(head, idx));
     }
   }
   return Status::OK();
@@ -587,12 +546,12 @@ class VersionFirstEngine::BranchScanCursor : public ScanCursor {
                    std::vector<FileStep> order, const ScanSpec& spec)
       : engine_(engine),
         order_(std::move(order)),
-        prepared_(spec.predicate, engine->schema_),
+        prepared_(spec.predicate, engine->core_.schema()),
         limit_(spec.limit),
-        row_bytes_(ProjectedRowBytes(engine->schema_, spec.projection)) {
+        row_bytes_(ProjectedRowBytes(engine->core_.schema(), spec.projection)) {
     if (!prepared_.empty()) PlanSkips();
   }
-  ~BranchScanCursor() override { engine_->scan_counters_.Add(stats_); }
+  ~BranchScanCursor() override { engine_->core_.scan_counters()->Add(stats_); }
 
   bool Next(ScanRow* out) override {
     if (limit_ != 0 && stats_.rows_emitted >= limit_) return false;
@@ -604,7 +563,7 @@ class VersionFirstEngine::BranchScanCursor : public ScanCursor {
         }
         if (step_ >= order_.size()) return false;
         const FileStep& step = order_[step_];
-        reader_.emplace(step.file, &engine_->schema_, step.bound);
+        reader_.emplace(step.file, &engine_->core_.schema(), step.bound);
         reader_->EnablePruning(&step.modes, &prepared_, &stats_);
       }
       RecordRef rec;
@@ -722,7 +681,7 @@ class VersionFirstEngine::BranchScanCursor : public ScanCursor {
 
 Result<std::unique_ptr<ScanCursor>> VersionFirstEngine::NewScan(
     const ScanSpec& spec) {
-  DECIBEL_RETURN_NOT_OK(ValidateScanSpec(spec, schema_));
+  DECIBEL_RETURN_NOT_OK(ValidateScanSpec(spec, core_.schema()));
   // Roots for live branches are captured under the branch's stripe lock:
   // a head's record count only moves on batch boundaries there, so the
   // snapshot never lands inside a half-applied batch. Commit roots are
@@ -739,32 +698,33 @@ Result<std::unique_ptr<ScanCursor>> VersionFirstEngine::NewScan(
   };
   switch (spec.view) {
     case ScanView::kBranch: {
-      std::shared_lock<std::shared_mutex> registry_lock(registry_mu_);
+      std::shared_lock<std::shared_mutex> registry_lock(core_.registry_mu());
+      DECIBEL_RETURN_NOT_OK(core_.CheckKnown(spec.branch));
       Root root;
       {
         std::lock_guard<std::mutex> stripe_lock(
-            stripes_.ForBranch(spec.branch));
-        DECIBEL_ASSIGN_OR_RETURN(root, RootForBranch(spec.branch));
+            core_.stripes().ForBranch(spec.branch));
+        root = RootForBranch(spec.branch);
       }
       return std::unique_ptr<ScanCursor>(
           new BranchScanCursor(this, capture_order(root), spec));
     }
     case ScanView::kCommit: {
       DECIBEL_ASSIGN_OR_RETURN(Root root, RootForCommit(spec.commit));
-      std::shared_lock<std::shared_mutex> registry_lock(registry_mu_);
+      std::shared_lock<std::shared_mutex> registry_lock(core_.registry_mu());
       return std::unique_ptr<ScanCursor>(
           new BranchScanCursor(this, capture_order(root), spec));
     }
     case ScanView::kMulti: {
-      std::shared_lock<std::shared_mutex> registry_lock(registry_mu_);
+      std::shared_lock<std::shared_mutex> registry_lock(core_.registry_mu());
+      for (BranchId b : spec.branches) {
+        DECIBEL_RETURN_NOT_OK(core_.CheckKnown(b));
+      }
       std::vector<Root> roots;
       roots.reserve(spec.branches.size());
       {
-        StripeLocks::MultiGuard stripe_locks(stripes_, spec.branches);
-        for (BranchId b : spec.branches) {
-          DECIBEL_ASSIGN_OR_RETURN(Root root, RootForBranch(b));
-          roots.push_back(root);
-        }
+        StripeLocks::MultiGuard stripe_locks(core_.stripes(), spec.branches);
+        for (BranchId b : spec.branches) roots.push_back(RootForBranch(b));
       }
       // Pass 1 builds the winner tables eagerly (§3.3's intermediate hash
       // tables). Pass 2 turns them into per-segment winner bitmaps, one
@@ -793,14 +753,16 @@ Result<std::unique_ptr<ScanCursor>> VersionFirstEngine::NewScan(
         parts.push_back(std::move(part));
       }
       const uint64_t segments_skipped = DropUnmatchableParts(
-          PreparedPredicate(spec.predicate, schema_), &parts);
+          PreparedPredicate(spec.predicate, core_.schema()), &parts);
       return std::unique_ptr<ScanCursor>(
-          new PartsCursor(&schema_, &scan_counters_, std::move(parts),
-                          segments_skipped, spec.branches, spec));
+          new PartsCursor(&core_.schema(), core_.scan_counters(),
+                          std::move(parts), segments_skipped, spec.branches,
+                          spec));
     }
     case ScanView::kDiff:
       return MakeDiffScanCursor(
-          schema_, spec, &scan_counters_, [&](const DiffRowSink& emit) {
+          core_.schema(), spec, core_.scan_counters(),
+          [&](const DiffRowSink& emit) {
             return DiffRows(spec.branch, spec.diff_base, emit);
           });
     case ScanView::kHeads:
@@ -813,29 +775,14 @@ Result<Record> VersionFirstEngine::Get(BranchId branch, int64_t pk) {
   // Point lookup through the branch's pk index (a tombstoned or absent
   // key is simply not in the map) — the old ancestry walk paid O(history)
   // page reads per Get, the cost §3.3 conceded to the bitmap engines.
-  std::shared_lock<std::shared_mutex> registry_lock(registry_mu_);
-  uint64_t loc;
-  {
-    std::lock_guard<std::mutex> stripe_lock(stripes_.ForBranch(branch));
-    if (head_seg_.count(branch) == 0) {
-      return Status::NotFound("version-first: unknown branch " +
-                              std::to_string(branch));
-    }
-    auto branch_it = pk_index_.find(branch);
-    const uint64_t* found = branch_it == pk_index_.end()
-                                ? nullptr
-                                : branch_it->second.Find(pk);
-    if (found == nullptr) {
-      return Status::NotFound("version-first: no record with pk " +
-                              std::to_string(pk));
-    }
-    loc = *found;
-  }
-  // Appended records are immutable; the read needs no lock.
+  // Appended records are immutable, but segments_ reallocates under
+  // CreateBranch, so the registry stays held across the read.
+  std::shared_lock<std::shared_mutex> registry_lock(core_.registry_mu());
+  DECIBEL_ASSIGN_OR_RETURN(const uint64_t loc, core_.Probe(branch, pk));
   std::string buf;
   DECIBEL_RETURN_NOT_OK(
       FetchRecord(PackedLoc::Seg(loc), PackedLoc::Idx(loc), &buf));
-  return Record(&schema_, Slice(buf));
+  return Record(&core_.schema(), Slice(buf));
 }
 
 // ------------------------------------------------------------ winner tables
@@ -872,11 +819,14 @@ Status VersionFirstEngine::BuildWinnerTables(
   // branch point backwards", §3.3 — we fold the intermediate tables into
   // one winner table per branch keyed by scan rank).
   for (const auto& [seg, bound] : union_bound) {
-    ReverseSegmentReader reader(segments_[seg]->file.get(), &schema_, bound);
+    ReverseSegmentReader reader(segments_[seg]->file.get(), &core_.schema(),
+                                bound);
     RecordRef rec;
     uint64_t idx;
     while (reader.Prev(&rec, &idx)) {
-      if (bytes_scanned != nullptr) *bytes_scanned += schema_.record_size();
+      if (bytes_scanned != nullptr) {
+        *bytes_scanned += core_.schema().record_size();
+      }
       const int64_t pk = rec.pk();
       for (size_t r = 0; r < roots.size(); ++r) {
         const uint32_t rank = per_root[r].rank[seg];
@@ -906,12 +856,13 @@ Status VersionFirstEngine::DiffRows(BranchId a, BranchId b,
   // Version-first diffs pay for full winner-table construction over both
   // ancestries ("the need to make multiple passes over the dataset to
   // identify the active records in both versions", §5.2).
-  std::shared_lock<std::shared_mutex> registry_lock(registry_mu_);
+  std::shared_lock<std::shared_mutex> registry_lock(core_.registry_mu());
+  for (BranchId x : {a, b}) DECIBEL_RETURN_NOT_OK(core_.CheckKnown(x));
   Root root_a, root_b;
   {
-    StripeLocks::MultiGuard stripe_locks(stripes_, {a, b});
-    DECIBEL_ASSIGN_OR_RETURN(root_a, RootForBranch(a));
-    DECIBEL_ASSIGN_OR_RETURN(root_b, RootForBranch(b));
+    StripeLocks::MultiGuard stripe_locks(core_.stripes(), {a, b});
+    root_a = RootForBranch(a);
+    root_b = RootForBranch(b);
   }
   std::vector<WinnerTable> tables;
   DECIBEL_RETURN_NOT_OK(BuildWinnerTables({root_a, root_b}, &tables, nullptr));
@@ -922,7 +873,7 @@ Status VersionFirstEngine::DiffRows(BranchId a, BranchId b,
     auto it = wb.find(pk);
     if (it != wb.end() && !it->second.tombstone) continue;
     DECIBEL_RETURN_NOT_OK(FetchRecord(winner.seg, winner.idx, &buf));
-    emit(RecordRef(&schema_, buf));
+    emit(RecordRef(&core_.schema(), buf));
   }
   return Status::OK();
 }
@@ -960,11 +911,11 @@ Status VersionFirstEngine::MergeWalk(CommitId left, CommitId right,
   // one early-exiting pass over base's scan order. This replaces the
   // former three full winner-table passes over the union ancestry — the
   // cost §5.4 showed version-first losing on.
-  std::shared_lock<std::shared_mutex> registry_lock(registry_mu_);
+  std::shared_lock<std::shared_mutex> registry_lock(core_.registry_mu());
   DECIBEL_ASSIGN_OR_RETURN(Root root_l, RootForCommit(left));
   DECIBEL_ASSIGN_OR_RETURN(Root root_r, RootForCommit(right));
   DECIBEL_ASSIGN_OR_RETURN(Root root_b, RootForCommit(base));
-  const uint32_t rs = schema_.record_size();
+  const uint32_t rs = core_.schema().record_size();
 
   // Per-root visibility bounds, seg -> bound (absent = invisible).
   std::unordered_map<uint32_t, uint64_t> coverage, vis_l, vis_r;
@@ -993,8 +944,8 @@ Status VersionFirstEngine::MergeWalk(CommitId left, CommitId right,
       auto cov = coverage.find(step.seg);
       const uint64_t lo = cov == coverage.end() ? 0 : cov->second;
       if (lo >= step.bound) continue;  // fully covered by base
-      ReverseSegmentReader reader(segments_[step.seg]->file.get(), &schema_,
-                                  step.bound);
+      ReverseSegmentReader reader(segments_[step.seg]->file.get(),
+                                  &core_.schema(), step.bound);
       RecordRef rec;
       uint64_t idx;
       while (reader.Prev(&rec, &idx)) {
@@ -1005,7 +956,7 @@ Status VersionFirstEngine::MergeWalk(CommitId left, CommitId right,
         if (done) continue;  // first suffix hit wins (fact 2)
         done = true;
         if (!rec.tombstone()) {
-          (is_left ? s.l : s.r).emplace(&schema_, rec.data());
+          (is_left ? s.l : s.r).emplace(&core_.schema(), rec.data());
         }
       }
       DECIBEL_RETURN_NOT_OK(reader.status());
@@ -1027,8 +978,8 @@ Status VersionFirstEngine::MergeWalk(CommitId left, CommitId right,
   };
   for (const ScanStep& step : ComputeScanOrder(root_b)) {
     if (unresolved == 0) break;
-    ReverseSegmentReader reader(segments_[step.seg]->file.get(), &schema_,
-                                step.bound);
+    ReverseSegmentReader reader(segments_[step.seg]->file.get(),
+                                &core_.schema(), step.bound);
     RecordRef rec;
     uint64_t idx;
     while (unresolved != 0 && reader.Prev(&rec, &idx)) {
@@ -1039,15 +990,15 @@ Status VersionFirstEngine::MergeWalk(CommitId left, CommitId right,
       if (s.b_done && s.l_done && s.r_done) continue;
       if (!s.b_done) {
         s.b_done = true;
-        if (!rec.tombstone()) s.b.emplace(&schema_, rec.data());
+        if (!rec.tombstone()) s.b.emplace(&core_.schema(), rec.data());
       }
       if (!s.l_done && visible(vis_l, step.seg, idx)) {
         s.l_done = true;
-        if (!rec.tombstone()) s.l.emplace(&schema_, rec.data());
+        if (!rec.tombstone()) s.l.emplace(&core_.schema(), rec.data());
       }
       if (!s.r_done && visible(vis_r, step.seg, idx)) {
         s.r_done = true;
-        if (!rec.tombstone()) s.r.emplace(&schema_, rec.data());
+        if (!rec.tombstone()) s.r.emplace(&core_.schema(), rec.data());
       }
       if (s.b_done && s.l_done && s.r_done) --unresolved;
     }
@@ -1079,34 +1030,16 @@ Status VersionFirstEngine::MergeWalk(CommitId left, CommitId right,
 // -------------------------------------------------------------------- stats
 
 EngineStats VersionFirstEngine::Stats() const {
-  EngineStats stats;
-  std::shared_lock<std::shared_mutex> registry_lock(registry_mu_);
-  for (const auto& segment : segments_) {
-    stats.data_bytes += segment->file->SizeBytes();
-    stats.num_records += segment->file->num_records();
-  }
-  stats.num_segments = segments_.size();
-  {
-    // The pk indexes are per-branch state guarded by the stripes.
-    StripeLocks::AllGuard stripe_locks(stripes_);
-    for (const auto& [branch, pks] : pk_index_) {
-      stats.index_memory_bytes += pks.MemoryBytes();
+  return core_.Stats([this](EngineStats* stats) {
+    for (const auto& segment : segments_) {
+      stats->data_bytes += segment->file->SizeBytes();
+      stats->num_records += segment->file->num_records();
     }
-  }
-  {
+    stats->num_segments = segments_.size();
     // Commits are (segment, offset) pairs — the whole registry is tiny.
     std::lock_guard<std::mutex> commit_lock(commit_mu_);
-    stats.commit_store_bytes = commits_.size() * 20;
-  }
-  stats.rows_scanned = scan_counters_.rows();
-  stats.bytes_scanned = scan_counters_.bytes();
-  stats.bytes_read = scan_counters_.bytes_read();
-  stats.segments_skipped = scan_counters_.segments_skipped();
-  stats.pages_skipped = scan_counters_.pages_skipped();
-  stats.pool_hits = pool_.hits();
-  stats.pool_misses = pool_.misses();
-  stats.pool_resident_bytes = pool_.resident_bytes();
-  return stats;
+    stats->commit_store_bytes = commits_.size() * 20;
+  });
 }
 
 }  // namespace decibel

@@ -22,12 +22,10 @@
 /// written by older layouts are still scanned correctly. See DESIGN.md.
 ///
 /// Concurrency: appends go to per-branch head segments, so writers on
-/// disjoint branches share no segment file and proceed in parallel. The
-/// lock hierarchy is registry_mu_ (the segments_ vector and head_seg_ map
-/// shape; writers take it shared, CreateBranch/Checkpoint — which grow
-/// the registry — take it unique) -> stripe locks (branch %
-/// kWriteStripes; the branch's head-segment tail) -> commit_mu_ (the
-/// commits_ map, a leaf). Cursors capture HeapFile pointers at open
+/// disjoint branches share no segment file and proceed in parallel under
+/// the lock order of branch_core.h. The registry lock also guards the
+/// segments_ vector and the head_seg_ map shape; a branch's stripe guards
+/// its head-segment tail. Cursors capture HeapFile pointers at open
 /// (Segment objects are stable; only the vector itself reallocates) plus
 /// per-segment bounds, so established scans stream without any lock and
 /// never observe a half-applied batch (HeapFile publishes num_records
@@ -36,27 +34,20 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "common/stripe_lock.h"
-#include "engine/engine.h"
-#include "engine/pk_index.h"
+#include "engine/branch_core.h"
 #include "engine/scan_util.h"
-#include "storage/buffer_pool.h"
 #include "storage/heap_file.h"
 
 namespace decibel {
 
 class VersionFirstEngine : public StorageEngine {
  public:
-  static Result<std::unique_ptr<VersionFirstEngine>> Make(
-      const Schema& schema, const EngineOptions& options);
-
   EngineType type() const override { return EngineType::kVersionFirst; }
-  const Schema& schema() const override { return schema_; }
+  const Schema& schema() const override { return core_.schema(); }
 
   Status CreateBranch(BranchId child, BranchId parent, CommitId base_commit,
                       bool at_head) override;
@@ -73,10 +64,16 @@ class VersionFirstEngine : public StorageEngine {
 
   Status Checkpoint(const std::string& tag, bool sync) override;
   Status RemoveCheckpoint(const std::string& tag) override;
-  void DropCaches() override { pool_.EvictAll(); }
+  void DropCaches() override { core_.DropCaches(); }
   EngineStats Stats() const override;
 
  private:
+  template <typename Engine>
+  friend Result<std::unique_ptr<StorageEngine>> OpenEngine(
+      const Schema& schema, const EngineOptions& options);
+  /// Version-first keeps no files outside options.directory.
+  static constexpr const char* kSubdir = nullptr;
+
   /// Visibility window into a parent segment: records [0, bound) of
   /// segment \p seg are inherited.
   struct ParentLink {
@@ -114,24 +111,18 @@ class VersionFirstEngine : public StorageEngine {
   using WinnerTable = std::unordered_map<int64_t, Winner>;
 
   VersionFirstEngine(const Schema& schema, const EngineOptions& options)
-      : schema_(schema),
-        options_(options),
-        pool_(options.buffer_pool_bytes),
-        stripes_(kWriteStripes) {}
+      : core_("version-first", schema, options) {}
 
   Status InitFresh();
   Status LoadExisting();
-  std::string MetaPath(const std::string& tag) const;
   std::string SegmentPath(uint32_t seg) const;
   /// Serializes the engine meta (schema, segment graph with per-segment
   /// checkpoint state, heads, commits). Caller holds the registry unique.
   std::string EncodeMeta();
   Result<uint32_t> NewSegment(BranchId owner, std::vector<ParentLink> parents);
-  /// Commit body; caller holds registry_mu_ (shared or unique). Takes
-  /// commit_mu_ internally for the commits_ write.
-  Status CommitImpl(BranchId branch, CommitId commit_id);
-  /// Caller holds registry_mu_ (shared or unique).
-  Result<Root> RootForBranch(BranchId branch) const;
+  /// The head root of a known branch. Caller holds the registry (shared
+  /// or unique) and, for a batch-aligned snapshot, the branch's stripe.
+  Root RootForBranch(BranchId branch) const;
   /// Takes commit_mu_ internally; safe without registry_mu_.
   Result<Root> RootForCommit(CommitId commit) const;
 
@@ -154,41 +145,20 @@ class VersionFirstEngine : public StorageEngine {
   /// lacks. NotFound when either branch is unknown.
   Status DiffRows(BranchId a, BranchId b, const DiffRowSink& emit);
 
-  /// Rebuilds \p branch's pk index from its ancestry (one winner-table
-  /// pass). Caller holds registry_mu_ unique.
+  /// Registers \p branch and builds its pk index from its ancestry (one
+  /// winner-table pass). Caller holds the registry unique.
   Status RebuildPkIndex(BranchId branch, const Root& root);
   /// Replaces \p idx's entries with \p table's live (non-tombstone)
   /// winners.
   static Status FillPkIndex(const WinnerTable& table, PkIndex* idx);
 
-  Schema schema_;
-  EngineOptions options_;
-  BufferPool pool_;
-  /// Lifetime scan-work totals (EngineStats::rows_scanned/bytes_scanned);
-  /// mutable so cursors over a const engine can flush into it.
-  mutable ScanCounters scan_counters_;
-
-  /// Shape of segments_ and head_seg_: ApplyBatch/Commit/scan-open take
-  /// it shared, CreateBranch/Merge/Checkpoint take it unique. Ordered before
-  /// the stripe locks.
-  mutable std::shared_mutex registry_mu_;
-  /// Per-branch write serialization (a branch's head-segment tail has a
-  /// single writer at a time); see file comment for the hierarchy.
-  mutable StripeLocks stripes_;
-  /// Leaf lock: the commits_ map. Never acquire another engine lock while
-  /// holding it.
+  BranchCore core_;
+  /// The lock-order leaf (branch_core.h): the commits_ map.
   mutable std::mutex commit_mu_;
 
   std::vector<std::unique_ptr<Segment>> segments_;
   std::unordered_map<BranchId, uint32_t> head_seg_;
   std::unordered_map<CommitId, Root> commits_;
-  /// pk -> PackedLoc (segment, record index) of the live version at each
-  /// branch head, making Get a point lookup instead of an ancestry walk
-  /// (the fix for §3.3's O(history) reads).
-  /// Memory-only: rebuilt on open from one multi-root winner-table pass.
-  /// A branch's entry is written under its stripe lock (ApplyBatch) or
-  /// the unique registry lock (CreateBranch, LoadExisting).
-  std::unordered_map<BranchId, PkIndex> pk_index_;
 
   class BranchScanCursor;
 };

@@ -256,6 +256,164 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, ConcurrentEngineTest,
                            }
                          });
 
+// ------------------------------------------- reads racing the write path
+
+struct EngineLayout {
+  EngineType engine;
+  BitmapOrientation orientation;
+  const char* name;
+};
+
+// Prints the name, not the raw bytes (a pointer), so test names are stable.
+void PrintTo(const EngineLayout& layout, std::ostream* os) {
+  *os << layout.name;
+}
+
+class ReadRaceTest : public ::testing::TestWithParam<EngineLayout> {};
+
+// Point reads, branch scans and Stats() race every operation that moves
+// the engines' branch state: one writer on master, one on a child, a
+// thread forking and retiring branches of master, and checkpoints. Every
+// row a reader sees must come from some applied state of its branch:
+// master writes round r as value r, the child as -r, and MakeRecord sets
+// every column to the value, so a torn or stray row shows.
+TEST_P(ReadRaceTest, ReadsSeeOnlyAppliedStatesUnderForksRetiresCheckpoints) {
+  ScratchDir dir("read_race");
+  const Schema schema = TestSchema(3);
+  DecibelOptions options;
+  options.engine = GetParam().engine;
+  options.orientation = GetParam().orientation;
+  options.lock_timeout_ms = 10000;
+  options.page_size = 4096;
+  auto db = Decibel::Open(dir.path(), schema, options).MoveValueUnsafe();
+
+  constexpr int64_t kKeys = 64;
+  constexpr int kRounds = 40;
+  for (int64_t pk = 0; pk < kKeys; ++pk) {
+    ASSERT_OK(db->InsertInto(kMasterBranch, MakeRecord(schema, pk, 0)));
+  }
+  ASSERT_TRUE(db->CommitBranch(kMasterBranch).ok());
+  Session s = db->NewSession();
+  ASSERT_OK_AND_ASSIGN(BranchId child, db->Branch("child", &s));
+
+  // Highest round each writer has started; a reader's row may be at most
+  // that far along (and at least 0 for master, at most 0 for the child).
+  std::atomic<int> master_round{0}, child_round{0};
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+
+  // Checks one row of \p branch; inserted keys (pk >= kKeys) carry the
+  // round they were inserted in, so the same bounds hold for them.
+  auto check_row = [&](BranchId branch, const RecordRef& rec) {
+    const int32_t v = rec.GetInt32(1);
+    bool ok = rec.GetInt32(2) == v && rec.GetInt32(3) == v;
+    if (branch == kMasterBranch) {
+      ok = ok && v >= 0 && v <= master_round.load();
+    } else {
+      ok = ok && v <= 0 && v >= -child_round.load();
+    }
+    if (!ok) {
+      ADD_FAILURE() << "branch " << branch << " pk " << rec.pk()
+                    << " holds " << v << "/" << rec.GetInt32(2) << "/"
+                    << rec.GetInt32(3);
+      failures.fetch_add(1);
+    }
+  };
+
+  auto write = [&](BranchId branch, std::atomic<int>* round, int sign) {
+    for (int r = 1; r <= kRounds; ++r) {
+      round->store(r);
+      for (int64_t pk = r % 4; pk < kKeys; pk += 4) {
+        ASSERT_OK(db->UpdateIn(branch, MakeRecord(schema, pk, sign * r)));
+      }
+      ASSERT_OK(db->InsertInto(
+          branch, MakeRecord(schema, kKeys + 100 * (sign > 0) + r, sign * r)));
+      ASSERT_TRUE(db->CommitBranch(branch).ok());
+    }
+  };
+
+  std::thread master_writer([&] { write(kMasterBranch, &master_round, 1); });
+  std::thread child_writer([&] { write(child, &child_round, -1); });
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    Session fork = db->NewSession();
+    // Bounded: every hybrid fork rolls master's head into a new file.
+    for (int i = 0; !done.load() && i < 150; ++i) {
+      ASSERT_OK(db->Use(&fork, kMasterBranch));
+      ASSERT_OK_AND_ASSIGN(BranchId tmp,
+                           db->Branch("tmp" + std::to_string(i), &fork));
+      ASSERT_OK(db->RetireBranch(tmp));
+    }
+  });
+  threads.emplace_back([&] {
+    while (!done.load()) {
+      ASSERT_OK(db->CheckpointNow());
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  });
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      uint64_t seed = 0x9e3779b97f4a7c15ull * (t + 1);
+      while (!done.load() && failures.load() == 0) {
+        seed = seed * 6364136223846793005ull + 1442695040888963407ull;
+        const BranchId branch = (seed >> 40) % 2 == 0 ? kMasterBranch : child;
+        const int64_t pk = static_cast<int64_t>((seed >> 20) % kKeys);
+        auto got = db->Get(branch, pk);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        ASSERT_EQ(got.value().pk(), pk);
+        check_row(branch, got.value().ref());
+        if ((seed >> 33) % 8 == 0) {
+          auto cursor = db->NewScan(ScanSpec::Branch(branch));
+          ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+          ScanRow row;
+          size_t rows = 0;
+          while ((*cursor)->Next(&row)) {
+            check_row(branch, row.record);
+            ++rows;
+          }
+          ASSERT_OK((*cursor)->status());
+          EXPECT_GE(rows, static_cast<size_t>(kKeys));
+        }
+        if ((seed >> 36) % 16 == 0) {
+          const DecibelStats stats = db->Stats();
+          EXPECT_GE(stats.engine.num_records, static_cast<uint64_t>(kKeys));
+        }
+      }
+    });
+  }
+  master_writer.join();
+  child_writer.join();
+  done.store(true);
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  // Both writers' last rounds landed, on their own branch only: key pk
+  // was last written in the latest round r == pk (mod 4).
+  auto master_rows = CollectBranch(db.get(), kMasterBranch);
+  auto child_rows = CollectBranch(db.get(), child);
+  EXPECT_EQ(master_rows.size(), static_cast<size_t>(kKeys + kRounds));
+  EXPECT_EQ(child_rows.size(), static_cast<size_t>(kKeys + kRounds));
+  for (int64_t pk = 0; pk < kKeys; ++pk) {
+    const int last = kRounds - static_cast<int>((kRounds - pk % 4) % 4);
+    EXPECT_EQ(master_rows[pk], last) << "master pk " << pk;
+    EXPECT_EQ(child_rows[pk], -last) << "child pk " << pk;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EngineLayouts, ReadRaceTest,
+    ::testing::Values(
+        EngineLayout{EngineType::kTupleFirst,
+                     BitmapOrientation::kBranchOriented, "TupleFirst"},
+        EngineLayout{EngineType::kTupleFirst,
+                     BitmapOrientation::kTupleOriented,
+                     "TupleFirstTupleOriented"},
+        EngineLayout{EngineType::kVersionFirst,
+                     BitmapOrientation::kBranchOriented, "VersionFirst"},
+        EngineLayout{EngineType::kHybrid, BitmapOrientation::kBranchOriented,
+                     "Hybrid"}),
+    [](const auto& info) { return std::string(info.param.name); });
+
 // ------------------------------------------------- LockManager FIFO order
 
 /// Spins until \p locks reports \p n waiters on \p branch (bounded).

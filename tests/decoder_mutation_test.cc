@@ -16,6 +16,7 @@
 
 #include "bitmap/bitmap.h"
 #include "bitmap/bitmap_index.h"
+#include "bitmap/commit_history.h"
 #include "columnar/page_codec.h"
 #include "columnar/zone_map.h"
 #include "common/coding.h"
@@ -455,6 +456,61 @@ TEST(DecoderMutationTest, Manifest) {
     return read(sealed);
   };
   MutateAndDecode(53, bodies, read_sealed, kFileMutations);
+}
+
+TEST(DecoderMutationTest, CommitHistory) {
+  ScratchDir dir("decoder_history");
+  // Two histories over a universe of kUniverse records: a long one (its
+  // composite records included) and a short one, as splice partners.
+  constexpr uint64_t kUniverse = 5000;
+  std::vector<std::string> corpus;
+  Random rng(6);
+  for (int commits : {2 * static_cast<int>(CommitHistory::kCompositeEvery) + 3,
+                      3}) {
+    const std::string path =
+        JoinPath(dir.path(), "h" + std::to_string(commits) + ".hist");
+    ASSERT_OK_AND_ASSIGN(auto history, CommitHistory::Create(path));
+    Bitmap bits;
+    for (int c = 1; c <= commits; ++c) {
+      for (int i = 0; i < 40; ++i) bits.SetTo(rng.Uniform(kUniverse), i % 3);
+      ASSERT_OK(history->AppendCommit(c, bits));
+    }
+    ASSERT_OK_AND_ASSIGN(corpus.emplace_back(), ReadFileToString(path));
+  }
+
+  // A record header's nbits sits outside its CRC: a huge one must fail
+  // the checkout, not size an allocation.
+  {
+    Slice in(corpus[1]);
+    in.RemovePrefix(1);  // layer
+    uint64_t seq, nbits, len;
+    ASSERT_TRUE(GetVarint64(&in, &seq) && GetVarint64(&in, &nbits) &&
+                GetVarint64(&in, &len));
+    std::string forged(1, corpus[1][0]);
+    PutVarint64(&forged, seq);
+    PutVarint64(&forged, uint64_t{1} << 62);
+    PutVarint64(&forged, len);
+    forged.append(in.data(), in.size());
+    const std::string path = JoinPath(dir.path(), "forged.hist");
+    ASSERT_OK(WriteStringToFile(path, forged));
+    ASSERT_OK_AND_ASSIGN(auto history, CommitHistory::Open(path));
+    EXPECT_TRUE(history->Checkout(seq, kUniverse).status().IsCorruption());
+  }
+
+  const std::string path = JoinPath(dir.path(), "mutated.hist");
+  auto open_and_checkout = [&](const std::string& bytes) {
+    EXPECT_OK(WriteStringToFile(path, bytes));
+    auto history = CommitHistory::Open(path);
+    if (!history.ok()) return false;
+    for (uint64_t seq = 0; seq <= 40; seq += 3) {
+      auto bits = (*history)->Checkout(seq, kUniverse);
+      if (bits.ok()) {
+        EXPECT_LE(bits->size(), kUniverse);
+      }
+    }
+    return true;
+  };
+  MutateAndDecode(61, corpus, open_and_checkout, kFileMutations);
 }
 
 // ----------------------------------------------------------------- VQuel

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/decibel.h"
+#include "engine/engine.h"
 #include "test_util.h"
 
 namespace decibel {
@@ -675,6 +676,91 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, EngineTest,
                                           std::string("version-first")
                                       ? "VersionFirst"
                                       : "Hybrid";
+                         });
+
+// ------------------------------------------------ engine-level contract
+
+/// The paths under \p dir, recursively; empty when \p dir is a file.
+std::set<std::string> ListTree(const std::string& dir) {
+  std::set<std::string> out;
+  auto names = ListDir(dir);
+  if (!names.ok()) return out;
+  for (const std::string& name : names.value()) {
+    if (name == "." || name == "..") continue;
+    const std::string path = JoinPath(dir, name);
+    out.insert(path);
+    for (const std::string& inner : ListTree(path)) out.insert(inner);
+  }
+  return out;
+}
+
+/// Drives the engines directly (MakeEngine), below the facade's graph
+/// checks, so every engine must reject an unknown branch itself.
+class EngineContractTest : public ::testing::TestWithParam<EngineType> {};
+
+TEST_P(EngineContractTest, UnknownBranchIsNotFoundAndWritesNothing) {
+  ScratchDir dir("contract");
+  const Schema schema = TestSchema(3);
+  EngineOptions options;
+  options.directory = JoinPath(dir.path(), "engine");
+  options.page_size = 4096;
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<StorageEngine> engine,
+                       MakeEngine(GetParam(), schema, options));
+  WriteBatch batch(&schema);
+  batch.Insert(MakeRecord(schema, 1, 1));
+  ASSERT_OK(engine->ApplyBatch(kMasterBranch, batch));
+  constexpr CommitId kBase = 1;
+  ASSERT_OK(engine->Commit(kMasterBranch, kBase));
+  const std::set<std::string> before = ListTree(options.directory);
+  ASSERT_FALSE(before.empty());
+
+  constexpr BranchId kUnknown = 999;
+  auto expect_not_found = [](const Status& s, const std::string& what) {
+    EXPECT_TRUE(s.IsNotFound()) << what << ": " << s.ToString();
+  };
+  expect_not_found(engine->Get(kUnknown, 1).status(), "Get");
+  expect_not_found(engine->ApplyBatch(kUnknown, batch), "ApplyBatch");
+  expect_not_found(engine->Commit(kUnknown, kBase + 1), "Commit");
+  expect_not_found(engine->CreateBranch(7, 998, kBase, /*at_head=*/true),
+                   "CreateBranch at head");
+  expect_not_found(engine->CreateBranch(8, 998, kBase, /*at_head=*/false),
+                   "CreateBranch historical");
+  expect_not_found(engine->NewScan(ScanSpec::Branch(kUnknown)).status(),
+                   "branch scan");
+  expect_not_found(
+      engine->NewScan(ScanSpec::Multi({kMasterBranch, kUnknown})).status(),
+      "multi scan");
+  expect_not_found(
+      engine->NewScan(ScanSpec::Diff(kMasterBranch, kUnknown)).status(),
+      "diff scan");
+  expect_not_found(
+      engine->NewScan(ScanSpec::Diff(kUnknown, kMasterBranch)).status(),
+      "diff scan, unknown side first");
+  EXPECT_OK(engine->ReleaseBranch(kUnknown));
+
+  EXPECT_EQ(ListTree(options.directory), before);
+  // No rejected call registered a branch, and master is untouched.
+  for (BranchId b : {BranchId{7}, BranchId{8}, BranchId{998}}) {
+    expect_not_found(engine->NewScan(ScanSpec::Branch(b)).status(),
+                     "branch " + std::to_string(b));
+  }
+  ASSERT_OK_AND_ASSIGN(Record row, engine->Get(kMasterBranch, 1));
+  EXPECT_EQ(row.ref().GetInt32(1), 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllEngines, EngineContractTest,
+                         ::testing::Values(EngineType::kTupleFirst,
+                                           EngineType::kVersionFirst,
+                                           EngineType::kHybrid),
+                         [](const auto& info) {
+                           switch (info.param) {
+                             case EngineType::kTupleFirst:
+                               return "TupleFirst";
+                             case EngineType::kVersionFirst:
+                               return "VersionFirst";
+                             default:
+                               return "Hybrid";
+                           }
                          });
 
 }  // namespace
