@@ -26,7 +26,10 @@ class BitmapScanner {
  public:
   /// \p bits must outlive the scanner.
   BitmapScanner(HeapFile* heap, const Schema* schema, const Bitmap* bits)
-      : heap_(heap), schema_(schema), bits_(bits) {}
+      : heap_(heap),
+        schema_(schema),
+        bits_(bits),
+        record_size_(heap->record_size()) {}
 
   /// Turns on zone-map page skipping: pages whose zone maps rule out
   /// \p predicate (or whose compressed strips prove zero matches) are
@@ -42,15 +45,17 @@ class BitmapScanner {
   }
 
   /// Advances to the next selected record. Returns false at end or error.
+  /// Inside the pinned page a record is an offset from the page's first
+  /// index; only a record outside it costs a division, to find its page.
   bool Next(RecordRef* out, uint64_t* index) {
     if (!status_.ok()) return false;
     const uint64_t limit = heap_->num_records();
-    const uint64_t rpp = heap_->records_per_page();
     for (;;) {
       const uint64_t next = bits_->NextSet(pos_);
       if (next == UINT64_MAX || next >= limit) return false;
-      const uint64_t page_no = next / rpp;
-      if (page_no != pinned_page_no_) {
+      if (next < page_begin_ || next >= page_end_) {
+        const uint64_t rpp = heap_->records_per_page();
+        const uint64_t page_no = next / rpp;
         bool skip = predicate_ != nullptr &&
                     !heap_->PageMayMatch(page_no, *predicate_);
         if (!skip) {
@@ -62,7 +67,8 @@ class BitmapScanner {
           if (stats_ != nullptr) stats_->bytes_read += page.value().io_bytes;
           if (!skip) {
             page_ = std::move(page).MoveValueUnsafe();
-            pinned_page_no_ = page_no;
+            page_begin_ = page_no * rpp;
+            page_end_ = page_begin_ + page_.count;
           }
         }
         if (skip) {
@@ -70,13 +76,19 @@ class BitmapScanner {
           pos_ = (page_no + 1) * rpp;
           continue;
         }
+        if (next >= page_end_) {
+          // A set bit names a record the pinned page does not hold.
+          status_ = Status::Corruption("bitmap scan: record " +
+                                       std::to_string(next) +
+                                       " beyond its page in " + heap_->path());
+          return false;
+        }
       }
       pos_ = next + 1;
-      const uint64_t slot = next % rpp;
       *out = RecordRef(
           schema_,
-          Slice(page_.payload + slot * heap_->record_size(),
-                heap_->record_size()));
+          Slice(page_.payload + (next - page_begin_) * record_size_,
+                record_size_));
       if (index != nullptr) *index = next;
       return true;
     }
@@ -90,9 +102,11 @@ class BitmapScanner {
   const Bitmap* bits_;
   const PreparedPredicate* predicate_ = nullptr;
   ScanStats* stats_ = nullptr;
+  const uint64_t record_size_;
   uint64_t pos_ = 0;
   HeapFile::PinnedPage page_;
-  uint64_t pinned_page_no_ = UINT64_MAX;
+  uint64_t page_begin_ = 0;  // [page_begin_, page_end_): page_'s records
+  uint64_t page_end_ = 0;
   Status status_;
 };
 

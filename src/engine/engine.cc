@@ -12,38 +12,43 @@ namespace decibel {
 
 namespace {
 
-/// A cursor over the rows MakeDiffScanCursor copied in up front.
+/// A cursor over the rows MakeDiffScanCursor copied in up front, stored
+/// back to back in one arena.
 class BufferedCursor : public ScanCursor {
  public:
   BufferedCursor(const Schema* schema, ScanCounters* counters)
-      : schema_(schema), counters_(counters) {}
+      : schema_(schema),
+        counters_(counters),
+        record_size_(schema->record_size()) {}
   ~BufferedCursor() override { counters_->Add(stats_); }
 
   /// Copies \p record: whole when \p projection is empty, otherwise
   /// only the header, the primary key and the projected columns.
   void AddRow(Slice record, const std::vector<size_t>& projection) {
+    ++rows_;
     if (projection.empty()) {
-      rows_.push_back(record.ToString());
+      arena_.append(record.data(), record_size_);
       return;
     }
-    std::string buf(schema_->record_size(), '\0');
-    buf[0] = record[0];
+    const size_t at = arena_.size();
+    arena_.resize(at + record_size_, '\0');
+    char* row = arena_.data() + at;
+    row[0] = record[0];
     auto copy_column = [&](size_t col) {
-      memcpy(buf.data() + schema_->offset(col),
-             record.data() + schema_->offset(col),
+      memcpy(row + schema_->offset(col), record.data() + schema_->offset(col),
              schema_->column(col).width);
     };
     copy_column(0);  // identity travels with every row
     for (size_t col : projection) copy_column(col);
-    rows_.push_back(std::move(buf));
   }
 
-  size_t buffered() const { return rows_.size(); }
+  size_t buffered() const { return rows_; }
   ScanStats* mutable_stats() { return &stats_; }
 
   bool Next(ScanRow* out) override {
-    if (next_ >= rows_.size()) return false;
-    out->record = RecordRef(schema_, Slice(rows_[next_]));
+    if (next_ >= rows_) return false;
+    out->record = RecordRef(
+        schema_, Slice(arena_.data() + next_ * record_size_, record_size_));
     out->branches = nullptr;
     ++next_;
     ++stats_.rows_emitted;
@@ -55,7 +60,9 @@ class BufferedCursor : public ScanCursor {
  private:
   const Schema* schema_;
   ScanCounters* counters_;
-  std::vector<std::string> rows_;
+  const size_t record_size_;
+  std::string arena_;  // rows_ records of record_size_ bytes
+  size_t rows_ = 0;
   size_t next_ = 0;
   ScanStats stats_;
   Status status_;  // always OK: a failed walk fails MakeDiffScanCursor

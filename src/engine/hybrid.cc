@@ -738,9 +738,9 @@ Result<Record> HybridEngine::Get(BranchId branch, int64_t pk) {
 
 Status HybridEngine::DiffRows(BranchId a, BranchId b,
                               const DiffRowSink& emit) {
-  // Materialize both sides' per-segment deltas under the two branches'
-  // stripes (ascending order via MultiGuard), then scan the snapshot
-  // with the stripes released.
+  // Compute both sides' per-segment deltas from the columns in place,
+  // under the two branches' stripes (ascending order via MultiGuard),
+  // then scan the snapshot with the stripes released.
   std::shared_lock<std::shared_mutex> registry_lock(core_.registry_mu());
   for (BranchId x : {a, b}) DECIBEL_RETURN_NOT_OK(core_.CheckKnown(x));
   struct SegDiff {
@@ -756,13 +756,16 @@ Status HybridEngine::DiffRows(BranchId a, BranchId b,
       auto it = branch_segments_.find(x);
       if (it != branch_segments_.end()) segs.OrWith(it->second);
     }
+    const Bitmap empty;
     segs.ForEachSet([&](uint64_t seg) {
       SegDiff d;
       d.file = segments_[seg]->file.get();
-      const Bitmap la = segments_[seg]->local.MaterializeBranch(a);
-      const Bitmap lb = segments_[seg]->local.MaterializeBranch(b);
-      d.only_a = Bitmap::AndNot(la, lb);
-      d.both = Bitmap::Xor(la, lb);
+      const Bitmap* la = segments_[seg]->local.BranchView(a);
+      const Bitmap* lb = segments_[seg]->local.BranchView(b);
+      if (la == nullptr) la = &empty;
+      if (lb == nullptr) lb = &empty;
+      d.only_a = Bitmap::AndNot(*la, *lb);
+      d.both = Bitmap::Xor(*la, *lb);
       seg_diffs.push_back(std::move(d));
     });
   }

@@ -22,7 +22,8 @@ enum PageMode : uint8_t {
 };
 
 /// Reads one segment's records [0, bound) newest-to-oldest, pinning one
-/// page at a time.
+/// page at a time and stepping through it by offset (a division only to
+/// find the next page).
 class ReverseSegmentReader {
  public:
   ReverseSegmentReader(HeapFile* file, const Schema* schema, uint64_t bound)
@@ -47,11 +48,11 @@ class ReverseSegmentReader {
   /// on error.
   bool Prev(RecordRef* out, uint64_t* index) {
     if (!status_.ok()) return false;
-    const uint64_t rpp = file_->records_per_page();
     while (next_ != 0) {
       const uint64_t idx = next_ - 1;
-      const uint64_t page_no = idx / rpp;
-      if (page_no != pinned_page_no_) {
+      if (idx < page_begin_ || idx >= page_end_) {
+        const uint64_t rpp = file_->records_per_page();
+        const uint64_t page_no = idx / rpp;
         const uint8_t mode = modes_ != nullptr && page_no < modes_->size()
                                  ? (*modes_)[page_no]
                                  : static_cast<uint8_t>(kScanPage);
@@ -75,13 +76,20 @@ class ReverseSegmentReader {
           continue;
         }
         page_ = std::move(page).MoveValueUnsafe();
-        pinned_page_no_ = page_no;
+        page_begin_ = page_no * rpp;
+        page_end_ = page_begin_ + page_.count;
+        if (idx >= page_end_) {
+          status_ = Status::Corruption("version-first: record " +
+                                       std::to_string(idx) +
+                                       " beyond its page in " + file_->path());
+          return false;
+        }
       }
       next_ = idx;
-      const uint64_t slot = idx % rpp;
-      *out = RecordRef(schema_,
-                       Slice(page_.payload + slot * file_->record_size(),
-                             file_->record_size()));
+      *out = RecordRef(
+          schema_,
+          Slice(page_.payload + (idx - page_begin_) * file_->record_size(),
+                file_->record_size()));
       if (index != nullptr) *index = idx;
       return true;
     }
@@ -98,7 +106,8 @@ class ReverseSegmentReader {
   ScanStats* stats_ = nullptr;
   uint64_t next_;
   HeapFile::PinnedPage page_;
-  uint64_t pinned_page_no_ = UINT64_MAX;
+  uint64_t page_begin_ = 0;  // [page_begin_, page_end_): page_'s records
+  uint64_t page_end_ = 0;
   Status status_;
 };
 

@@ -19,7 +19,7 @@ Result<PageRef> BufferPool::GetPage(uint64_t file_id, uint64_t page_no,
   }
   // Load outside the lock; concurrent loads of the same page are rare and
   // benign (first insert wins, both readers get valid pages).
-  auto page = std::make_shared<std::string>();
+  std::shared_ptr<std::string> page = NewFrame();
   DECIBEL_RETURN_NOT_OK(source->ReadPageFromDisk(page_no, page.get()));
   PageRef ref = std::move(page);
   {
@@ -28,6 +28,16 @@ Result<PageRef> BufferPool::GetPage(uint64_t file_id, uint64_t page_no,
     if (inserted) AdmitLocked(it->second, key, ref);
   }
   return ref;
+}
+
+std::shared_ptr<std::string> BufferPool::NewFrame() {
+  std::string* frame =
+      spare_->frame.exchange(nullptr, std::memory_order_acq_rel);
+  if (frame == nullptr) frame = new std::string;
+  return std::shared_ptr<std::string>(
+      frame, [spare = spare_](std::string* released) {
+        delete spare->frame.exchange(released, std::memory_order_acq_rel);
+      });
 }
 
 PageRef BufferPool::Peek(uint64_t file_id, uint64_t page_no) {

@@ -21,8 +21,12 @@
 /// pool keeps the protected share resident across laps. The split is
 /// fixed, like 2Q's recommended 25% admission queue.
 ///
-/// Pages are handed out as shared_ptr<const string>; a reader holding a
-/// page keeps it alive even if the pool evicts it concurrently.
+/// Pages are handed out as PageRefs that share the pool's own buffer; a
+/// reader holding a page keeps it alive even if the pool evicts it
+/// concurrently. A page the pool loads lives in a frame it hands out
+/// (NewFrame): when the last reference to an evicted page drops, its
+/// buffer is parked as the pool's one spare frame, and the next load
+/// reads into it instead of allocating and zero-filling a new one.
 
 #include <atomic>
 #include <cstdint>
@@ -43,14 +47,17 @@ using PageRef = std::shared_ptr<const std::string>;
 class PageSource {
  public:
   virtual ~PageSource() = default;
-  /// Reads page \p page_no into \p out (exactly page-size bytes).
+  /// Reads page \p page_no into \p out (exactly page-size bytes),
+  /// replacing whatever \p out holds: it may be a recycled frame.
   virtual Status ReadPageFromDisk(uint64_t page_no, std::string* out) = 0;
 };
 
 class BufferPool {
  public:
   /// \p capacity_bytes caps resident page bytes (at least one page is
-  /// always admitted).
+  /// always admitted). Outside the cap sit the pages readers still hold
+  /// after eviction and at most one spare frame: the buffer of the last
+  /// evicted page whose final reference dropped, kept for the next load.
   explicit BufferPool(uint64_t capacity_bytes)
       : capacity_bytes_(capacity_bytes),
         protected_cap_bytes_(capacity_bytes -
@@ -69,6 +76,16 @@ class BufferPool {
   /// serve itself from compressed stored bytes check for an
   /// already-decoded copy first.
   PageRef Peek(uint64_t file_id, uint64_t page_no);
+
+  /// A buffer to load a page into: the spare frame if one is parked,
+  /// otherwise a new empty string. Its contents are stale; the loader
+  /// overwrites them (a resize to the page's length only shrinks a
+  /// recycled frame). When the last reference to the returned buffer
+  /// drops, the buffer becomes the spare frame, replacing (and freeing)
+  /// any spare already parked. Recycling happens in that deleter, after
+  /// shared_ptr's final acq_rel decrement, so it is ordered after every
+  /// holder's last read — a use_count() check at eviction would not be.
+  std::shared_ptr<std::string> NewFrame();
 
   /// Caches an already-materialized page (e.g. one the caller decoded
   /// from compressed stored bytes). A page already cached under the key
@@ -116,6 +133,13 @@ class BufferPool {
     bool is_protected = false;
   };
 
+  /// The parked spare frame. Shared with every frame's deleter, so frames
+  /// released after the pool is gone still have somewhere to go.
+  struct SpareFrame {
+    std::atomic<std::string*> frame{nullptr};
+    ~SpareFrame() { delete frame.load(std::memory_order_acquire); }
+  };
+
   /// Records a hit on \p e: promotes a probation page, refreshes a
   /// protected one.
   void TouchLocked(Entry& e);
@@ -126,6 +150,7 @@ class BufferPool {
 
   const uint64_t capacity_bytes_;
   const uint64_t protected_cap_bytes_;
+  const std::shared_ptr<SpareFrame> spare_ = std::make_shared<SpareFrame>();
   std::mutex mu_;
   std::unordered_map<Key, Entry, KeyHash> pages_;
   std::list<Key> probation_;  // front = most recent

@@ -166,8 +166,8 @@ Result<std::unique_ptr<HeapFile>> HeapFile::Open(const std::string& path,
                                   path);
       }
       file->sealed_pages_ = num_pages - 1;
-      file->tail_.assign(last.data() + kPageHeaderSize,
-                         count * record_size);
+      file->tail_->assign(last.data() + kPageHeaderSize,
+                          count * record_size);
       file->tail_count_ = count;
     } else if (short_slot > 0) {
       // Full pages are read back by whole slot; a short one was cut.
@@ -288,9 +288,7 @@ Result<uint64_t> HeapFile::Append(Slice record) {
   {
     std::lock_guard<std::mutex> lock(tail_mu_);
     index = num_records_.load();
-    tail_.append(record.data(), record.size());
-    ++tail_count_;
-    tail_dirty_ = true;
+    AppendToTailLocked(record.data(), 1);
     page_full = tail_count_ == records_per_page_;
   }
   FoldTailRecords(record.data(), 1);
@@ -299,6 +297,24 @@ Result<uint64_t> HeapFile::Append(Slice record) {
     DECIBEL_RETURN_NOT_OK(SealTailPage());
   }
   return index;
+}
+
+void HeapFile::AppendToTailLocked(const char* records, uint64_t count) {
+  const uint64_t bytes = count * record_size_;
+  if (tail_->size() + bytes > tail_->capacity()) {
+    auto grown = std::make_shared<std::string>();
+    grown->reserve(std::max<uint64_t>(
+        std::min<uint64_t>(2 * tail_->capacity(),
+                           records_per_page_ * record_size_),
+        tail_->size() + bytes));
+    grown->append(*tail_);
+    tail_ = std::move(grown);
+  }
+  // Within the capacity, append writes past every pinned prefix and
+  // never reallocates.
+  tail_->append(records, bytes);
+  tail_count_ += static_cast<uint32_t>(count);
+  tail_dirty_ = true;
 }
 
 void HeapFile::FoldTailRecords(const char* records, uint64_t count) {
@@ -335,7 +351,11 @@ Status HeapFile::SealTailPage() {
     AppendPageStatsLocked(std::move(ps));
   }
   std::lock_guard<std::mutex> lock(tail_mu_);
-  tail_.clear();
+  // Pins of the sealed page keep the old buffer; the next page starts in
+  // a fresh one of the same capacity, so it never regrows.
+  auto fresh = std::make_shared<std::string>();
+  fresh->reserve(tail_->capacity());
+  tail_ = std::move(fresh);
   tail_count_ = 0;
   tail_dirty_ = false;
   ++sealed_pages_;
@@ -419,9 +439,7 @@ Result<uint64_t> HeapFile::AppendBatch(Slice records, uint64_t count) {
       std::lock_guard<std::mutex> lock(tail_mu_);
       const uint64_t space = records_per_page_ - tail_count_;
       take = std::min(space, remaining);
-      tail_.append(records.data() + offset, take * record_size_);
-      tail_count_ += static_cast<uint32_t>(take);
-      tail_dirty_ = true;
+      AppendToTailLocked(records.data() + offset, take);
       page_full = tail_count_ == records_per_page_;
     }
     FoldTailRecords(records.data() + offset, take);
@@ -444,12 +462,13 @@ Status HeapFile::WriteTailPage() {
   {
     std::lock_guard<std::mutex> lock(tail_mu_);
     full = tail_count_ == records_per_page_;
-    page.reserve(full ? options_.page_size : kPageHeaderSize + tail_.size());
+    const Slice payload(*tail_);
+    page.reserve(full ? options_.page_size : kPageHeaderSize + payload.size());
     page.resize(kPageHeaderSize);
-    EncodePageHeader(page.data(), tail_count_, MaskCrc(Crc32(Slice(tail_))),
+    EncodePageHeader(page.data(), tail_count_, MaskCrc(Crc32(payload)),
                      columnar::PageFormat::kRaw,
-                     static_cast<uint32_t>(tail_.size()));
-    page.append(tail_);
+                     static_cast<uint32_t>(payload.size()));
+    page.append(payload.data(), payload.size());
   }
   if (full) page.resize(options_.page_size, '\0');
   return writer_->WriteAt(PageOffset(sealed_pages_), page);
@@ -476,7 +495,7 @@ HeapFile::CheckpointState HeapFile::GetCheckpointState() const {
   std::lock_guard<std::mutex> lock(tail_mu_);
   CheckpointState s;
   s.num_records = sealed_pages_ * records_per_page_ + tail_count_;
-  s.tail_crc = tail_count_ > 0 ? Crc32(Slice(tail_)) : 0;
+  s.tail_crc = tail_count_ > 0 ? Crc32(Slice(*tail_)) : 0;
   return s;
 }
 
@@ -498,12 +517,14 @@ Status HeapFile::ReleaseFileHandles() {
   return Status::OK();
 }
 
-bool HeapFile::SnapshotTailIfCurrent(uint64_t page_no, std::string* out,
-                                     uint32_t* count) const {
+bool HeapFile::SnapshotTailIfCurrent(uint64_t page_no,
+                                     PinnedPage* out) const {
   std::lock_guard<std::mutex> lock(tail_mu_);
   if (page_no < sealed_pages_) return false;
-  *out = tail_;
-  *count = tail_count_;
+  out->pin = tail_;
+  out->payload = tail_->data();
+  out->count = tail_count_;
+  out->io_bytes = static_cast<uint64_t>(tail_count_) * record_size_;
   return true;
 }
 
@@ -622,7 +643,7 @@ Status HeapFile::Get(uint64_t index, std::string* out) {
                                   std::to_string(index) +
                                   " beyond tail in " + path_);
       }
-      out->assign(tail_.data() + slot * record_size_, record_size_);
+      out->assign(tail_->data() + slot * record_size_, record_size_);
       return Status::OK();
     }
   }
@@ -635,13 +656,7 @@ Status HeapFile::Get(uint64_t index, std::string* out) {
 
 Result<HeapFile::PinnedPage> HeapFile::PinPage(uint64_t page_no) {
   PinnedPage out;
-  uint32_t count;
-  if (SnapshotTailIfCurrent(page_no, &out.tail, &count)) {
-    out.payload = out.tail.data();
-    out.count = count;
-    out.io_bytes = out.tail.size();
-    return out;
-  }
+  if (SnapshotTailIfCurrent(page_no, &out)) return out;
   DECIBEL_ASSIGN_OR_RETURN(out.pin,
                            pool_->GetPage(file_id_, page_no, this));
   out.payload = out.pin->data() + kPageHeaderSize;
@@ -654,13 +669,7 @@ Result<HeapFile::PinnedPage> HeapFile::PinPageCounted(
     uint64_t page_no, const PreparedPredicate* predicate, bool* no_matches) {
   *no_matches = false;
   PinnedPage out;
-  uint32_t count;
-  if (SnapshotTailIfCurrent(page_no, &out.tail, &count)) {
-    out.payload = out.tail.data();
-    out.count = count;
-    out.io_bytes = out.tail.size();
-    return out;
-  }
+  if (SnapshotTailIfCurrent(page_no, &out)) return out;
   if (PageRef cached = pool_->Peek(file_id_, page_no)) {
     out.pin = std::move(cached);
     out.payload = out.pin->data() + kPageHeaderSize;
@@ -669,7 +678,7 @@ Result<HeapFile::PinnedPage> HeapFile::PinPageCounted(
     return out;
   }
   PageHeader header;
-  auto page = std::make_shared<std::string>();
+  std::shared_ptr<std::string> page = pool_->NewFrame();
   DECIBEL_RETURN_NOT_OK(ReadStoredPage(page_no, page.get(), &header));
   out.io_bytes = kPageHeaderSize + header.stored_len;
   if (predicate != nullptr && stats_enabled() &&
@@ -701,7 +710,9 @@ Result<HeapFile::PinnedPage> HeapFile::PinPageCounted(
 uint64_t HeapFile::SizeBytes() const {
   std::lock_guard<std::mutex> lock(tail_mu_);
   const uint64_t tail_bytes =
-      tail_count_ > 0 ? kPageHeaderSize + tail_.size() : 0;
+      tail_count_ > 0
+          ? kPageHeaderSize + static_cast<uint64_t>(tail_count_) * record_size_
+          : 0;
   return kFileHeaderSize + sealed_pages_ * options_.page_size + tail_bytes;
 }
 
@@ -827,7 +838,7 @@ Status HeapFile::EnsureStats() {
   std::lock_guard<std::mutex> tail_lock(tail_mu_);
   std::lock_guard<std::mutex> lock(stats_mu_);
   tail_zone_ = columnar::ZoneMap(schema.num_columns());
-  tail_zone_.UpdateBatch(schema, tail_.data(), tail_count_);
+  tail_zone_.UpdateBatch(schema, tail_->data(), tail_count_);
   file_zone_ = columnar::ZoneMap(schema.num_columns());
   for (const PageStats& ps : page_stats_) file_zone_.Merge(ps.zone);
   file_zone_.Merge(tail_zone_);
@@ -841,31 +852,29 @@ HeapFile::Scanner::Scanner(HeapFile* file, uint64_t begin, uint64_t end)
 
 bool HeapFile::Scanner::Next(Slice* record, uint64_t* index) {
   if (!status_.ok() || next_ >= end_) return false;
-  const uint64_t page_no = next_ / file_->records_per_page_;
-  const uint64_t slot = next_ % file_->records_per_page_;
-
-  if (pinned_page_no_ != page_no) {
-    // The tail-vs-sealed decision and the tail snapshot happen atomically
-    // (a racing writer may seal this very page under us); a tail snapshot
-    // stays stable against further concurrent appends.
-    uint32_t count;
-    if (file_->SnapshotTailIfCurrent(page_no, &tail_copy_, &count)) {
-      pinned_.reset();
-    } else {
-      auto page = file_->pool_->GetPage(file_->file_id_, page_no, file_);
-      if (!page.ok()) {
-        status_ = page.status();
-        return false;
-      }
-      pinned_ = std::move(page).MoveValueUnsafe();
+  if (next_ >= page_end_) {
+    // Scans only move forward, so leaving the pinned page means pinning
+    // the one next_ falls in. A tail pin covers every record below end_:
+    // those were published before this scanner was made.
+    const uint64_t rpp = file_->records_per_page_;
+    const uint64_t page_no = next_ / rpp;
+    auto page = file_->PinPage(page_no);
+    if (!page.ok()) {
+      status_ = page.status();
+      return false;
     }
-    pinned_page_no_ = page_no;
+    page_ = std::move(page).MoveValueUnsafe();
+    page_begin_ = page_no * rpp;
+    page_end_ = page_begin_ + page_.count;
+    if (next_ >= page_end_) {
+      status_ = Status::Corruption("heapfile: record " +
+                                   std::to_string(next_) +
+                                   " beyond its page in " + file_->path_);
+      return false;
+    }
   }
-  const char* base =
-      pinned_ != nullptr
-          ? pinned_->data() + kPageHeaderSize + slot * file_->record_size_
-          : tail_copy_.data() + slot * file_->record_size_;
-  *record = Slice(base, file_->record_size_);
+  *record = Slice(page_.payload + (next_ - page_begin_) * file_->record_size_,
+                  file_->record_size_);
   if (index != nullptr) *index = next_;
   ++next_;
   return true;

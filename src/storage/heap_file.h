@@ -176,22 +176,25 @@ class HeapFile : public PageSource {
   /// PageSource: reads a sealed page from disk, verifying its checksum.
   Status ReadPageFromDisk(uint64_t page_no, std::string* out) override;
 
-  /// A pinned view of one page's record payload. Keeps the underlying
-  /// buffer alive; \p payload points at the first record.
+  /// A pinned view of one page's record payload, copying nothing: \p pin
+  /// keeps the underlying buffer alive and \p payload points at its
+  /// first record. For a sealed page the buffer is the pool's page.
+  /// For the tail it is the tail buffer itself, shared with the appender:
+  /// the pin owns the first \p count records of it, which no writer
+  /// changes or moves (see tail_), and must read nothing past them.
   struct PinnedPage {
-    PageRef pin;          // sealed page (null for tail)
-    std::string tail;     // tail snapshot (empty for sealed pages)
+    PageRef pin;
     const char* payload = nullptr;
-    uint32_t count = 0;   // records in this page
+    uint32_t count = 0;   // records readable through this pin
     /// Stored bytes behind this pin (page header + stored_len for sealed
-    /// pages, tail bytes for the tail) — what ScanStats::bytes_read
-    /// charges. Compressed pages charge their compressed size.
+    /// pages, count * record_size for the tail) — what
+    /// ScanStats::bytes_read charges. Compressed pages charge their
+    /// compressed size.
     uint64_t io_bytes = 0;
   };
 
-  /// Pins page \p page_no (snapshotting the in-memory tail if that is the
-  /// requested page). Used by the version-first engine's newest-to-oldest
-  /// segment scans.
+  /// Pins page \p page_no (a prefix of the in-memory tail if that is the
+  /// requested page). Used by Scanner and to rebuild page stats.
   Result<PinnedPage> PinPage(uint64_t page_no);
 
   /// PinPage variant that may prove the page irrelevant without decoding:
@@ -253,7 +256,8 @@ class HeapFile : public PageSource {
   Status EnsureStats();
 
   /// Sequential scanner over record indexes [begin, end). Pins one page at
-  /// a time through the buffer pool.
+  /// a time (PinPage) and steps through it by offset, dividing only to
+  /// find the next page.
   class Scanner {
    public:
     Scanner(HeapFile* file, uint64_t begin, uint64_t end);
@@ -267,9 +271,9 @@ class HeapFile : public PageSource {
     HeapFile* file_;
     uint64_t next_;
     uint64_t end_;
-    PageRef pinned_;          // current sealed page
-    std::string tail_copy_;   // stable snapshot of the tail page
-    uint64_t pinned_page_no_ = UINT64_MAX;
+    PinnedPage page_;
+    uint64_t page_begin_ = 0;  // [page_begin_, page_end_): page_'s records
+    uint64_t page_end_ = 0;
     Status status_;
   };
 
@@ -311,12 +315,15 @@ class HeapFile : public PageSource {
   /// unless earlier pages still lack theirs. Caller holds stats_mu_.
   void AppendPageStatsLocked(PageStats ps);
   uint64_t PageOffset(uint64_t page_no) const;
-  /// If \p page_no is (still) the tail page, copies the tail payload into
-  /// \p out and returns true; returns false if that page has been sealed
-  /// to disk. Decision and snapshot are atomic, so readers racing a
-  /// writer that seals the page never read a stale (empty) tail.
-  bool SnapshotTailIfCurrent(uint64_t page_no, std::string* out,
-                             uint32_t* count) const;
+  /// If \p page_no is (still) the tail page, pins the tail's current
+  /// records into \p out (sharing the buffer, copying nothing) and
+  /// returns true; returns false if that page has been sealed to disk.
+  /// Decision and pin are atomic, so readers racing a writer that seals
+  /// the page never read a stale (empty) tail.
+  bool SnapshotTailIfCurrent(uint64_t page_no, PinnedPage* out) const;
+  /// Appends \p count records to the tail, never touching the bytes of
+  /// records already there (see tail_). Caller holds tail_mu_.
+  void AppendToTailLocked(const char* records, uint64_t count);
 
   static std::atomic<uint64_t> next_file_id_;
 
@@ -337,7 +344,15 @@ class HeapFile : public PageSource {
   bool tail_dirty_ = false;
 
   mutable std::mutex tail_mu_;
-  std::string tail_;        // payload bytes of the partial page
+  /// Payload bytes of the partial page: its first tail_count_ records.
+  /// Pins share this buffer and read only the prefix they saw, so a
+  /// writer never changes or moves bytes below tail_count_: an append
+  /// that fits the capacity writes past the prefix in place, one that
+  /// does not copies the prefix into a buffer of twice the capacity and
+  /// swaps it in, and a seal swaps in a fresh buffer. Nothing here looks
+  /// at use_count(): a relaxed count does not order a reader's last read
+  /// before a writer's reuse.
+  std::shared_ptr<std::string> tail_ = std::make_shared<std::string>();
   uint32_t tail_count_ = 0;
 
   /// Leaf lock guarding the zone-map state; never held across I/O or

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <thread>
 #include <vector>
@@ -595,6 +596,169 @@ TEST_F(HeapFileTest, OpenAtCheckpointRollsAGrownTailBack) {
   }
 }
 
+TEST_F(HeapFileTest, TailPinsShareAndSurviveGrowthAndSeal) {
+  HeapFile::Options opts;
+  opts.page_size = 4096;  // 127 records of 32 bytes
+  auto file = HeapFile::Create(JoinPath(dir_.path(), "t.dbhf"), 32, opts,
+                               &pool_);
+  ASSERT_TRUE(file.ok());
+  HeapFile* f = file->get();
+  const uint64_t rpp = f->records_per_page();
+  for (int64_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(f->Append(MakeRecordBytes(32, i, 'p')).ok());
+  }
+  auto first = f->PinPage(0);
+  auto second = f->PinPage(0);
+  bool no_matches = true;
+  auto counted = f->PinPageCounted(0, nullptr, &no_matches);
+  ASSERT_TRUE(first.ok() && second.ok() && counted.ok());
+  EXPECT_FALSE(no_matches);
+  // An unchanged tail pins the same bytes every time: no copy.
+  EXPECT_EQ(first->payload, second->payload);
+  EXPECT_EQ(counted->payload, first->payload);
+  EXPECT_EQ(first->count, 3u);
+  EXPECT_EQ(first->io_bytes, 3u * 32);
+  auto scanner = f->NewScanner();
+  Slice rec;
+  uint64_t idx;
+  ASSERT_TRUE(scanner.Next(&rec, &idx));
+  EXPECT_EQ(rec.data(), first->payload);
+  const std::string pinned(first->payload, 3 * 32);
+
+  // Grow the tail past any capacity it had, seal the page, start the next.
+  for (uint64_t i = 3; i < rpp + 5; ++i) {
+    ASSERT_TRUE(
+        f->Append(MakeRecordBytes(32, static_cast<int64_t>(i), 'q')).ok());
+  }
+  auto sealed = f->PinPage(0);
+  auto next_tail = f->PinPage(1);
+  ASSERT_TRUE(sealed.ok() && next_tail.ok());
+  EXPECT_EQ(sealed->count, rpp);
+  EXPECT_EQ(next_tail->count, 5u);
+
+  // The first pins still read exactly what they saw.
+  for (const auto* pin : {&first.value(), &second.value(), &counted.value()}) {
+    EXPECT_EQ(std::string(pin->payload, 3 * 32), pinned);
+  }
+  EXPECT_EQ(std::string(sealed->payload, 3 * 32), pinned);
+  for (int64_t i = 1; i < 3; ++i) {
+    ASSERT_TRUE(scanner.Next(&rec, &idx));
+    EXPECT_EQ(idx, static_cast<uint64_t>(i));
+    EXPECT_EQ(rec.ToString(), MakeRecordBytes(32, i, 'p'));
+  }
+  EXPECT_FALSE(scanner.Next(&rec, &idx));  // its end was fixed at 3
+  ASSERT_OK(scanner.status());
+  for (uint64_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(std::string(next_tail->payload + i * 32, 32),
+              MakeRecordBytes(32, static_cast<int64_t>(rpp + i), 'q'));
+  }
+}
+
+// Record \p index of the race test: its index, then a fill that changes
+// with it, so a torn or stale read shows in any byte.
+std::string RaceRecord(uint64_t index) {
+  std::string r(32, static_cast<char>('A' + index % 53));
+  memcpy(r.data(), &index, sizeof(index));
+  return r;
+}
+
+TEST(HeapFileRaceTest, PinnedTailsStableUnderAppendAndSeal) {
+  // One appender grows, flushes and seals tail pages while readers pin
+  // the newest page (PinPage, PinPageCounted, Scanner) and check every
+  // record they see, twice: once at once, and again after the appender
+  // had time to move on. Between pins a reader pauses without touching
+  // the file, so the appender often acts right after a release: a tail
+  // reused on a relaxed use_count() then races the reader's last reads,
+  // which TSan (CI runs this test under it) reports.
+  ScratchDir dir("heap_race");
+  BufferPool pool(4 << 10);
+  HeapFile::Options opts;
+  opts.page_size = 256;  // 7 records per page
+  auto file = HeapFile::Create(JoinPath(dir.path(), "t.dbhf"), 32, opts,
+                               &pool);
+  ASSERT_TRUE(file.ok());
+  HeapFile* f = file->get();
+  const uint64_t rpp = f->records_per_page();
+  constexpr uint64_t kRecords = 12000;
+  std::atomic<bool> done{false};
+  std::atomic<bool> failed{false};
+  std::atomic<uint64_t> pins{0};
+
+  std::thread appender([&] {
+    Random rng(7);
+    uint64_t n = 0;
+    while (n < kRecords) {
+      const uint64_t take = std::min<uint64_t>(1 + rng.Uniform(2 * rpp),
+                                               kRecords - n);
+      std::string batch;
+      for (uint64_t i = 0; i < take; ++i) batch += RaceRecord(n + i);
+      const bool ok = take == 1 ? f->Append(batch).ok()
+                                : f->AppendBatch(batch, take).ok();
+      if (!ok || (rng.Uniform(8) == 0 && !f->Flush().ok())) failed = true;
+      n += take;
+    }
+    done = true;
+  });
+
+  auto check = [&](const char* payload, uint64_t first, uint64_t count) {
+    for (uint64_t i = 0; i < count; ++i) {
+      if (std::string(payload + i * 32, 32) != RaceRecord(first + i)) {
+        failed = true;
+        return;
+      }
+    }
+  };
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      while (!done.load() && !failed.load()) {
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
+        const uint64_t n = f->num_records();
+        if (n == 0) continue;
+        const uint64_t page_no = (n - 1) / rpp;
+        const uint64_t first = page_no * rpp;
+        if (t == 2) {
+          auto scanner = f->NewScanner(first, n);
+          Slice rec;
+          uint64_t idx;
+          std::vector<Slice> seen;
+          while (scanner.Next(&rec, &idx)) seen.push_back(rec);
+          if (!scanner.status().ok() || seen.size() != n - first) {
+            failed = true;
+            break;
+          }
+          std::this_thread::yield();
+          for (uint64_t i = 0; i < seen.size(); ++i) {
+            if (seen[i].ToString() != RaceRecord(first + i)) failed = true;
+          }
+        } else {
+          bool no_matches = false;
+          auto page = t == 0 ? f->PinPage(page_no)
+                             : f->PinPageCounted(page_no, nullptr, &no_matches);
+          if (!page.ok() || no_matches || page->count < n - first) {
+            failed = true;
+            break;
+          }
+          check(page->payload, first, page->count);
+          std::this_thread::yield();
+          check(page->payload, first, page->count);
+        }
+        pins.fetch_add(1);
+      }
+    });
+  }
+  appender.join();
+  for (auto& reader : readers) reader.join();
+  EXPECT_FALSE(failed.load());
+  EXPECT_GT(pins.load(), 0u);
+  ASSERT_EQ(f->num_records(), kRecords);
+  std::string buf;
+  for (uint64_t i = 0; i < kRecords; i += 97) {
+    ASSERT_OK(f->Get(i, &buf));
+    EXPECT_EQ(buf, RaceRecord(i));
+  }
+}
+
 // -------------------------------------------------------------- BufferPool
 
 TEST(BufferPoolTest, HitAndMissAccounting) {
@@ -718,6 +882,29 @@ TEST(BufferPoolTest, LoopLongerThanPoolHitsOnSecondLap) {
   const uint64_t second = lap();
   EXPECT_LT(second, kLoopPages) << "no page of the loop survived a lap";
   EXPECT_EQ(lap(), second);
+}
+
+TEST(BufferPoolTest, FrameReusedOnlyAfterLastRefDrops) {
+  BufferPool pool(4 * kTestPage);
+  PatternSource source(1);
+  PageRef held = pool.GetPage(1, 0, &source).MoveValueUnsafe();
+  const char* held_data = held->data();
+  // Page 0 is evicted early in this loop, and the frames of other
+  // evicted pages recycle through it; the held page never changes.
+  for (uint64_t p = 1; p <= 64; ++p) {
+    auto page = pool.GetPage(1, p, &source);
+    ASSERT_TRUE(page.ok());
+    EXPECT_NE(page.value()->data(), held_data) << p;
+    EXPECT_EQ(*page.value(), std::string(kTestPage, PageByte(1, p))) << p;
+    ASSERT_EQ(*held, std::string(kTestPage, PageByte(1, 0))) << p;
+  }
+  ASSERT_EQ(pool.Peek(1, 0), nullptr) << "page 0 should have been evicted";
+  held.reset();
+  // Its last reference gone, page 0's buffer is the next load's frame.
+  auto next = pool.GetPage(1, 1000, &source);
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(next.value()->data(), held_data);
+  EXPECT_EQ(*next.value(), std::string(kTestPage, PageByte(1, 1000)));
 }
 
 TEST(BufferPoolTest, EvictionKeepsResidentBytesExactAcrossBothLists) {
