@@ -248,6 +248,11 @@ Status Decibel::InitDurability(bool have_manifest) {
   uint64_t next_seg = 1;
   if (have_manifest) {
     DECIBEL_RETURN_NOT_OK(ReplayWal(&next_lsn, &next_seg));
+    // The engine opened every branch's pk index; a branch retired before
+    // the checkpoint drops its own again, as RetireBranch did.
+    for (const BranchInfo& info : graph_.branches()) {
+      if (!info.active) DECIBEL_RETURN_NOT_OK(engine_->ReleaseBranch(info.id));
+    }
   }
   wal::Writer::Options wopts;
   wopts.sync_mode = options_.sync_mode;

@@ -92,15 +92,50 @@ Status BranchCore::CheckFork(BranchId child, BranchId parent) const {
                                  std::to_string(child) + " already exists");
 }
 
+Status BranchCore::ForkIndex(BranchId child, BranchId parent) {
+  if (released_.count(parent) != 0) {
+    DECIBEL_RETURN_NOT_OK(rebuild_index_(parent));
+  }
+  PkIndex forked = pk_index_.at(parent).Fork();
+  pk_index_[child] = std::move(forked);
+  return Status::OK();
+}
+
+void BranchCore::Release(BranchId branch) {
+  auto it = pk_index_.find(branch);
+  if (it == pk_index_.end()) return;
+  it->second.Clear();
+  released_.insert(branch);
+}
+
+Status BranchCore::Restore(std::shared_lock<std::shared_mutex>* registry,
+                           BranchId branch) {
+  while (released_.count(branch) != 0) {
+    registry->unlock();
+    {
+      std::unique_lock<std::shared_mutex> unique(registry_mu_);
+      if (released_.count(branch) != 0) {
+        DECIBEL_RETURN_NOT_OK(rebuild_index_(branch));
+      }
+    }
+    registry->lock();
+  }
+  return Status::OK();
+}
+
 Result<PkIndex*> BranchCore::BeginBatch(BranchId branch,
                                         const WriteBatch& batch) {
   auto it = pk_index_.find(branch);
   if (it == pk_index_.end()) return CheckKnown(branch);
+  DECIBEL_DCHECK(released_.count(branch) == 0);
   DECIBEL_RETURN_NOT_OK(ValidateBatchDeletes(batch, it->second));
   return &it->second;
 }
 
-Result<uint64_t> BranchCore::Probe(BranchId branch, int64_t pk) const {
+Result<uint64_t> BranchCore::Probe(
+    std::shared_lock<std::shared_mutex>* registry, BranchId branch,
+    int64_t pk) {
+  DECIBEL_RETURN_NOT_OK(Restore(registry, branch));
   std::lock_guard<std::mutex> stripe(stripes_.ForBranch(branch));
   auto it = pk_index_.find(branch);
   if (it == pk_index_.end()) return CheckKnown(branch);

@@ -305,8 +305,10 @@ Status HybridEngine::ReleaseBranch(BranchId branch) {
   // A retired branch's head segment never appends again and its history
   // files never grow past their final commit, so close their descriptors.
   // Registry entries stay: the data remains readable (handles reopen
-  // lazily) and the meta encoding is unchanged.
+  // lazily) and the meta encoding is unchanged. The pk index is dropped
+  // until the branch is read, written or forked again.
   std::unique_lock<std::shared_mutex> registry_lock(core_.registry_mu());
+  core_.Release(branch);
   for (auto& segment : segments_) {
     if (segment->owner != branch) continue;
     DECIBEL_RETURN_NOT_OK(segment->file->ReleaseFileHandles());
@@ -406,6 +408,7 @@ Status HybridEngine::CreateBranch(BranchId child, BranchId parent,
     // checkpoint captured uncommitted are still dirty after a reopen).
     // The child's live columns there differ from base_commit's too, so
     // they are dirty for the child as well.
+    DECIBEL_RETURN_NOT_OK(core_.ForkIndex(child, parent));
     const uint32_t old_head = head_seg_[parent];
     segments_[old_head]->is_head = false;
     DECIBEL_RETURN_NOT_OK(segments_[old_head]->file->Seal());
@@ -415,7 +418,6 @@ Status HybridEngine::CreateBranch(BranchId child, BranchId parent,
     }
     const std::unordered_set<uint32_t>& parent_dirty = dirty_[parent];
     dirty_[child].insert(parent_dirty.begin(), parent_dirty.end());
-    core_.ForkIndex(child, parent);
     DECIBEL_RETURN_NOT_OK(NewHeadSegment(parent).status());
     DECIBEL_RETURN_NOT_OK(NewHeadSegment(child).status());
     // Only a branch's current head takes new records, so the parent's
@@ -590,6 +592,7 @@ Status HybridEngine::ApplyBatch(BranchId branch, const WriteBatch& batch) {
   // bits only in *this branch's* column of those segments' local
   // bitmaps, so sibling writers never touch the same bitmap.
   std::shared_lock<std::shared_mutex> registry_lock(core_.registry_mu());
+  DECIBEL_RETURN_NOT_OK(core_.Restore(&registry_lock, branch));
   std::lock_guard<std::mutex> stripe_lock(core_.stripes().ForBranch(branch));
   DECIBEL_ASSIGN_OR_RETURN(PkIndex * pks, core_.BeginBatch(branch, batch));
   Segment& head = *segments_[head_seg_.at(branch)];
@@ -729,7 +732,8 @@ Result<Record> HybridEngine::Get(BranchId branch, int64_t pk) {
   // The registry stays held across the read: segments_ reallocates under
   // CreateBranch.
   std::shared_lock<std::shared_mutex> registry_lock(core_.registry_mu());
-  DECIBEL_ASSIGN_OR_RETURN(const uint64_t loc, core_.Probe(branch, pk));
+  DECIBEL_ASSIGN_OR_RETURN(const uint64_t loc,
+                           core_.Probe(&registry_lock, branch, pk));
   std::string buf;
   DECIBEL_RETURN_NOT_OK(segments_[PackedLoc::Seg(loc)]->file->Get(
       PackedLoc::Idx(loc), &buf));

@@ -98,7 +98,8 @@ class HybridEngine : public StorageEngine {
   };
 
   HybridEngine(const Schema& schema, const EngineOptions& options)
-      : core_("hybrid", schema, options) {}
+      : core_("hybrid", schema, options,
+              [this](BranchId b) { return RebuildPkIndex(b); }) {}
 
   Status InitFresh();
   Status LoadExisting();

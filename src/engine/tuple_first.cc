@@ -195,6 +195,10 @@ Status TupleFirstEngine::ReleaseBranch(BranchId branch) {
   // branch's commit-history descriptors are released. The histories_
   // entry stays (it is the authority over the on-disk file — a map miss
   // would truncate on the next HistoryFor) and reopens lazily if read.
+  // The pk index is dropped until the branch is read, written or forked
+  // again; the branch stays in engine.meta's branch list.
+  std::unique_lock<std::shared_mutex> registry(core_.registry_mu());
+  core_.Release(branch);
   std::lock_guard<std::mutex> commits(commit_mu_);
   auto it = histories_.find(branch);
   if (it == histories_.end()) return Status::OK();
@@ -259,8 +263,8 @@ Status TupleFirstEngine::CreateBranch(BranchId child, BranchId parent,
   if (at_head) {
     // "A branch operation clones the state of the parent branch's bitmap"
     // (§3.2) — plus the parent's pk index for update support.
+    DECIBEL_RETURN_NOT_OK(core_.ForkIndex(child, parent));
     index_->CloneBranch(parent, child);
-    core_.ForkIndex(child, parent);
     return Status::OK();
   }
   DECIBEL_ASSIGN_OR_RETURN(Bitmap bits, CommitBitmap(base_commit));
@@ -314,6 +318,7 @@ Status TupleFirstEngine::ApplyBatch(BranchId branch, const WriteBatch& batch) {
   // parallel. Writers on the same *branch* are already serialized above
   // us by the facade's branch lock.
   std::shared_lock<std::shared_mutex> registry(core_.registry_mu());
+  DECIBEL_RETURN_NOT_OK(core_.Restore(&registry, branch));
   StripeGuard stripe(this, {branch});
   DECIBEL_ASSIGN_OR_RETURN(PkIndex * pks, core_.BeginBatch(branch, batch));
 
@@ -418,7 +423,7 @@ Result<Record> TupleFirstEngine::Get(BranchId branch, int64_t pk) {
   uint64_t idx;
   {
     std::shared_lock<std::shared_mutex> registry(core_.registry_mu());
-    DECIBEL_ASSIGN_OR_RETURN(idx, core_.Probe(branch, pk));
+    DECIBEL_ASSIGN_OR_RETURN(idx, core_.Probe(&registry, branch, pk));
   }
   // Appended records are immutable; the read needs no lock.
   std::string buf;

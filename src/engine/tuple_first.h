@@ -92,7 +92,8 @@ class TupleFirstEngine : public StorageEngine {
   };
 
   TupleFirstEngine(const Schema& schema, const EngineOptions& options)
-      : core_("tuple-first", schema, options) {}
+      : core_("tuple-first", schema, options,
+              [this](BranchId b) { return RebuildPkIndex(b); }) {}
 
   Status LoadExisting();
   Status InitFresh();

@@ -291,8 +291,10 @@ std::string VersionFirstEngine::EncodeMeta() {
 Status VersionFirstEngine::ReleaseBranch(BranchId branch) {
   // A retired branch's segments never append again; close their
   // descriptors. The segments stay in the registry — descendants keep
-  // reading inherited records through lazily-reopened handles.
+  // reading inherited records through lazily-reopened handles. The pk
+  // index is dropped until the branch is read, written or forked again.
   std::unique_lock<std::shared_mutex> registry_lock(core_.registry_mu());
+  core_.Release(branch);
   for (auto& segment : segments_) {
     if (segment->owner != branch) continue;
     DECIBEL_RETURN_NOT_OK(segment->file->ReleaseFileHandles());
@@ -353,8 +355,7 @@ Status VersionFirstEngine::CreateBranch(BranchId child, BranchId parent,
     // The parent's pk index IS the child's starting state (both see the
     // same records up to the branch point, and the parent's map is
     // complete at its head).
-    core_.ForkIndex(child, parent);
-    return Status::OK();
+    return core_.ForkIndex(child, parent);
   }
   return RebuildPkIndex(child, base);
 }
@@ -405,6 +406,7 @@ Status VersionFirstEngine::ApplyBatch(BranchId branch,
   // us) + the branch's stripe (one writer per head-segment tail). Batches
   // on branches mapping to different stripes run fully in parallel.
   std::shared_lock<std::shared_mutex> registry_lock(core_.registry_mu());
+  DECIBEL_RETURN_NOT_OK(core_.Restore(&registry_lock, branch));
   std::lock_guard<std::mutex> stripe_lock(core_.stripes().ForBranch(branch));
   DECIBEL_ASSIGN_OR_RETURN(PkIndex * pks, core_.BeginBatch(branch, batch));
   // Every op is an append to the branch's head segment: "Updates are
@@ -787,7 +789,8 @@ Result<Record> VersionFirstEngine::Get(BranchId branch, int64_t pk) {
   // Appended records are immutable, but segments_ reallocates under
   // CreateBranch, so the registry stays held across the read.
   std::shared_lock<std::shared_mutex> registry_lock(core_.registry_mu());
-  DECIBEL_ASSIGN_OR_RETURN(const uint64_t loc, core_.Probe(branch, pk));
+  DECIBEL_ASSIGN_OR_RETURN(const uint64_t loc,
+                           core_.Probe(&registry_lock, branch, pk));
   std::string buf;
   DECIBEL_RETURN_NOT_OK(
       FetchRecord(PackedLoc::Seg(loc), PackedLoc::Idx(loc), &buf));
@@ -945,6 +948,7 @@ Status VersionFirstEngine::MergeWalk(CommitId left, CommitId right,
   struct States {
     std::optional<Record> l, r, b;
     bool l_done = false, r_done = false, b_done = false;
+    bool in_suffix = false;  // else only a deficit candidate
   };
   std::map<int64_t, States> keys;
 
@@ -961,6 +965,7 @@ Status VersionFirstEngine::MergeWalk(CommitId left, CommitId right,
         if (idx < lo) break;  // descended into the base-covered range
         stats->bytes_processed += rs;
         States& s = keys[rec.pk()];
+        s.in_suffix = true;
         bool& done = is_left ? s.l_done : s.r_done;
         if (done) continue;  // first suffix hit wins (fact 2)
         done = true;
@@ -974,6 +979,31 @@ Status VersionFirstEngine::MergeWalk(CommitId left, CommitId right,
   };
   DECIBEL_RETURN_NOT_OK(walk_suffix(root_l, /*is_left=*/true));
   DECIBEL_RETURN_NOT_OK(walk_suffix(root_r, /*is_left=*/false));
+  // A key whose base version lies in a side's deficit can differ on that
+  // side with nothing in its suffix (absent there, or an older version
+  // shows through), so every key of a deficit region is a candidate too.
+  // The deficit is empty when base is an ancestor on both sides' own
+  // segment chains, the common case.
+  auto walk_deficit =
+      [&](const std::unordered_map<uint32_t, uint64_t>& vis) -> Status {
+    for (const ScanStep& step : ComputeScanOrder(root_b)) {
+      auto seen_it = vis.find(step.seg);
+      const uint64_t seen = seen_it == vis.end() ? 0 : seen_it->second;
+      if (seen >= step.bound) continue;
+      ReverseSegmentReader reader(segments_[step.seg]->file.get(),
+                                  &core_.schema(), step.bound);
+      RecordRef rec;
+      uint64_t idx;
+      while (reader.Prev(&rec, &idx) && idx >= seen) {
+        stats->bytes_processed += rs;
+        keys.try_emplace(rec.pk());
+      }
+      DECIBEL_RETURN_NOT_OK(reader.status());
+    }
+    return Status::OK();
+  };
+  DECIBEL_RETURN_NOT_OK(walk_deficit(vis_l));
+  DECIBEL_RETURN_NOT_OK(walk_deficit(vis_r));
 
   // One base pass, filtered to the candidates, stopping as soon as every
   // candidate is fully resolved. The first hit is the key's base state;
@@ -1014,7 +1044,13 @@ Status VersionFirstEngine::MergeWalk(CommitId left, CommitId right,
     DECIBEL_RETURN_NOT_OK(reader.status());
   }
 
+  auto same = [](const std::optional<Record>& x,
+                 const std::optional<Record>& y) {
+    return x.has_value() == y.has_value() &&
+           (!x.has_value() || x->ref().data() == y->ref().data());
+  };
   for (auto& [pk, s] : keys) {
+    if (!s.in_suffix && same(s.l, s.b) && same(s.r, s.b)) continue;
     MergeWalkItem item;
     item.pk = pk;
     std::optional<RecordRef> ref_l, ref_r, ref_b;

@@ -111,7 +111,9 @@ class VersionFirstEngine : public StorageEngine {
   using WinnerTable = std::unordered_map<int64_t, Winner>;
 
   VersionFirstEngine(const Schema& schema, const EngineOptions& options)
-      : core_("version-first", schema, options) {}
+      : core_("version-first", schema, options, [this](BranchId b) {
+          return RebuildPkIndex(b, RootForBranch(b));
+        }) {}
 
   Status InitFresh();
   Status LoadExisting();

@@ -607,15 +607,18 @@ Status HeapFile::DecodeStoredPage(const PageHeader& header,
     return Status::Corruption("heapfile: compressed page without schema in " +
                               path_);
   }
-  const std::string stored = std::move(*page);
-  page->clear();
-  page->reserve(options_.page_size);
-  page->assign(stored.data(), kPageHeaderSize);
+  // Decode into a pool frame, then swap it with *page: the stored bytes
+  // leave in that frame, which parks as the pool's spare for the next
+  // load instead of being freed.
+  std::shared_ptr<std::string> decoded = pool_->NewFrame();
+  decoded->reserve(options_.page_size);
+  decoded->assign(page->data(), kPageHeaderSize);
   DECIBEL_RETURN_NOT_OK(columnar::DecodePage(
       *options_.schema, header.format,
-      Slice(stored.data() + kPageHeaderSize, header.stored_len), header.count,
-      page));
-  page->resize(options_.page_size, '\0');
+      Slice(page->data() + kPageHeaderSize, header.stored_len), header.count,
+      decoded.get()));
+  decoded->resize(options_.page_size, '\0');
+  page->swap(*decoded);
   return Status::OK();
 }
 

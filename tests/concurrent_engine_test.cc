@@ -273,10 +273,13 @@ class ReadRaceTest : public ::testing::TestWithParam<EngineLayout> {};
 
 // Point reads, branch scans and Stats() race every operation that moves
 // the engines' branch state: one writer on master, one on a child, a
-// thread forking and retiring branches of master, and checkpoints. Every
-// row a reader sees must come from some applied state of its branch:
-// master writes round r as value r, the child as -r, and MakeRecord sets
-// every column to the value, so a torn or stray row shows.
+// thread forking and retiring branches of both (a fork freezes the
+// parent's pk-index delta while readers probe it) and reading each
+// retired head back (which rebuilds its released index), and
+// checkpoints. Every row a reader sees must come from some applied state
+// of its branch: master writes round r as value r, the child as -r, and
+// MakeRecord sets every column to the value, so a torn or stray row
+// shows.
 TEST_P(ReadRaceTest, ReadsSeeOnlyAppliedStatesUnderForksRetiresCheckpoints) {
   ScratchDir dir("read_race");
   const Schema schema = TestSchema(3);
@@ -302,8 +305,9 @@ TEST_P(ReadRaceTest, ReadsSeeOnlyAppliedStatesUnderForksRetiresCheckpoints) {
   std::atomic<bool> done{false};
   std::atomic<int> failures{0};
 
-  // Checks one row of \p branch; inserted keys (pk >= kKeys) carry the
-  // round they were inserted in, so the same bounds hold for them.
+  // Checks one row of \p branch, or of a fork of it; inserted keys
+  // (pk >= kKeys) carry the round they were inserted in, so the same
+  // bounds hold for them.
   auto check_row = [&](BranchId branch, const RecordRef& rec) {
     const int32_t v = rec.GetInt32(1);
     bool ok = rec.GetInt32(2) == v && rec.GetInt32(3) == v;
@@ -337,12 +341,16 @@ TEST_P(ReadRaceTest, ReadsSeeOnlyAppliedStatesUnderForksRetiresCheckpoints) {
   std::vector<std::thread> threads;
   threads.emplace_back([&] {
     Session fork = db->NewSession();
-    // Bounded: every hybrid fork rolls master's head into a new file.
+    // Bounded: every hybrid fork rolls its parent's head into a new file.
     for (int i = 0; !done.load() && i < 150; ++i) {
-      ASSERT_OK(db->Use(&fork, kMasterBranch));
+      const BranchId parent = i % 2 == 0 ? kMasterBranch : child;
+      ASSERT_OK(db->Use(&fork, parent));
       ASSERT_OK_AND_ASSIGN(BranchId tmp,
                            db->Branch("tmp" + std::to_string(i), &fork));
       ASSERT_OK(db->RetireBranch(tmp));
+      auto got = db->Get(tmp, i % kKeys);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      check_row(parent, got.value().ref());
     }
   });
   threads.emplace_back([&] {

@@ -664,6 +664,67 @@ TEST_P(EngineTest, RetiredBranchesDoNotPinFileDescriptors) {
   EXPECT_EQ(CollectBranch(db_.get(), kMasterBranch).size(), 120u);
 }
 
+TEST_P(EngineTest, RetiredBranchesFreeTheirPkIndex) {
+  // Agent churn over a shared dataset: each cycle forks a 50k-row master
+  // at its head, writes a few rows, commits and retires the fork. A fork
+  // shares master's frozen pk index and retirement drops the fork's own,
+  // so the charged index memory no longer grows by a master-sized copy
+  // per fork, and every retired branch still answers Gets (its index is
+  // rebuilt on demand). What a fork still adds is its bitmap columns,
+  // which retirement keeps: one bit per master row in tuple-first, per
+  // ancestor segment row in hybrid.
+  constexpr int64_t kRows = 50000;
+  constexpr int kCycles = 200;
+  constexpr int kWrites = 8;
+  {
+    ASSERT_OK_AND_ASSIGN(Transaction txn, db_->Begin(kMasterBranch));
+    for (int64_t pk = 0; pk < kRows; ++pk) {
+      ASSERT_OK(txn.Insert(MakeRecord(schema_, pk, static_cast<int>(pk))));
+    }
+    ASSERT_OK(txn.Commit());
+  }
+  ASSERT_OK_AND_ASSIGN(CommitId loaded, db_->CommitBranch(kMasterBranch));
+  (void)loaded;
+  const uint64_t master_index_bytes = db_->Stats().engine.index_memory_bytes;
+  std::vector<BranchId> retired;
+  uint64_t warm_bytes = 0;
+  for (int c = 0; c < kCycles; ++c) {
+    ASSERT_OK_AND_ASSIGN(
+        BranchId b, db_->BranchAt("churn" + std::to_string(c),
+                                  db_->Head(kMasterBranch)));
+    for (int i = 0; i < kWrites; ++i) {
+      ASSERT_OK(db_->InsertInto(
+          b, MakeRecord(schema_, kRows + c * kWrites + i, -c)));
+    }
+    ASSERT_OK(db_->UpdateIn(b, MakeRecord(schema_, c, -c)));
+    ASSERT_OK(db_->CommitBranch(b).status());
+    ASSERT_OK(db_->RetireBranch(b));
+    retired.push_back(b);
+    if (c == 19) warm_bytes = db_->Stats().engine.index_memory_bytes;
+  }
+  const uint64_t end_bytes = db_->Stats().engine.index_memory_bytes;
+  // A fork adds under 1/64 of what the load charged (a pk-index copy per
+  // fork would add all of it).
+  EXPECT_LT((end_bytes - warm_bytes) / (kCycles - 20), master_index_bytes / 64)
+      << "index bytes " << master_index_bytes << " after the load, "
+      << warm_bytes << " after 20 cycles, " << end_bytes << " after "
+      << kCycles;
+  for (int c = 0; c < kCycles; ++c) {
+    const BranchId b = retired[c];
+    ASSERT_OK_AND_ASSIGN(Record own,
+                         db_->Get(b, kRows + c * kWrites + kWrites - 1));
+    EXPECT_EQ(own.ref().GetInt32(1), -c);
+    ASSERT_OK_AND_ASSIGN(Record updated, db_->Get(b, c));
+    EXPECT_EQ(updated.ref().GetInt32(1), -c);
+    ASSERT_OK_AND_ASSIGN(Record shared, db_->Get(b, kRows - 1 - c));
+    EXPECT_EQ(shared.ref().GetInt32(1), static_cast<int>(kRows - 1 - c));
+    EXPECT_TRUE(db_->Get(b, kRows + kCycles * kWrites).status().IsNotFound());
+  }
+  ASSERT_OK_AND_ASSIGN(Record master_row, db_->Get(kMasterBranch, 3));
+  EXPECT_EQ(master_row.ref().GetInt32(1), 3);
+  EXPECT_TRUE(db_->Get(kMasterBranch, kRows).status().IsNotFound());
+}
+
 INSTANTIATE_TEST_SUITE_P(AllEngines, EngineTest,
                          ::testing::Values(EngineType::kTupleFirst,
                                            EngineType::kVersionFirst,

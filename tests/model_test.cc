@@ -1,12 +1,18 @@
 /// Property-based testing: a randomized stream of versioning operations is
 /// applied simultaneously to a Decibel engine and to a naive in-memory
-/// oracle (one std::map per branch, snapshots per commit). After every
-/// burst the engine's scans, commit scans and diffs must agree with the
-/// oracle exactly. Parameterized over engine type x seed.
+/// oracle (one std::map per branch, snapshots per commit). The stream
+/// writes, commits, forks at a head or at a remembered commit, merges,
+/// retires branches (which stay readable and forkable) and, every few
+/// rounds, closes and reopens the database. After every burst the
+/// engine's Gets of present and absent keys on every branch, and its
+/// scans, must agree with the oracle; at the end so must every commit
+/// scan and diff. Parameterized over engine type x seed.
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
+#include <memory>
 #include <set>
 
 #include "common/random.h"
@@ -38,15 +44,21 @@ TEST_P(ModelTest, RandomOperationStreamMatchesOracle) {
   DecibelOptions options;
   options.engine = engine_type;
   options.page_size = 4096;
-  auto db_result = Decibel::Open(dir.path(), schema, options);
-  ASSERT_TRUE(db_result.ok()) << db_result.status().ToString();
-  auto db = std::move(db_result).MoveValueUnsafe();
+  std::unique_ptr<Decibel> db;
+  auto reopen = [&] {
+    db.reset();
+    auto db_result = Decibel::Open(dir.path(), schema, options);
+    ASSERT_TRUE(db_result.ok()) << db_result.status().ToString();
+    db = std::move(db_result).MoveValueUnsafe();
+  };
+  reopen();
 
   Random rng(seed);
   Oracle oracle;
   oracle.branches[kMasterBranch] = {};
   oracle.commits[db->graph().Head(kMasterBranch)] = {};
   std::vector<BranchId> branches{kMasterBranch};
+  std::vector<BranchId> live{kMasterBranch};  // not retired: writable
   int64_t next_pk = 0;
   int32_t next_val = 1000;
 
@@ -56,12 +68,47 @@ TEST_P(ModelTest, RandomOperationStreamMatchesOracle) {
     auto rows = testing_util::Collect(it.value().get());
     EXPECT_EQ(rows, oracle.branches[b]) << "branch " << b << " diverged";
   };
+  // Point reads of \p b: a few live keys, then keys drawn from every key
+  // ever written (mostly absent from any one branch) and one never used.
+  auto check_gets = [&](BranchId b) {
+    const Oracle::Table& table = oracle.branches[b];
+    auto expect = [&](int64_t pk) {
+      auto got = db->Get(b, pk);
+      auto it = table.find(pk);
+      if (it == table.end()) {
+        EXPECT_TRUE(got.status().IsNotFound())
+            << "branch " << b << " pk " << pk << ": "
+            << (got.ok() ? "found a deleted or foreign key"
+                         : got.status().ToString());
+        return;
+      }
+      ASSERT_TRUE(got.ok()) << "branch " << b << " pk " << pk << ": "
+                            << got.status().ToString();
+      EXPECT_EQ(got->ref().GetInt32(1), it->second)
+          << "branch " << b << " pk " << pk;
+    };
+    for (int i = 0; i < 3 && !table.empty(); ++i) {
+      auto it = table.begin();
+      std::advance(it, rng.Uniform(table.size()));
+      expect(it->first);
+    }
+    for (int i = 0; i < 3; ++i) {
+      expect(static_cast<int64_t>(rng.Uniform(next_pk + 1)));
+    }
+    expect(-1);
+  };
+  // Records a just-created branch \p child whose rows start as \p table.
+  auto add_branch = [&](BranchId child, const Oracle::Table& table) {
+    branches.push_back(child);
+    live.push_back(child);
+    oracle.branches[child] = table;
+  };
 
-  for (int round = 0; round < 40; ++round) {
+  for (int round = 0; round < 80; ++round) {
     // A burst of data operations on random branches.
     const int burst = 10 + static_cast<int>(rng.Uniform(30));
     for (int op = 0; op < burst; ++op) {
-      const BranchId b = branches[rng.Uniform(branches.size())];
+      const BranchId b = live[rng.Uniform(live.size())];
       Oracle::Table& table = oracle.branches[b];
       const uint64_t kind = rng.Uniform(10);
       if (kind < 6 || table.empty()) {
@@ -84,28 +131,52 @@ TEST_P(ModelTest, RandomOperationStreamMatchesOracle) {
       }
     }
 
-    // Occasionally commit, branch or merge.
-    const uint64_t action = rng.Uniform(10);
+    // Occasionally commit, branch, merge or retire.
+    const uint64_t action = rng.Uniform(12);
     if (action < 4) {
-      const BranchId b = branches[rng.Uniform(branches.size())];
+      const BranchId b = live[rng.Uniform(live.size())];
       auto commit = db->CommitBranch(b);
       ASSERT_TRUE(commit.ok()) << commit.status().ToString();
       oracle.commits[*commit] = oracle.branches[b];
-    } else if (action < 7 && branches.size() < 8) {
-      const BranchId parent = branches[rng.Uniform(branches.size())];
-      Session s = db->NewSession();
-      ASSERT_OK(db->Use(&s, parent));
-      auto child = db->Branch("b" + std::to_string(round), &s);
+    } else if (action < 7 && branches.size() < 64) {
+      // One to three at-head forks, piling up as agent traffic does.
+      const int forks = 1 + static_cast<int>(rng.Uniform(3));
+      for (int f = 0; f < forks && branches.size() < 64; ++f) {
+        const BranchId parent = branches[rng.Uniform(branches.size())];
+        Session s = db->NewSession();
+        ASSERT_OK(db->Use(&s, parent));
+        auto child = db->Branch(
+            "b" + std::to_string(round) + "_" + std::to_string(f), &s);
+        ASSERT_TRUE(child.ok()) << child.status().ToString();
+        add_branch(*child, oracle.branches[parent]);
+        // The implicit commit created by branching snapshots the parent.
+        oracle.commits[db->graph().Head(parent)] = oracle.branches[parent];
+      }
+    } else if (action < 8 && branches.size() < 64) {
+      // A fork of a remembered commit: at the head of a clean branch the
+      // engine takes its at-head path, otherwise it restores the commit.
+      auto it = oracle.commits.begin();
+      std::advance(it, rng.Uniform(oracle.commits.size()));
+      auto child = db->BranchAt("at" + std::to_string(round), it->first);
       ASSERT_TRUE(child.ok()) << child.status().ToString();
-      branches.push_back(*child);
-      oracle.branches[*child] = oracle.branches[parent];
-      // The implicit commit created by branching snapshots the parent.
-      oracle.commits[db->graph().Head(parent)] = oracle.branches[parent];
-    } else if (action < 8 && branches.size() >= 2) {
+      add_branch(*child, it->second);
+    } else if (action < 9 && live.size() >= 2) {
+      // Retire a branch other than master; it must still read. It is
+      // committed first: retirement abandons uncommitted writes.
+      const size_t pos = 1 + rng.Uniform(live.size() - 1);
+      const BranchId b = live[pos];
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pos));
+      auto commit = db->CommitBranch(b);
+      ASSERT_TRUE(commit.ok()) << commit.status().ToString();
+      oracle.commits[*commit] = oracle.branches[b];
+      ASSERT_OK(db->RetireBranch(b));
+      check_gets(b);
+      check_branch(b);
+    } else if (action < 10 && live.size() >= 2) {
       // Merge one branch into another (no self-merges). Use two-way
       // precedence so the oracle stays simple: compute the merged table
       // from lca/two sides at key granularity.
-      const BranchId into = branches[rng.Uniform(branches.size())];
+      const BranchId into = live[rng.Uniform(live.size())];
       BranchId from = branches[rng.Uniform(branches.size())];
       if (from != into) {
         // The facade auto-commits both heads before merging; snapshot both
@@ -159,9 +230,18 @@ TEST_P(ModelTest, RandomOperationStreamMatchesOracle) {
       }
     }
 
-    // Verify a couple of random branches each round.
+    // Point reads on every branch, and scans of a couple, each round;
+    // every few rounds, a reopen and a scan of every branch.
+    for (BranchId b : branches) check_gets(b);
     check_branch(branches[rng.Uniform(branches.size())]);
     check_branch(branches[rng.Uniform(branches.size())]);
+    if (round % 10 == 9) {
+      reopen();
+      for (BranchId b : branches) {
+        check_branch(b);
+        check_gets(b);
+      }
+    }
   }
 
   // Final: every branch, every remembered commit, and pairwise diffs.
@@ -215,7 +295,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(EngineType::kTupleFirst,
                                          EngineType::kVersionFirst,
                                          EngineType::kHybrid),
-                       ::testing::Values(1u, 7u, 42u, 1234u)),
+                       ::testing::Values(1u, 7u, 42u, 1234u, 2u, 3u, 4u, 5u,
+                                         6u, 8u, 9u, 10u, 11u, 12u, 13u, 14u,
+                                         15u, 16u, 17u, 18u)),
     [](const auto& info) {
       const char* name = EngineTypeName(std::get<0>(info.param));
       std::string engine =

@@ -1,7 +1,10 @@
-/// Tests for the engines' flat pk index (engine/pk_index.h): differential
+/// Tests for the engines' pk index (engine/pk_index.h): differential
 /// equivalence with std::unordered_map under random insert/update/erase/
 /// find traffic, wrapped probe chains, growth, copy independence, memory
-/// accounting against the allocator, and the packed-location limits.
+/// accounting against the allocator, the packed-location limits, and the
+/// layered index under forks: erases of keys only a shared layer holds,
+/// re-inserts over erase markers, folds, collapses and shared-layer
+/// memory.
 
 #include "engine/pk_index.h"
 
@@ -10,10 +13,13 @@
 #endif
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/random.h"
@@ -169,6 +175,168 @@ TEST(PkIndexTest, MemoryBytesCountsTheSlotArray) {
   EXPECT_LE(per_entry, 16.0 * 16 / 7);
   index.Clear();
   EXPECT_EQ(index.MemoryBytes(), 0u);
+}
+
+/// Applies one random operation on \p pk to \p index and \p ref,
+/// comparing the results.
+void RandomOp(int64_t pk, Random* rng, PkIndex* index, Reference* ref) {
+  const uint64_t value = rng->Next();
+  switch (rng->Uniform(5)) {
+    case 0: {
+      auto [stored, inserted] = index->TryEmplace(pk, value);
+      auto [it, ref_inserted] = ref->try_emplace(pk, value);
+      ASSERT_EQ(inserted, ref_inserted) << "pk " << pk;
+      ASSERT_EQ(*stored, it->second) << "pk " << pk;
+      break;
+    }
+    case 1:
+      index->Put(pk, value);
+      (*ref)[pk] = value;
+      break;
+    case 2:
+    case 3:
+      ASSERT_EQ(index->Erase(pk), ref->erase(pk) == 1) << "pk " << pk;
+      break;
+    default: {
+      const uint64_t* found = index->Find(pk);
+      auto it = ref->find(pk);
+      ASSERT_EQ(found != nullptr, it != ref->end()) << "pk " << pk;
+      if (found != nullptr) {
+        ASSERT_EQ(*found, it->second) << "pk " << pk;
+      }
+      break;
+    }
+  }
+}
+
+TEST(PkIndexTest, LayeredMatchesUnorderedMapAcrossForks) {
+  // A population of branches forks, writes and dies at random. Keys come
+  // from a small pool, so erases hit keys only a shared layer holds and
+  // inserts land on erase markers; INT64_MIN is inserted before forks so
+  // every layer has a chance to hold it out of line. Bursts of fresh keys
+  // make deltas outgrow their layers (folds) and write-then-fork runs
+  // push chains past kMaxLayers (collapses).
+  Random rng(33);
+  std::vector<int64_t> keys = {kMin, kMax, 0, -1, kMin + 1};
+  for (int i = 0; i < 300; ++i) keys.push_back(rng.Next());
+  std::vector<PkIndex> branches(1);
+  std::vector<Reference> refs(1);
+  int64_t fresh = 1;
+  size_t max_depth = 0, folds = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const size_t b = rng.Uniform(branches.size());
+    const uint64_t action = rng.Uniform(100);
+    if (action < 8 && branches.size() < 24) {
+      if (rng.OneIn(2)) RandomOp(kMin, &rng, &branches[b], &refs[b]);
+      branches.push_back(branches[b].Fork());
+      refs.push_back(refs[b]);
+      max_depth = std::max(max_depth, branches.back().depth());
+      ASSERT_LE(branches.back().depth(), PkIndex::kMaxLayers);
+    } else if (action < 10 && branches.size() > 1) {
+      branches.erase(branches.begin() + static_cast<std::ptrdiff_t>(b));
+      refs.erase(refs.begin() + static_cast<std::ptrdiff_t>(b));
+    } else if (action < 11 && branches[b].depth() > 0) {
+      // Fresh keys until the delta outgrows the layers and folds.
+      for (int i = 0; i < 3000 && branches[b].depth() > 0; ++i) {
+        const int64_t pk = fresh++ * 1000003;
+        ASSERT_TRUE(branches[b].TryEmplace(pk, 1).second);
+        refs[b][pk] = 1;
+      }
+      if (branches[b].depth() == 0) ++folds;
+    } else {
+      for (int i = 0; i < 20; ++i) {
+        RandomOp(keys[rng.Uniform(keys.size())], &rng, &branches[b],
+                 &refs[b]);
+      }
+    }
+    if (step % 100 == 99) {
+      for (size_t i = 0; i < branches.size(); ++i) {
+        ExpectSameContents(branches[i], refs[i]);
+      }
+    }
+  }
+  for (size_t i = 0; i < branches.size(); ++i) {
+    ExpectSameContents(branches[i], refs[i]);
+  }
+  EXPECT_EQ(max_depth, PkIndex::kMaxLayers);
+  EXPECT_GT(folds, 0u);
+}
+
+TEST(PkIndexTest, ForkSharesLayersAndMarksErasures) {
+  PkIndex parent;
+  constexpr int64_t kKeys = 1000;
+  for (int64_t k = 0; k < kKeys; ++k) parent.Put(k, 10 + k);
+  parent.Put(kMin, 7);
+  const uint64_t frozen_bytes = parent.MemoryBytes();
+
+  PkIndex child = parent.Fork();
+  EXPECT_EQ(parent.depth(), 1u);
+  EXPECT_EQ(child.depth(), 1u);
+  EXPECT_EQ(child.size(), static_cast<size_t>(kKeys) + 1);
+  EXPECT_EQ(parent.capacity(), 0u);  // the delta moved, nothing copied
+
+  // An erase of a key only the layer holds leaves a marker in the child;
+  // the parent still sees the key.
+  EXPECT_TRUE(child.Erase(5));
+  EXPECT_TRUE(child.Erase(kMin));
+  EXPECT_FALSE(child.Erase(5));
+  EXPECT_EQ(child.Find(5), nullptr);
+  EXPECT_EQ(child.Find(kMin), nullptr);
+  EXPECT_EQ(*parent.Find(5), 15u);
+  EXPECT_EQ(*parent.Find(kMin), 7u);
+  // A re-insert over the marker is an insert.
+  auto [stored, inserted] = child.TryEmplace(5, 99);
+  EXPECT_TRUE(inserted);
+  EXPECT_EQ(*stored, 99u);
+  EXPECT_TRUE(child.TryEmplace(kMin, 8).second);
+  // A layer's key is copied up before the child writes it.
+  auto [copied, fresh] = child.TryEmplace(6, 1234);
+  EXPECT_FALSE(fresh);
+  EXPECT_EQ(*copied, 16u);
+  *copied = 77;
+  EXPECT_EQ(*child.Find(6), 77u);
+  EXPECT_EQ(*parent.Find(6), 16u);
+  // An erase of a key the child wrote over the layer also needs a marker.
+  EXPECT_TRUE(child.Erase(6));
+  EXPECT_EQ(child.Find(6), nullptr);
+  EXPECT_EQ(child.size(), static_cast<size_t>(kKeys));
+
+  // Two forks: the shared layer counts once, plus each delta.
+  PkIndex sibling = parent.Fork();
+  EXPECT_EQ(parent.depth(), 1u);  // an empty delta adds no layer
+  for (int64_t k = kKeys; k < kKeys + 10; ++k) sibling.Put(k, 1);
+  std::unordered_set<const void*> counted;
+  const uint64_t total = parent.MemoryBytes(&counted) +
+                         child.MemoryBytes(&counted) +
+                         sibling.MemoryBytes(&counted);
+  EXPECT_EQ(total, frozen_bytes + (child.MemoryBytes() - frozen_bytes) +
+                       sibling.capacity() * 16);
+  EXPECT_EQ(parent.MemoryBytes(), frozen_bytes);
+  EXPECT_EQ(sibling.MemoryBytes(), frozen_bytes + sibling.capacity() * 16);
+
+  // A delta that outgrows its layers folds into one private table.
+  for (int64_t k = 0; k < kKeys + 2; ++k) sibling.Put(2 * kKeys + k, 2);
+  EXPECT_EQ(sibling.depth(), 0u);
+  EXPECT_EQ(sibling.size(), static_cast<size_t>(2 * kKeys + 13));
+  EXPECT_EQ(*sibling.Find(kMin), 7u);
+  EXPECT_EQ(*sibling.Find(5), 15u);
+
+  // Write-then-fork runs collapse a chain deeper than kMaxLayers.
+  PkIndex writer = parent.Fork();
+  for (size_t i = 0; i < 2 * PkIndex::kMaxLayers; ++i) {
+    writer.Put(-100 - static_cast<int64_t>(i), i);
+    PkIndex fork = writer.Fork();
+    EXPECT_LE(fork.depth(), PkIndex::kMaxLayers);
+    EXPECT_EQ(fork.size(), static_cast<size_t>(kKeys) + 2 + i);
+    EXPECT_EQ(*fork.Find(-100), 0u);
+    EXPECT_EQ(*fork.Find(kKeys - 1), static_cast<uint64_t>(9 + kKeys));
+  }
+
+  // Clear drops the layer references along with the delta.
+  child.Clear();
+  EXPECT_EQ(child.MemoryBytes(), 0u);
+  EXPECT_EQ(child.depth(), 0u);
+  EXPECT_EQ(child.Find(1), nullptr);
 }
 
 #if defined(__GLIBC__) && \

@@ -411,6 +411,39 @@ TEST_F(HeapFileTest, ReopenedWithoutStatsReadsCompressedPages) {
   }
 }
 
+TEST_F(HeapFileTest, CompressedMissesRecycleTheStoredBytesFrame) {
+  // A compressed page decodes into a pool frame; the frame its stored
+  // bytes were read into parks as the spare, and the next miss reads into
+  // that same buffer instead of allocating one.
+  const Schema schema = Schema32();
+  HeapFile::Options opts;
+  opts.page_size = 1024;  // 31 records a page
+  opts.schema = &schema;
+  opts.compress_pages = true;
+  BufferPool pool(1 << 20);
+  auto file = HeapFile::Create(JoinPath(dir_.path(), "t.dbhf"), 32, opts,
+                               &pool);
+  ASSERT_TRUE(file.ok());
+  std::string records;
+  for (int64_t i = 0; i < 4 * 31; ++i) records += MakeRecordBytes(32, i, 'z');
+  ASSERT_TRUE((*file)->AppendBatch(records, 4 * 31).ok());
+  ASSERT_OK((*file)->Flush());
+  pool.EvictAll();
+
+  std::string buf;
+  ASSERT_OK((*file)->Get(0, &buf));  // page 0: a compressed miss
+  EXPECT_EQ(buf, MakeRecordBytes(32, 0, 'z'));
+  const char* stored_frame = nullptr;
+  {
+    const std::shared_ptr<std::string> spare = pool.NewFrame();
+    ASSERT_GT(spare->capacity(), 16u) << "no stored-bytes frame was parked";
+    stored_frame = spare->data();
+  }  // back to the spare slot
+  ASSERT_OK((*file)->Get(31, &buf));  // page 1: the second miss
+  EXPECT_EQ(buf, MakeRecordBytes(32, 31, 'z'));
+  EXPECT_EQ(pool.NewFrame()->data(), stored_frame);
+}
+
 TEST_F(HeapFileTest, TruncatedMidPageIsAnError) {
   const Schema schema = Schema32();
   for (const Schema* s : {static_cast<const Schema*>(nullptr), &schema}) {
