@@ -53,6 +53,11 @@ class Bitmap {
     if (i >= nbits_) return false;
     return (words_[i >> 6] >> (i & 63)) & 1;
   }
+  /// Bits [64 * w, 64 * w + 64) as one word, bit i at position i % 64;
+  /// zero past the end.
+  uint64_t Word(uint64_t w) const {
+    return w < words_.size() ? words_[w] : 0;
+  }
 
   /// Number of set bits.
   uint64_t Count() const;

@@ -69,9 +69,10 @@ Result<WritableFile> WritableFile::Open(const std::string& path,
     }
     size = static_cast<uint64_t>(st.st_size);
   }
-  WritableFile f(fd, path, size);
-  f.buffer_.reserve(kWriteBufferSize);
-  return f;
+  // The buffer grows with use, up to kWriteBufferSize: a commit history
+  // appends a few hundred bytes between flushes, so a MiB reserved per
+  // open file would sit in the heap mostly untouched.
+  return WritableFile(fd, path, size);
 }
 
 Status WritableFile::Append(Slice data) {

@@ -248,10 +248,12 @@ Status Decibel::InitDurability(bool have_manifest) {
   uint64_t next_seg = 1;
   if (have_manifest) {
     DECIBEL_RETURN_NOT_OK(ReplayWal(&next_lsn, &next_seg));
-    // The engine opened every branch's pk index; a branch retired before
-    // the checkpoint drops its own again, as RetireBranch did.
+    // The engine opened every branch's pk index; a retired branch drops
+    // its own again, as RetireBranch did, and takes no writes.
     for (const BranchInfo& info : graph_.branches()) {
-      if (!info.active) DECIBEL_RETURN_NOT_OK(engine_->ReleaseBranch(info.id));
+      if (info.active) continue;
+      DECIBEL_RETURN_NOT_OK(engine_->ReleaseBranch(info.id));
+      retired_.insert(info.id);
     }
   }
   wal::Writer::Options wopts;
@@ -665,16 +667,24 @@ Status Decibel::RetireBranch(BranchId branch) {
   if (branch == kMasterBranch) {
     return Status::InvalidArgument("cannot retire master");
   }
-  std::shared_lock<std::shared_mutex> barrier(checkpoint_mu_);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!graph_.HasBranch(branch)) {
+  if (branch >= num_branches_.load(std::memory_order_acquire)) {
     return Status::NotFound("no branch " + std::to_string(branch));
   }
+  // Exclusive, as Branch and Merge take it: a write in flight on the
+  // branch finishes first, and one after it finds the branch retired.
+  DECIBEL_ASSIGN_OR_RETURN(
+      LockGuard guard, LockGuard::Acquire(&locks_, NextOwnerId(), branch,
+                                          LockMode::kExclusive));
+  std::shared_lock<std::shared_mutex> barrier(checkpoint_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   DECIBEL_ASSIGN_OR_RETURN(BranchInfo info, graph_.GetBranch(branch));
   if (!info.active) {
     return Status::InvalidArgument("branch " + std::to_string(branch) +
                                    " is already retired");
   }
+  // Pending writes are committed first, so the retired head is a commit
+  // that holds every row the branch reads.
+  DECIBEL_RETURN_NOT_OK(EnsureCommitted(branch).status());
   if (durable()) {
     std::string body;
     wal::EncodeRetireBody(&body, branch);
@@ -682,10 +692,13 @@ Status Decibel::RetireBranch(BranchId branch) {
   }
   // Retirement is soft: the branch's commits stay merge-able ancestors
   // and its storage stays shared (§4 — deltas are never reclaimed per
-  // branch), but it drops out of ActiveBranches / HEADS scans. Any ops
-  // staged but never committed are abandoned with it.
+  // branch), but it drops out of ActiveBranches / HEADS scans and takes
+  // no more writes.
   graph_.SetActive(branch, false);
-  TakeDirty(branch);
+  {
+    std::lock_guard<std::mutex> dirty_lock(dirty_mu_);
+    retired_.insert(branch);
+  }
   // Drop the file descriptors the branch pinned (head segment, commit
   // histories) — under agentic fork/merge/retire churn the held handles
   // otherwise accumulate until the process hits its descriptor limit.
@@ -722,6 +735,7 @@ Result<MergeInfo> Decibel::Merge(const MergeSpec& spec) {
 
   std::shared_lock<std::shared_mutex> barrier(checkpoint_mu_);
   std::lock_guard<std::mutex> lock(mu_);
+  DECIBEL_RETURN_NOT_OK(CheckWritable(spec.into));
   // Both heads must be committed so the lca and the merge commit are
   // well-defined versions.
   DECIBEL_ASSIGN_OR_RETURN(CommitId head_into, EnsureCommitted(spec.into));
@@ -843,6 +857,7 @@ Status Decibel::ApplyBatchLocked(BranchId branch, const WriteBatch& batch) {
   // append and the engine apply so a checkpoint never captures one
   // without the other.
   std::shared_lock<std::shared_mutex> barrier(checkpoint_mu_);
+  DECIBEL_RETURN_NOT_OK(CheckWritable(branch));
   if (durable()) {
     std::string body;
     wal::EncodeBatchBody(&body, branch, batch);
@@ -883,6 +898,15 @@ Status Decibel::DeleteFrom(BranchId branch, int64_t pk) {
   WriteBatch batch(&schema_);
   batch.Delete(pk);
   return ApplyBatch(branch, batch);
+}
+
+Status Decibel::CheckWritable(BranchId branch) const {
+  std::lock_guard<std::mutex> lock(dirty_mu_);
+  if (retired_.count(branch) != 0) {
+    return Status::InvalidArgument("branch " + std::to_string(branch) +
+                                   " is retired and takes no writes");
+  }
+  return Status::OK();
 }
 
 bool Decibel::IsDirty(BranchId branch) const {

@@ -52,6 +52,7 @@
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/publisher.h"
@@ -278,10 +279,11 @@ class Decibel {
 
   /// Retires \p branch: it stops appearing in HEADS scans and
   /// ActiveBranches, ending its line of development (§4.1's branch
-  /// lifetime). Its commits and data stay readable by id. Master cannot
-  /// be retired. The agentic many-branch workload's "delete branch" —
-  /// physical storage is shared across branches and is never reclaimed
-  /// per-branch.
+  /// lifetime). Uncommitted writes are committed first; the branch then
+  /// refuses writes (InvalidArgument) on every engine, while its head and
+  /// commits stay readable and forkable. Master cannot be retired. The
+  /// agentic many-branch workload's "delete branch" — physical storage is
+  /// shared across branches and is never reclaimed per-branch.
   Status RetireBranch(BranchId branch);
 
   /// Merges \p from into \p into; the merge commit becomes the new head
@@ -460,6 +462,9 @@ class Decibel {
   Status WriteGuard(const Session& session) const;
   /// Applies \p batch under an already-held exclusive lock on \p branch.
   Status ApplyBatchLocked(BranchId branch, const WriteBatch& batch);
+  /// InvalidArgument when \p branch is retired. Callers hold the
+  /// branch's exclusive lock, which RetireBranch also takes.
+  Status CheckWritable(BranchId branch) const;
   /// The commit path of a Transaction: exclusive lock owned by the
   /// transaction's id, then ApplyBatchLocked.
   Status CommitTransaction(BranchId branch, uint64_t owner,
@@ -492,11 +497,15 @@ class Decibel {
   /// the last finished branch creation. Branch ids are dense and never
   /// reused, so `b < num_branches_` is graph_.HasBranch without mu_.
   std::atomic<uint64_t> num_branches_{0};
-  /// Leaf lock (taken after mu_ when both are held) for dirty_.
+  /// Leaf lock (taken after mu_ when both are held) for dirty_ and
+  /// retired_.
   mutable std::mutex dirty_mu_;
   /// Branches with uncommitted changes → ops staged since their last
   /// commit (the record count carried by commit notifications).
   std::unordered_map<BranchId, uint64_t> dirty_;
+  /// Retired branches, which refuse writes (read by transactions, which
+  /// do not take mu_).
+  std::unordered_set<BranchId> retired_;
   std::atomic<uint64_t> next_id_{1};
 
   /// Commit/merge event hub; its own (leaf) mutex, safe under mu_.

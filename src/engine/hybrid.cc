@@ -721,11 +721,14 @@ Result<std::unique_ptr<ScanCursor>> HybridEngine::NewScan(
   uint64_t segments_skipped = 0;
   DECIBEL_ASSIGN_OR_RETURN(std::vector<ScanPart> parts,
                            BuildScanParts(spec, &segments_skipped));
-  std::vector<BranchId> branch_list =
-      spec.view == ScanView::kMulti ? spec.branches : std::vector<BranchId>();
+  if (spec.view == ScanView::kMulti) {
+    return std::unique_ptr<ScanCursor>(new MultiPartsCursor(
+        &core_.schema(), core_.scan_counters(), std::move(parts),
+        segments_skipped, spec.branches, spec));
+  }
   return std::unique_ptr<ScanCursor>(
       new PartsCursor(&core_.schema(), core_.scan_counters(), std::move(parts),
-                      segments_skipped, std::move(branch_list), spec));
+                      segments_skipped, spec));
 }
 
 Result<Record> HybridEngine::Get(BranchId branch, int64_t pk) {

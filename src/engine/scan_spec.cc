@@ -11,6 +11,26 @@ const std::vector<BranchId>& ScanCursor::branches() const {
   return kEmpty;
 }
 
+bool ScanCursor::NextPage(ScanPage* page) {
+  ScanRow row;
+  if (!Next(&row)) return false;
+  page->Reset(row.record.schema(), 0);
+  page->records.push_back(row.record.data().data());
+  return true;
+}
+
+bool PagedCursor::Next(ScanRow* out) {
+  while (next_ >= page_.size()) {
+    if (!NextPage(&page_)) return false;
+    next_ = 0;
+  }
+  present_.clear();
+  page_.membership(next_).ForEach([&](uint32_t p) { present_.push_back(p); });
+  out->record = page_.record(next_++);
+  out->branches = &present_;
+  return true;
+}
+
 Result<std::vector<size_t>> ResolveProjection(
     const Schema& schema, const std::vector<std::string>& columns) {
   std::vector<size_t> out;
@@ -102,6 +122,67 @@ bool PreparedPredicate::MatchesOne(const Cmp& cmp, const char* record) {
     }
   }
   return false;
+}
+
+namespace {
+
+/// Clears bit i of \p keep for each of records[0, n) whose V-typed value
+/// at \p offset fails \p op against \p rhs (compared as R).
+template <typename V, typename R>
+uint64_t KeepMatching(const char* const* records, uint32_t n, uint32_t offset,
+                      CompareOp op, R rhs, uint64_t keep) {
+  auto keep_if = [&](auto passes) {
+    for (uint32_t i = 0; i < n; ++i) {
+      V v;
+      memcpy(&v, records[i] + offset, sizeof(v));
+      keep &= ~(static_cast<uint64_t>(!passes(static_cast<R>(v))) << i);
+    }
+    return keep;
+  };
+  switch (op) {
+    case CompareOp::kEq:
+      return keep_if([rhs](R v) { return v == rhs; });
+    case CompareOp::kNe:
+      return keep_if([rhs](R v) { return v != rhs; });
+    case CompareOp::kLt:
+      return keep_if([rhs](R v) { return v < rhs; });
+    case CompareOp::kLe:
+      return keep_if([rhs](R v) { return v <= rhs; });
+    case CompareOp::kGt:
+      return keep_if([rhs](R v) { return v > rhs; });
+    case CompareOp::kGe:
+      return keep_if([rhs](R v) { return v >= rhs; });
+  }
+  return 0;
+}
+
+}  // namespace
+
+uint64_t PreparedPredicate::MatchEach(const char* const* records,
+                                      uint32_t n) const {
+  uint64_t keep = n == 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
+  for (const Cmp& cmp : comparisons_) {
+    switch (cmp.type) {
+      case FieldType::kInt32:
+        keep = KeepMatching<int32_t, int64_t>(records, n, cmp.offset, cmp.op,
+                                              cmp.int_value, keep);
+        break;
+      case FieldType::kInt64:
+        keep = KeepMatching<int64_t, int64_t>(records, n, cmp.offset, cmp.op,
+                                              cmp.int_value, keep);
+        break;
+      case FieldType::kDouble:
+        keep = KeepMatching<double, double>(records, n, cmp.offset, cmp.op,
+                                            cmp.double_value, keep);
+        break;
+      case FieldType::kString:
+        for (uint32_t i = 0; i < n; ++i) {
+          if (!MatchesOne(cmp, records[i])) keep &= ~(uint64_t{1} << i);
+        }
+        break;
+    }
+  }
+  return keep;
 }
 
 void PreparedPredicate::MatchBatch(const char* base, uint32_t n,

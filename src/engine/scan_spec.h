@@ -171,6 +171,53 @@ struct ScanRow {
   const std::vector<uint32_t>* branches = nullptr;
 };
 
+/// The branches a row of a multi-branch view is live in: bit b % 64 of
+/// words[b / 64] is set when the row is live in position b of the
+/// cursor's branches() list.
+struct Membership {
+  const uint64_t* words = nullptr;
+  uint32_t num_words = 0;
+
+  bool Has(uint32_t pos) const { return (words[pos >> 6] >> (pos & 63)) & 1; }
+  /// Calls \p fn(pos) for every position the row is live in, ascending.
+  template <typename Fn>
+  void ForEach(const Fn& fn) const {
+    for (uint32_t w = 0; w < num_words; ++w) {
+      for (uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+        fn(w * 64 + static_cast<uint32_t>(__builtin_ctzll(bits)));
+      }
+    }
+  }
+};
+
+/// The rows ScanCursor::NextPage hands out at once: for multi-branch
+/// views, the selected rows of one pinned page with their membership.
+/// Record pointers stay valid until the next NextPage call.
+struct ScanPage {
+  const Schema* schema = nullptr;
+  uint32_t record_size = 0;
+  /// Membership words per row: ceil(branches / 64), 0 for single views.
+  uint32_t words_per_row = 0;
+  std::vector<const char*> records;
+  std::vector<uint64_t> members;  // words_per_row words per row
+
+  size_t size() const { return records.size(); }
+  RecordRef record(size_t i) const {
+    return RecordRef(schema, Slice(records[i], record_size));
+  }
+  Membership membership(size_t i) const {
+    return Membership{members.data() + i * words_per_row, words_per_row};
+  }
+  /// Empties the page and sets its shape.
+  void Reset(const Schema* s, uint32_t branches) {
+    schema = s;
+    record_size = s->record_size();
+    words_per_row = (branches + 63) / 64;
+    records.clear();
+    members.clear();
+  }
+};
+
 /// Pull cursor over the rows a ScanSpec selects.
 class ScanCursor {
  public:
@@ -178,12 +225,30 @@ class ScanCursor {
   /// Advances to the next matching row; false at end or error (check
   /// status()).
   virtual bool Next(ScanRow* out) = 0;
+  /// Fills \p page with the next non-empty batch of rows; false at end
+  /// or error (check status()). Multi-branch views return one pinned
+  /// page's rows per call (PagedCursor); other views return one row.
+  virtual bool NextPage(ScanPage* page);
   virtual const Status& status() const = 0;
-  /// Work done so far; final after Next() returns false.
+  /// Work done so far; final after Next() returns false. A cursor read
+  /// by pages has counted every row of the pages it handed out.
   virtual const ScanStats& stats() const = 0;
   /// The resolved branch list of a multi-branch scan (ScanRow::branches
   /// positions index into it); empty for single-version views.
   virtual const std::vector<BranchId>& branches() const;
+};
+
+/// Base of the multi-branch cursors. An engine implements NextPage, its
+/// one multi-view kernel; Next hands out the page's rows one at a time.
+class PagedCursor : public ScanCursor {
+ public:
+  bool Next(ScanRow* out) final;
+  bool NextPage(ScanPage* page) override = 0;
+
+ private:
+  ScanPage page_;
+  size_t next_ = 0;  // next row of page_ Next hands out
+  std::vector<uint32_t> present_;
 };
 
 /// Lifetime scan-work totals an engine embeds; cursors flush their
@@ -237,6 +302,11 @@ class PreparedPredicate {
     }
     return true;
   }
+
+  /// Batch form of Matches over \p n <= 64 records: bit i of the result
+  /// is set when \p records[i] matches. Each comparison's type and
+  /// operator are resolved once per call, not per record.
+  uint64_t MatchEach(const char* const* records, uint32_t n) const;
 
   /// Batch form of Matches for pinned pages: for i in [0, n),
   /// mask[i] &= Matches(record i). Records are packed with \p stride

@@ -3,6 +3,7 @@
 #include <map>
 
 #include "common/coding.h"
+#include "engine/bitmap_scan.h"
 #include "engine/diff_util.h"
 #include "engine/scan_util.h"
 
@@ -10,11 +11,9 @@ namespace decibel {
 
 namespace {
 
-/// Streaming cursor over one materialized bitmap view of the striped heap.
-/// For multi-branch views `cols` holds the requested branches' columns and
-/// `bits` their union; the predicate is evaluated on the raw in-page
-/// record bytes *before* the per-branch membership annotation, so
-/// predicate-failing tuples cost one comparison and no bitmap probes.
+/// Streaming cursor over one materialized single-version bitmap view of
+/// the striped heap. The predicate is evaluated on the raw in-page record
+/// bytes.
 ///
 /// The cursor owns its bitmap snapshot and extent-mapping snapshot, so it
 /// never touches engine state after construction: scans stream lock-free
@@ -22,12 +21,8 @@ namespace {
 class TupleFirstCursor : public ScanCursor {
  public:
   TupleFirstCursor(StripedHeap::Mapping mapping, const Schema* schema,
-                   Bitmap bits, std::vector<Bitmap> cols,
-                   std::vector<BranchId> branch_list, const ScanSpec& spec,
-                   ScanCounters* counters)
+                   Bitmap bits, const ScanSpec& spec, ScanCounters* counters)
       : bits_(std::move(bits)),
-        cols_(std::move(cols)),
-        branch_list_(std::move(branch_list)),
         scanner_(std::move(mapping), schema, &bits_),
         prepared_(spec.predicate, *schema),
         limit_(spec.limit),
@@ -42,23 +37,62 @@ class TupleFirstCursor : public ScanCursor {
   bool Next(ScanRow* out) override {
     if (limit_ != 0 && stats_.rows_emitted >= limit_) return false;
     RecordRef rec;
-    uint64_t idx;
-    while (scanner_.Next(&rec, &idx)) {
+    while (scanner_.Next(&rec, nullptr)) {
       ++stats_.rows_scanned;
       stats_.bytes_scanned += row_bytes_;
       if (!prepared_.Matches(rec.data().data())) continue;
-      if (!cols_.empty()) {
-        present_.clear();
-        for (uint32_t i = 0; i < cols_.size(); ++i) {
-          if (cols_[i].Test(idx)) present_.push_back(i);
-        }
-        out->branches = &present_;
-      } else {
-        out->branches = nullptr;
-      }
+      out->branches = nullptr;
       out->record = rec;
       ++stats_.rows_emitted;
       return true;
+    }
+    return false;
+  }
+
+  const Status& status() const override { return scanner_.status(); }
+  const ScanStats& stats() const override { return stats_; }
+
+ private:
+  Bitmap bits_;
+  StripedBitmapScanner scanner_;
+  PreparedPredicate prepared_;
+  uint64_t limit_;
+  uint32_t row_bytes_;
+  ScanCounters* counters_;
+  ScanStats stats_;
+};
+
+/// The multi-branch view (§3.2 Multi-branch Scan): `cols` holds the
+/// requested branches' columns and `bits` their union; each pinned page's
+/// rows go through AnnotateRun, the kernel hybrid and version-first share.
+/// Lock-free after construction, as TupleFirstCursor.
+class TupleFirstMultiCursor : public PagedCursor {
+ public:
+  TupleFirstMultiCursor(StripedHeap::Mapping mapping, const Schema* schema,
+                        Bitmap bits, std::vector<Bitmap> cols,
+                        std::vector<BranchId> branch_list,
+                        const ScanSpec& spec, ScanCounters* counters)
+      : schema_(schema),
+        bits_(std::move(bits)),
+        cols_(std::move(cols)),
+        branch_list_(std::move(branch_list)),
+        scanner_(std::move(mapping), schema, &bits_),
+        prepared_(spec.predicate, *schema),
+        limit_(spec.limit),
+        row_bytes_(ProjectedRowBytes(*schema, spec.projection)),
+        counters_(counters) {
+    scanner_.EnablePruning(&prepared_, &stats_);
+  }
+  ~TupleFirstMultiCursor() override { counters_->Add(stats_); }
+
+  bool NextPage(ScanPage* page) override {
+    page->Reset(schema_, static_cast<uint32_t>(branch_list_.size()));
+    PageRun run;
+    while ((limit_ == 0 || stats_.rows_emitted < limit_) &&
+           scanner_.NextRun(&run)) {
+      AnnotateRun(run, bits_, cols_, prepared_, row_bytes_, limit_, &stats_,
+                  page);
+      if (page->size() != 0) return true;
     }
     return false;
   }
@@ -70,6 +104,7 @@ class TupleFirstCursor : public ScanCursor {
   }
 
  private:
+  const Schema* schema_;
   Bitmap bits_;
   std::vector<Bitmap> cols_;
   std::vector<BranchId> branch_list_;
@@ -78,7 +113,6 @@ class TupleFirstCursor : public ScanCursor {
   uint64_t limit_;
   uint32_t row_bytes_;
   ScanCounters* counters_;
-  std::vector<uint32_t> present_;
   ScanStats stats_;
 };
 
@@ -376,15 +410,15 @@ Result<std::unique_ptr<ScanCursor>> TupleFirstEngine::NewScan(
         StripeGuard stripe(this, {spec.branch});
         bits = index_->MaterializeBranch(spec.branch);
       }
-      return std::unique_ptr<ScanCursor>(new TupleFirstCursor(
-          heap_->SnapshotMapping(), schema, std::move(bits), {}, {}, spec,
-          core_.scan_counters()));
+      return std::unique_ptr<ScanCursor>(
+          new TupleFirstCursor(heap_->SnapshotMapping(), schema,
+                               std::move(bits), spec, core_.scan_counters()));
     }
     case ScanView::kCommit: {
       DECIBEL_ASSIGN_OR_RETURN(Bitmap bits, CommitBitmap(spec.commit));
-      return std::unique_ptr<ScanCursor>(new TupleFirstCursor(
-          heap_->SnapshotMapping(), schema, std::move(bits), {}, {}, spec,
-          core_.scan_counters()));
+      return std::unique_ptr<ScanCursor>(
+          new TupleFirstCursor(heap_->SnapshotMapping(), schema,
+                               std::move(bits), spec, core_.scan_counters()));
     }
     case ScanView::kMulti: {
       // One pass over the heap, each tuple annotated with the branches it
@@ -404,7 +438,7 @@ Result<std::unique_ptr<ScanCursor>> TupleFirstEngine::NewScan(
           unioned.OrWith(cols.back());
         }
       }
-      return std::unique_ptr<ScanCursor>(new TupleFirstCursor(
+      return std::unique_ptr<ScanCursor>(new TupleFirstMultiCursor(
           heap_->SnapshotMapping(), schema, std::move(unioned),
           std::move(cols), spec.branches, spec, core_.scan_counters()));
     }

@@ -766,9 +766,9 @@ Result<std::unique_ptr<ScanCursor>> VersionFirstEngine::NewScan(
       const uint64_t segments_skipped = DropUnmatchableParts(
           PreparedPredicate(spec.predicate, core_.schema()), &parts);
       return std::unique_ptr<ScanCursor>(
-          new PartsCursor(&core_.schema(), core_.scan_counters(),
-                          std::move(parts), segments_skipped, spec.branches,
-                          spec));
+          new MultiPartsCursor(&core_.schema(), core_.scan_counters(),
+                               std::move(parts), segments_skipped,
+                               spec.branches, spec));
     }
     case ScanView::kDiff:
       return MakeDiffScanCursor(

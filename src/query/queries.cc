@@ -5,6 +5,8 @@
 #include <utility>
 #include <vector>
 
+#include "engine/pk_index.h"
+
 namespace decibel {
 namespace query {
 
@@ -62,56 +64,56 @@ Result<QueryStats> JoinVersions(Decibel* db, BranchId a, BranchId b,
   // runs here, not in the scan, because b's rows must be seen whatever
   // their values.
   const Schema* schema = &db->schema();
+  const uint32_t record_size = schema->record_size();
   const PreparedPredicate prepared(predicate, *schema);
   DECIBEL_ASSIGN_OR_RETURN(auto cursor, db->NewScan(ScanSpec::Multi({a, b})));
   QueryStats stats;
-  // Rows live in one head only (a's only when they pass the predicate),
-  // copied out and matched by key after the pass.
-  struct OneSided {
-    std::string bytes;
-    std::vector<std::pair<int64_t, size_t>> keys;  // (pk, offset in bytes)
-    void Add(const RecordRef& rec) {
-      keys.emplace_back(rec.pk(), bytes.size());
-      bytes.append(rec.data().data(), rec.data().size());
-    }
-  };
-  OneSided only_a, only_b;
-  ScanRow row;
-  while (cursor->Next(&row)) {
-    // Positions into {a, b}, ascending: {0}, {1} or {0, 1}.
-    const bool in_a = row.branches->front() == 0;
-    const bool in_b = row.branches->back() == 1;
-    if (!in_a) {
-      only_b.Add(row.record);
-    } else if (prepared.Matches(row.record.data().data())) {
-      if (!in_b) {
-        only_a.Add(row.record);
-        continue;
+  // Rows live in one head only, copied out: a's that pass the predicate
+  // and b's, each side in scan order.
+  std::string only_a, only_b;
+  ScanPage page;
+  while (cursor->NextPage(&page)) {
+    for (size_t i = 0; i < page.size(); i += 64) {
+      const uint32_t n =
+          static_cast<uint32_t>(std::min<size_t>(64, page.size() - i));
+      const uint64_t pass = prepared.MatchEach(&page.records[i], n);
+      for (uint32_t k = 0; k < n; ++k) {
+        const char* rec = page.records[i + k];
+        const Membership in = page.membership(i + k);  // positions in {a, b}
+        if (!in.Has(0)) {
+          only_b.append(rec, record_size);
+        } else if ((pass >> k) & 1) {
+          if (!in.Has(1)) {
+            only_a.append(rec, record_size);
+            continue;
+          }
+          ++stats.rows_emitted;
+          if (callback) callback(page.record(i + k), page.record(i + k));
+        }
       }
-      ++stats.rows_emitted;
-      if (callback) callback(row.record, row.record);
     }
   }
   DECIBEL_RETURN_NOT_OK(cursor->status());
   stats.rows_scanned = cursor->stats().rows_scanned;
   stats.bytes_scanned = cursor->stats().bytes_scanned;
 
-  // Versions that differ between the heads: merge-join by key.
-  std::sort(only_a.keys.begin(), only_a.keys.end());
-  std::sort(only_b.keys.begin(), only_b.keys.end());
-  const size_t record_size = schema->record_size();
-  size_t i = 0;
-  for (const auto& [pk, b_offset] : only_b.keys) {
-    while (i < only_a.keys.size() && only_a.keys[i].first < pk) ++i;
-    if (i == only_a.keys.size()) break;
-    if (only_a.keys[i].first != pk) continue;
+  // Versions that differ between the heads: a's keyed by pk (the value is
+  // the row's offset in only_a), probed by b's.
+  PkTable a_keys;
+  a_keys.Reserve(only_a.size() / record_size);
+  for (size_t off = 0; off < only_a.size(); off += record_size) {
+    a_keys.TryEmplace(RecordRef(schema, Slice(only_a.data() + off,
+                                              record_size)).pk(),
+                      off);
+  }
+  for (size_t off = 0; off < only_b.size(); off += record_size) {
+    const RecordRef right(schema, Slice(only_b.data() + off, record_size));
+    const uint64_t* left = a_keys.Find(right.pk());
+    if (left == nullptr) continue;
     ++stats.rows_emitted;
     if (callback) {
-      callback(RecordRef(schema, Slice(only_a.bytes.data() +
-                                           only_a.keys[i].second,
-                                       record_size)),
-               RecordRef(schema, Slice(only_b.bytes.data() + b_offset,
-                                       record_size)));
+      callback(RecordRef(schema, Slice(only_a.data() + *left, record_size)),
+               right);
     }
   }
   return stats;
@@ -121,9 +123,12 @@ Result<QueryStats> ScanHeads(Decibel* db, const Predicate& predicate,
                              const AnnotatedRowCallback& callback) {
   DECIBEL_ASSIGN_OR_RETURN(auto cursor,
                            db->NewScan(ScanSpec::Heads().Where(predicate)));
-  ScanRow row;
-  while (cursor->Next(&row)) {
-    if (callback) callback(row.record, *row.branches);
+  ScanPage page;
+  while (cursor->NextPage(&page)) {
+    if (!callback) continue;
+    for (size_t i = 0; i < page.size(); ++i) {
+      callback(page.record(i), page.membership(i));
+    }
   }
   DECIBEL_RETURN_NOT_OK(cursor->status());
   return ToQueryStats(cursor->stats());
@@ -198,11 +203,12 @@ Result<std::vector<AggregateResult>> AggregatePerBranch(
       auto cursor, db->NewScan(ScanSpec::Multi(branches)
                                    .Where(predicate)
                                    .Project({col})));
-  ScanRow row;
-  while (cursor->Next(&row)) {
-    const int64_t value = row.record.GetNumeric(col);
-    for (uint32_t p : *row.branches) {
-      Accumulate(&aggs[p], value);
+  ScanPage page;
+  while (cursor->NextPage(&page)) {
+    for (size_t i = 0; i < page.size(); ++i) {
+      const int64_t value = page.record(i).GetNumeric(col);
+      page.membership(i).ForEach(
+          [&](uint32_t p) { Accumulate(&aggs[p], value); });
     }
   }
   DECIBEL_RETURN_NOT_OK(cursor->status());

@@ -31,9 +31,10 @@ using RowCallback = std::function<void(const RecordRef&)>;
 /// Joined rows: the two versions of the same key.
 using JoinCallback =
     std::function<void(const RecordRef& left, const RecordRef& right)>;
-/// Q4 rows carry their branch annotations.
+/// Q4 rows carry their branch annotations: positions into the heads
+/// list, in Decibel::ActiveBranches order.
 using AnnotatedRowCallback =
-    std::function<void(const RecordRef&, const std::vector<uint32_t>&)>;
+    std::function<void(const RecordRef&, Membership)>;
 
 /// Q1: scan one branch, emitting records matching \p predicate.
 Result<QueryStats> ScanVersion(Decibel* db, BranchId branch,
@@ -51,11 +52,12 @@ Result<QueryStats> PositiveDiff(Decibel* db, BranchId a, BranchId b,
                                 const RowCallback& callback);
 
 /// Q3: primary-key join of two branches; emits pairs where the \p a side
-/// satisfies \p predicate. Reads one ScanSpec::Multi({a, b}) cursor: a
-/// row live in both heads is the same stored version on both sides and is
-/// emitted as (row, row) with no copy; only rows live in one head are
-/// copied, then matched by key after the pass. QueryStats::rows_scanned
-/// is that cursor's count of live versions in the two heads.
+/// satisfies \p predicate. Reads one ScanSpec::Multi({a, b}) cursor a
+/// page at a time: a row live in both heads is the same stored version on
+/// both sides and is emitted as (row, row) with no copy; only rows live
+/// in one head are copied, a's keyed by pk in a hash table that b's probe
+/// after the pass. QueryStats::rows_scanned is that cursor's count of
+/// live versions in the two heads.
 Result<QueryStats> JoinVersions(Decibel* db, BranchId a, BranchId b,
                                 const Predicate& predicate,
                                 const JoinCallback& callback);

@@ -427,10 +427,10 @@ Result<ExecResult> Interpreter::Execute(const std::string& statement) {
     DECIBEL_ASSIGN_OR_RETURN(
         query::QueryStats stats,
         query::ScanHeads(db, pred,
-                         [&](const RecordRef& rec,
-                             const std::vector<uint32_t>& branches) {
+                         [&](const RecordRef& rec, Membership branches) {
                            out << FormatRecord(rec) << "  [in";
-                           for (uint32_t b : branches) out << " " << b;
+                           branches.ForEach(
+                               [&](uint32_t b) { out << " " << b; });
                            out << "]\n";
                            ++result.rows;
                          }));

@@ -343,6 +343,50 @@ uint64_t StripedHeap::Mapping::PastPage(uint64_t global,
                     e->local_base);
 }
 
+bool StripedBitmapScanner::Locate(uint64_t next, HeapFile** file,
+                                  uint64_t* local) {
+  if (!mapping_.Resolve(next, file, local)) {
+    // A bit inside the snapshot's bound always has a covering extent.
+    status_ = Status::Corruption("striped heap: set bit outside extents");
+    return false;
+  }
+  if (*local >= (*file)->num_records()) {
+    // Bit set for a record the snapshot's stripe file has not appended —
+    // cannot happen for a bitmap materialized before the mapping.
+    status_ = Status::Corruption("striped heap: set bit beyond stripe end");
+    return false;
+  }
+  return true;
+}
+
+bool StripedBitmapScanner::PinOrSkip(HeapFile* file, uint64_t page_no,
+                                     uint64_t next, bool* skipped) {
+  *skipped = false;
+  // The bitmap already resolved visibility, so a page the zone map (or
+  // its compressed strips) rules out is stepped over whole.
+  bool skip =
+      predicate_ != nullptr && !file->PageMayMatch(page_no, *predicate_);
+  if (!skip) {
+    auto page = file->PinPageCounted(page_no, predicate_, &skip);
+    if (!page.ok()) {
+      status_ = page.status();
+      return false;
+    }
+    if (stats_ != nullptr) stats_->bytes_read += page.value().io_bytes;
+    if (!skip) {
+      page_ = std::move(page).MoveValueUnsafe();
+      pinned_file_ = file;
+      pinned_page_no_ = page_no;
+    }
+  }
+  if (skip) {
+    if (stats_ != nullptr) ++stats_->pages_skipped;
+    pos_ = mapping_.PastPage(next, file->records_per_page());
+    *skipped = true;
+  }
+  return true;
+}
+
 bool StripedBitmapScanner::Next(RecordRef* out, uint64_t* index) {
   if (!status_.ok()) return false;
   for (;;) {
@@ -350,48 +394,50 @@ bool StripedBitmapScanner::Next(RecordRef* out, uint64_t* index) {
     if (next == UINT64_MAX || next >= mapping_.bound()) return false;
     HeapFile* file = nullptr;
     uint64_t local = 0;
-    if (!mapping_.Resolve(next, &file, &local)) {
-      // A bit inside the snapshot's bound always has a covering extent.
-      status_ = Status::Corruption("striped heap: set bit outside extents");
-      return false;
-    }
-    if (local >= file->num_records()) {
-      // Bit set for a record the snapshot's stripe file has not appended —
-      // cannot happen for a bitmap materialized before the mapping.
-      status_ = Status::Corruption("striped heap: set bit beyond stripe end");
-      return false;
-    }
+    if (!Locate(next, &file, &local)) return false;
     const uint64_t rpp = file->records_per_page();
     const uint64_t page_no = local / rpp;
     if (file != pinned_file_ || page_no != pinned_page_no_) {
-      // The bitmap already resolved visibility, so a page the zone map
-      // (or its compressed strips) rules out is stepped over whole.
-      bool skip =
-          predicate_ != nullptr && !file->PageMayMatch(page_no, *predicate_);
-      if (!skip) {
-        auto page = file->PinPageCounted(page_no, predicate_, &skip);
-        if (!page.ok()) {
-          status_ = page.status();
-          return false;
-        }
-        if (stats_ != nullptr) stats_->bytes_read += page.value().io_bytes;
-        if (!skip) {
-          page_ = std::move(page).MoveValueUnsafe();
-          pinned_file_ = file;
-          pinned_page_no_ = page_no;
-        }
-      }
-      if (skip) {
-        if (stats_ != nullptr) ++stats_->pages_skipped;
-        pos_ = mapping_.PastPage(next, rpp);
-        continue;
-      }
+      bool skipped;
+      if (!PinOrSkip(file, page_no, next, &skipped)) return false;
+      if (skipped) continue;
     }
     pos_ = next + 1;
     const uint64_t slot = local % rpp;
     *out = RecordRef(schema_, Slice(page_.payload + slot * file->record_size(),
                                     file->record_size()));
     if (index != nullptr) *index = next;
+    return true;
+  }
+}
+
+bool StripedBitmapScanner::NextRun(PageRun* run) {
+  if (!status_.ok()) return false;
+  for (;;) {
+    const uint64_t next = bits_->NextSet(pos_);
+    if (next == UINT64_MAX || next >= mapping_.bound()) return false;
+    HeapFile* file = nullptr;
+    uint64_t local = 0;
+    if (!Locate(next, &file, &local)) return false;
+    const uint64_t rpp = file->records_per_page();
+    const uint64_t page_no = local / rpp;
+    if (file != pinned_file_ || page_no != pinned_page_no_) {
+      bool skipped;
+      if (!PinOrSkip(file, page_no, next, &skipped)) return false;
+      if (skipped) continue;
+    }
+    const uint64_t slot = local - page_no * rpp;
+    if (slot >= page_.count) {
+      status_ = Status::Corruption("striped heap: set bit beyond its page");
+      return false;
+    }
+    // Global indices run on through the page only while its extents
+    // extend the same file back to back (Mapping::PastPage).
+    run->first = page_.payload + slot * file->record_size();
+    run->begin = next;
+    run->end = std::min(mapping_.PastPage(next, rpp),
+                        next + (page_.count - slot));
+    pos_ = run->end;
     return true;
   }
 }

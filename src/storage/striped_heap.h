@@ -238,6 +238,16 @@ class StripedHeap {
 
 struct ScanStats;
 
+/// The selected stretch of one pinned page that a bitmap scanner's
+/// NextRun hands out: bit indices [begin, end) of its bitmap name
+/// consecutive records of the page, the one for \p begin at \p first.
+/// `first` stays valid until the scanner's next call.
+struct PageRun {
+  const char* first = nullptr;
+  uint64_t begin = 0;
+  uint64_t end = 0;
+};
+
 /// Iterates heap records selected by a bitmap through a Mapping snapshot —
 /// the striped counterpart of BitmapScanner. Lock-free: the bitmap is the
 /// caller's materialized copy and the mapping never changes.
@@ -262,9 +272,23 @@ class StripedBitmapScanner {
   }
 
   bool Next(RecordRef* out, uint64_t* index);
+  /// Pins the next page holding a selected record and returns the run of
+  /// that page from the record on; the scan resumes after the run. The
+  /// run may hold unselected records: the caller reads the bitmap's words
+  /// over [begin, end). Returns false at end or error.
+  bool NextRun(PageRun* run);
   const Status& status() const { return status_; }
 
  private:
+  /// Resolves set bit \p next to its file and local index, checking that
+  /// the snapshot covers it. False on error (status_ set).
+  bool Locate(uint64_t next, HeapFile** file, uint64_t* local);
+  /// Pins \p page_no of \p file, which holds set bit \p next. Sets
+  /// *skipped (and moves pos_ past the page) when pruning rules the page
+  /// out. False on error (status_ set).
+  bool PinOrSkip(HeapFile* file, uint64_t page_no, uint64_t next,
+                 bool* skipped);
+
   StripedHeap::Mapping mapping_;
   const Schema* schema_;
   const Bitmap* bits_;

@@ -537,5 +537,50 @@ TEST(SimdFilterTest, MatchBatchEqualsPerRowMatches) {
   columnar::ForceScalarForTest(false);
 }
 
+TEST(PreparedPredicateTest, MatchEachEqualsPerRowMatches) {
+  // The multi-view kernel's batch form: every column type and operator,
+  // a literal outside the int32 range, a conjunction, and batches of
+  // every size up to 64 records in arbitrary order.
+  const Schema schema = MixedSchema();
+  Random rng(23);
+  std::vector<Record> rows;
+  for (int64_t pk = 0; pk < 300; ++pk) {
+    rows.push_back(MixedRecord(
+        schema, pk, static_cast<int32_t>(rng.Uniform(16)) - 8,
+        static_cast<int64_t>(rng.Uniform(100)) - 50,
+        rng.OneIn(9) ? std::nan("") : rng.NextDouble() * 4 - 2,
+        rng.OneIn(2) ? "yes" : "no"));
+  }
+  std::vector<Predicate> preds;
+  for (CompareOp op : {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                       CompareOp::kLe, CompareOp::kGt, CompareOp::kGe}) {
+    preds.push_back(*Predicate::Compare(schema, "c1", op, 0));
+    preds.push_back(*Predicate::Compare(schema, "c2", op, -3));
+    preds.push_back(*Predicate::CompareDouble(schema, "c3", op, 0.5));
+    preds.push_back(*Predicate::CompareString(schema, "c4", op, "yes"));
+  }
+  preds.push_back(*Predicate::Compare(schema, "c1", CompareOp::kLt,
+                                      int64_t{1} << 40));
+  preds.push_back(Predicate(preds[2]).And(preds[4].comparisons()[0]));
+  preds.push_back(Predicate());
+  for (const Predicate& pred : preds) {
+    const PreparedPredicate prepared(pred, schema);
+    for (uint32_t n = 1; n <= 64; ++n) {
+      std::vector<const char*> batch(n);
+      for (uint32_t i = 0; i < n; ++i) {
+        batch[i] = rows[rng.Uniform(rows.size())].data().data();
+      }
+      const uint64_t got = prepared.MatchEach(batch.data(), n);
+      if (n < 64) {
+        EXPECT_EQ(got >> n, 0u);
+      }
+      for (uint32_t i = 0; i < n; ++i) {
+        EXPECT_EQ(((got >> i) & 1) != 0, prepared.Matches(batch[i]))
+            << "record " << i << " of " << n;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace decibel

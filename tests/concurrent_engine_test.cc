@@ -271,15 +271,15 @@ void PrintTo(const EngineLayout& layout, std::ostream* os) {
 
 class ReadRaceTest : public ::testing::TestWithParam<EngineLayout> {};
 
-// Point reads, branch scans and Stats() race every operation that moves
-// the engines' branch state: one writer on master, one on a child, a
-// thread forking and retiring branches of both (a fork freezes the
-// parent's pk-index delta while readers probe it) and reading each
-// retired head back (which rebuilds its released index), and
-// checkpoints. Every row a reader sees must come from some applied state
-// of its branch: master writes round r as value r, the child as -r, and
-// MakeRecord sets every column to the value, so a torn or stray row
-// shows.
+// Point reads, branch scans, multi-branch page scans (NextPage over
+// MULTI and HEADS) and Stats() race every operation that moves the
+// engines' branch state: one writer on master, one on a child, a thread
+// forking and retiring branches of both (a fork freezes the parent's
+// pk-index delta while readers probe it) and reading each retired head
+// back (which rebuilds its released index), and checkpoints. Every row a
+// reader sees must come from some applied state of its branch: master
+// writes round r as value r, the child as -r, and MakeRecord sets every
+// column to the value, so a torn or stray row shows.
 TEST_P(ReadRaceTest, ReadsSeeOnlyAppliedStatesUnderForksRetiresCheckpoints) {
   ScratchDir dir("read_race");
   const Schema schema = TestSchema(3);
@@ -381,6 +381,30 @@ TEST_P(ReadRaceTest, ReadsSeeOnlyAppliedStatesUnderForksRetiresCheckpoints) {
           }
           ASSERT_OK((*cursor)->status());
           EXPECT_GE(rows, static_cast<size_t>(kKeys));
+        }
+        if ((seed >> 33) % 8 == 1 || (seed >> 33) % 8 == 2) {
+          // A multi-branch view read a page at a time: its rows sit on
+          // the same shared tails the writers append to.
+          auto cursor =
+              db->NewScan((seed >> 33) % 8 == 1
+                              ? ScanSpec::Multi({kMasterBranch, child})
+                              : ScanSpec::Heads());
+          ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+          const std::vector<BranchId>& heads = (*cursor)->branches();
+          ScanPage page;
+          size_t in_master = 0;
+          while ((*cursor)->NextPage(&page)) {
+            for (size_t i = 0; i < page.size(); ++i) {
+              page.membership(i).ForEach([&](uint32_t p) {
+                if (heads[p] == kMasterBranch) ++in_master;
+                if (heads[p] == kMasterBranch || heads[p] == child) {
+                  check_row(heads[p], page.record(i));
+                }
+              });
+            }
+          }
+          ASSERT_OK((*cursor)->status());
+          EXPECT_GE(in_master, static_cast<size_t>(kKeys));
         }
         if ((seed >> 36) % 16 == 0) {
           const DecibelStats stats = db->Stats();

@@ -789,6 +789,67 @@ TEST_P(RecoveryTest, CrashConsistentCopyReplaysWal) {
   EXPECT_FALSE(db->IsDirty(side));
 }
 
+TEST_P(RecoveryTest, RetiredBranchCommitsItsWritesAndRefusesMore) {
+  // Retiring a dirty branch commits it first, so its head commit holds
+  // every row it reads and a fork of that commit starts from them. After
+  // that every write path refuses the branch with one status on every
+  // engine, logs nothing, and keeps refusing after a crash-copy replay.
+  ScratchDir dir("recov_retired");
+  ScratchDir crash("recov_retired_copy");
+  BranchId dev = kInvalidBranch;
+  std::map<int64_t, int32_t> dev_rows;
+  auto expect_refused = [](Decibel* db, BranchId b, const std::string& when) {
+    SCOPED_TRACE(when);
+    const Schema& schema = db->schema();
+    const uint64_t wal_bytes = db->Stats().wal_bytes_appended;
+    EXPECT_TRUE(db->InsertInto(b, MakeRecord(schema, 900, 9))
+                    .IsInvalidArgument());
+    EXPECT_TRUE(db->UpdateIn(b, MakeRecord(schema, 1, 9)).IsInvalidArgument());
+    EXPECT_TRUE(db->DeleteFrom(b, 2).IsInvalidArgument());
+    ASSERT_OK_AND_ASSIGN(Transaction txn, db->Begin(b));
+    ASSERT_OK(txn.Insert(MakeRecord(schema, 901, 9)));
+    EXPECT_TRUE(txn.Commit().IsInvalidArgument());
+    EXPECT_TRUE(db->Merge(b, kMasterBranch, MergePolicy::kTwoWayLeft)
+                    .status()
+                    .IsInvalidArgument());
+    EXPECT_EQ(db->Stats().wal_bytes_appended, wal_bytes);
+  };
+  {
+    ASSERT_OK_AND_ASSIGN(auto db, OpenDb(dir.path()));
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_OK(db->InsertInto(kMasterBranch, MakeRecord(db->schema(), i, i)));
+    }
+    ASSERT_OK(db->CommitBranch(kMasterBranch).status());
+    Session s = db->NewSession();
+    ASSERT_OK_AND_ASSIGN(dev, db->Branch("dev", &s));
+    ASSERT_OK(db->InsertInto(dev, MakeRecord(db->schema(), 50, 5)));
+    ASSERT_OK(db->UpdateIn(dev, MakeRecord(db->schema(), 1, 11)));
+    ASSERT_OK(db->DeleteFrom(dev, 2));
+    dev_rows = CollectBranch(db.get(), dev);
+    ASSERT_TRUE(db->IsDirty(dev));
+    const CommitId before = db->Head(dev);
+
+    ASSERT_OK(db->RetireBranch(dev));
+    EXPECT_FALSE(db->IsDirty(dev));
+    const CommitId head = db->Head(dev);
+    EXPECT_NE(head, before);
+    EXPECT_EQ(CollectBranch(db.get(), dev), dev_rows);
+    ASSERT_OK_AND_ASSIGN(auto at_head, db->NewScan(ScanSpec::Commit(head)));
+    EXPECT_EQ(CollectAll(at_head.get()), CollectBranchAll(db.get(), dev));
+    ASSERT_OK_AND_ASSIGN(BranchId fork, db->BranchAt("fork", head));
+    EXPECT_EQ(CollectBranch(db.get(), fork), dev_rows);
+    expect_refused(db.get(), dev, "before the reopen");
+    EXPECT_EQ(CollectBranch(db.get(), dev), dev_rows);
+    ASSERT_OK(CopyDirRecursive(dir.path(), crash.path()));
+  }
+
+  ASSERT_OK_AND_ASSIGN(auto db, ReopenDb(crash.path()));
+  EXPECT_EQ(CollectBranch(db.get(), dev), dev_rows);
+  expect_refused(db.get(), dev, "after the reopen");
+  EXPECT_EQ(CollectBranch(db.get(), dev), dev_rows);
+  EXPECT_TRUE(db->RetireBranch(dev).IsInvalidArgument());
+}
+
 TEST_P(RecoveryTest, MergeInWalTailReplaysCarriedBatch) {
   // A merge whose kMerge record sits in the WAL tail (crash after the
   // merge, before any checkpoint) must replay to the exact merged state.

@@ -129,6 +129,29 @@ TEST_P(ScanApiTest, LimitStopsTheCursor) {
   EXPECT_EQ(cursor->stats().rows_emitted, 7u);
 }
 
+TEST_P(ScanApiTest, SingleVersionViewsPageOneRowAtATime) {
+  // NextPage on a single-version view (and the diff view) is Next with
+  // one row per page and no membership words.
+  for (const ScanSpec& spec :
+       {ScanSpec::Branch(dev_).Where(C1(CompareOp::kGe, 10)),
+        ScanSpec::Commit(db_->Head(kMasterBranch)),
+        ScanSpec::Diff(dev_, kMasterBranch)}) {
+    ASSERT_OK_AND_ASSIGN(auto by_rows, db_->NewScan(spec));
+    ASSERT_OK_AND_ASSIGN(auto by_pages, db_->NewScan(spec));
+    const std::map<int64_t, int32_t> expected = Drain(by_rows.get());
+    std::map<int64_t, int32_t> got;
+    ScanPage page;
+    while (by_pages->NextPage(&page)) {
+      ASSERT_EQ(page.size(), 1u);
+      EXPECT_EQ(page.words_per_row, 0u);
+      got[page.record(0).pk()] = page.record(0).GetInt32(1);
+    }
+    EXPECT_OK(by_pages->status());
+    EXPECT_FALSE(expected.empty());
+    EXPECT_EQ(got, expected);
+  }
+}
+
 TEST_P(ScanApiTest, MultiBranchAnnotatesAfterPredicate) {
   ASSERT_OK_AND_ASSIGN(
       auto cursor, db_->NewScan(ScanSpec::Multi({kMasterBranch, dev_})
@@ -574,6 +597,196 @@ std::map<int64_t, std::string> FilterOnTop(Decibel* db, ScanSpec view,
     return !pred.Matches(RecordRef(&db->schema(), Slice(row.second)));
   });
   return rows;
+}
+
+/// A multi-view read in scan order, with the cursor's final stats.
+struct ViewRead {
+  AnnotatedRows rows;
+  ScanStats stats;
+};
+
+/// The key of one multi-view row: its bytes, or pk and c2 when the scan
+/// projects to c2 (the only columns then specified).
+std::string RowKey(const RecordRef& rec, bool projected) {
+  return projected ? std::to_string(rec.pk()) + ":" +
+                         std::to_string(rec.GetInt32(2))
+                   : rec.data().ToString();
+}
+
+/// Reads \p spec through NextPage.
+ViewRead ReadByPages(Decibel* db, const ScanSpec& spec, bool projected) {
+  ViewRead out;
+  auto cursor = db->NewScan(spec);
+  EXPECT_TRUE(cursor.ok()) << cursor.status().ToString();
+  if (!cursor.ok()) return out;
+  const size_t words = ((*cursor)->branches().size() + 63) / 64;
+  ScanPage page;
+  while ((*cursor)->NextPage(&page)) {
+    EXPECT_GT(page.size(), 0u);
+    EXPECT_EQ(page.words_per_row, words);
+    EXPECT_EQ(page.members.size(), page.size() * words);
+    for (size_t i = 0; i < page.size(); ++i) {
+      std::vector<uint32_t> positions;
+      page.membership(i).ForEach([&](uint32_t p) { positions.push_back(p); });
+      out.rows.emplace_back(RowKey(page.record(i), projected), positions);
+    }
+  }
+  EXPECT_OK((*cursor)->status());
+  out.stats = (*cursor)->stats();
+  return out;
+}
+
+/// Reads \p spec through Next.
+ViewRead ReadByRows(Decibel* db, const ScanSpec& spec, bool projected) {
+  ViewRead out;
+  auto cursor = db->NewScan(spec);
+  EXPECT_TRUE(cursor.ok()) << cursor.status().ToString();
+  if (!cursor.ok()) return out;
+  ScanRow row;
+  while ((*cursor)->Next(&row)) {
+    EXPECT_NE(row.branches, nullptr);
+    if (row.branches == nullptr) continue;
+    out.rows.emplace_back(RowKey(row.record, projected), *row.branches);
+  }
+  EXPECT_OK((*cursor)->status());
+  out.stats = (*cursor)->stats();
+  return out;
+}
+
+void ExpectSameStats(const ScanStats& a, const ScanStats& b) {
+  EXPECT_EQ(a.rows_scanned, b.rows_scanned);
+  EXPECT_EQ(a.rows_emitted, b.rows_emitted);
+  EXPECT_EQ(a.bytes_scanned, b.bytes_scanned);
+  EXPECT_EQ(a.bytes_read, b.bytes_read);
+  EXPECT_EQ(a.pages_skipped, b.pages_skipped);
+  EXPECT_EQ(a.segments_skipped, b.segments_skipped);
+}
+
+TEST(ScanApiCrossEngineTest, PagesAndRowsAgreeOverSeventyBranches) {
+  // Master holds 4000 rows over ~23 pages with c1 = pk, so c1 >= 3000
+  // rules out most of its pages by their zone maps. 69 forks, each of
+  // master or of an earlier fork, update one row into the filtered range,
+  // insert one, delete one and sometimes commit, so a row's membership
+  // spans two words (positions up to 69). Every multi view must read the
+  // same through NextPage and Next, stats included; each position's rows
+  // must be that branch's own filtered scan; and every engine must agree.
+  const Schema schema = TestSchema(2);
+  auto c1_ge = [&](int64_t value) {
+    auto pred = Predicate::Compare(schema, "c1", CompareOp::kGe, value);
+    EXPECT_TRUE(pred.ok());
+    return *pred;
+  };
+  const Predicate filter = c1_ge(3000);
+  constexpr int kForks = 69;
+  std::vector<AnnotatedRows> first_engine;
+  for (EngineType engine : {EngineType::kTupleFirst,
+                            EngineType::kVersionFirst, EngineType::kHybrid}) {
+    SCOPED_TRACE(EngineTypeName(engine));
+    ScratchDir dir("scan_api_pages");
+    const uint64_t rpp = RecordsPerPage(schema, dir.path());
+    DecibelOptions options;
+    options.engine = engine;
+    options.page_size = 4096;
+    ASSERT_OK_AND_ASSIGN(auto db, Decibel::Open(dir.path(), schema, options));
+    {
+      ASSERT_OK_AND_ASSIGN(Transaction txn, db->Begin(kMasterBranch));
+      for (int64_t pk = 0; pk < 4000; ++pk) {
+        ASSERT_OK(txn.Insert(
+            MakeRecordVals(schema, pk, {static_cast<int32_t>(pk), 7})));
+      }
+      ASSERT_OK(txn.Commit());
+    }
+    ASSERT_OK(db->CommitBranch(kMasterBranch).status());
+    std::vector<BranchId> all = {kMasterBranch};
+    Session s = db->NewSession();
+    for (int i = 0; i < kForks; ++i) {
+      const BranchId parent =
+          i % 3 == 0 ? kMasterBranch : all[(i * 7) % all.size()];
+      ASSERT_OK(db->Use(&s, parent));
+      ASSERT_OK_AND_ASSIGN(BranchId b, db->Branch("f" + std::to_string(i), &s));
+      ASSERT_OK(db->UpdateIn(
+          b, MakeRecordVals(schema, (i * 53) % 4000, {3000 + i, i})));
+      ASSERT_OK(
+          db->InsertInto(b, MakeRecordVals(schema, 10000 + i, {3500, i})));
+      ASSERT_OK(db->DeleteFrom(b, 3100 + i));
+      if (i % 5 == 0) ASSERT_OK(db->CommitBranch(b).status());
+      all.push_back(b);
+    }
+
+    const uint64_t limit = rpp + 5;  // cuts the second page read
+    ASSERT_NE(limit % rpp, 0u);
+    struct View {
+      ScanSpec spec;
+      bool projected;
+    };
+    const std::vector<View> views = {
+        {ScanSpec::Multi(all).Where(filter), false},
+        {ScanSpec::Heads().Where(filter), false},
+        {ScanSpec::Multi(all).Where(filter).Project({2}), true},
+        {ScanSpec::Multi(all).Where(filter).WithLimit(limit), false},
+        {ScanSpec::Multi(all).WithLimit(limit), false},
+        {ScanSpec::Multi(all), false},
+    };
+    std::vector<ViewRead> reads;
+    for (const View& view : views) {
+      ViewRead by_pages = ReadByPages(db.get(), view.spec, view.projected);
+      ViewRead by_rows = ReadByRows(db.get(), view.spec, view.projected);
+      EXPECT_EQ(by_pages.rows, by_rows.rows);
+      ExpectSameStats(by_pages.stats, by_rows.stats);
+      EXPECT_EQ(by_pages.stats.rows_emitted, by_pages.rows.size());
+      reads.push_back(std::move(by_pages));
+    }
+    const ViewRead& filtered = reads[0];
+    EXPECT_GT(filtered.stats.pages_skipped, 0u);
+    EXPECT_LT(filtered.stats.rows_scanned, reads[5].stats.rows_scanned);
+
+    // Each position's rows are exactly its branch's filtered scan.
+    std::vector<std::multiset<std::string>> by_position(all.size());
+    bool second_word = false;
+    for (const auto& [bytes, positions] : filtered.rows) {
+      EXPECT_FALSE(positions.empty());
+      for (uint32_t p : positions) {
+        by_position[p].insert(bytes);
+        second_word = second_word || p >= 64;
+      }
+    }
+    EXPECT_TRUE(second_word);
+    for (size_t p = 0; p < all.size(); ++p) {
+      std::multiset<std::string> expected;
+      auto cursor = db->NewScan(ScanSpec::Branch(all[p]).Where(filter));
+      ASSERT_TRUE(cursor.ok());
+      ScanRow row;
+      while ((*cursor)->Next(&row)) {
+        expected.insert(row.record.data().ToString());
+      }
+      EXPECT_EQ(by_position[p], expected) << "position " << p;
+    }
+    // All branches are active, so HEADS is the same view.
+    EXPECT_EQ(reads[1].rows, filtered.rows);
+
+    // A LIMIT keeps the scan's first rows and counts nothing past the cut:
+    // without a predicate every examined row is emitted.
+    for (size_t v : {3, 4}) {
+      const AnnotatedRows& unlimited = v == 3 ? filtered.rows : reads[5].rows;
+      ASSERT_EQ(reads[v].rows.size(), limit);
+      EXPECT_TRUE(std::equal(reads[v].rows.begin(), reads[v].rows.end(),
+                             unlimited.begin()));
+    }
+    EXPECT_EQ(reads[4].stats.rows_scanned, limit);
+    EXPECT_LT(reads[3].stats.rows_scanned, filtered.stats.rows_scanned);
+
+    std::vector<AnnotatedRows> sorted;
+    for (size_t v : {0, 2}) {
+      AnnotatedRows rows = reads[v].rows;
+      std::sort(rows.begin(), rows.end());
+      sorted.push_back(std::move(rows));
+    }
+    if (first_engine.empty()) {
+      first_engine = std::move(sorted);
+    } else {
+      EXPECT_EQ(sorted, first_engine);
+    }
+  }
 }
 
 TEST(ScanApiCrossEngineTest, PrunedPagesAreSkippedWholeOnEveryEngine) {

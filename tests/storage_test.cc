@@ -720,7 +720,7 @@ TEST(HeapFileRaceTest, PinnedTailsStableUnderAppendAndSeal) {
   std::thread appender([&] {
     Random rng(7);
     uint64_t n = 0;
-    while (n < kRecords) {
+    for (int batches = 0; n < kRecords; ++batches) {
       const uint64_t take = std::min<uint64_t>(1 + rng.Uniform(2 * rpp),
                                                kRecords - n);
       std::string batch;
@@ -729,6 +729,15 @@ TEST(HeapFileRaceTest, PinnedTailsStableUnderAppendAndSeal) {
                                 : f->AppendBatch(batch, take).ok();
       if (!ok || (rng.Uniform(8) == 0 && !f->Flush().ok())) failed = true;
       n += take;
+      // The first batches wait for the readers' pins to advance: unpaced,
+      // the appender can finish before any reader wakes from its first
+      // sleep, and no pin races an append at all.
+      if (batches < 64) {
+        const uint64_t seen = pins.load();
+        while (pins.load() == seen && !failed.load()) {
+          std::this_thread::yield();
+        }
+      }
     }
     done = true;
   });
